@@ -2,8 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Shared helpers for the benchmark harness binaries. Each bench binary
-// regenerates one of the paper's figures as printed series (see DESIGN.md's
-// per-experiment index); timing-oriented benchmarks use google-benchmark.
+// regenerates one of the paper's figures as printed series;
+// timing-oriented benchmarks use google-benchmark.
 
 #ifndef FAIRIDX_BENCH_BENCH_UTIL_H_
 #define FAIRIDX_BENCH_BENCH_UTIL_H_

@@ -38,7 +38,7 @@ std::unique_ptr<Classifier> MakeClassifier(ClassifierKind kind);
 /// All three classifier kinds, in the paper's order.
 std::vector<ClassifierKind> AllClassifierKinds();
 
-/// The paper's two evaluation cities (synthetic stand-ins; see DESIGN.md).
+/// The paper's two evaluation cities (synthetic stand-ins).
 std::vector<CityConfig> PaperCities();
 
 /// The paper's Fig. 7/8 height sweep: 4..10.

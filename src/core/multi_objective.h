@@ -30,7 +30,7 @@ struct MultiObjectiveOptions {
   std::vector<double> alphas;
   NeighborhoodEncoding encoding = NeighborhoodEncoding::kNumericId;
   /// Eq. 13 as printed carries an extra |L| weighting relative to Eq. 9;
-  /// set true for the Eq. 9-consistent form (see DESIGN.md).
+  /// set true for the Eq. 9-consistent form.
   bool use_eq9_weighting = false;
   /// Per-task fits (design-matrix assembly + model training + scoring) run
   /// concurrently on the shared ThreadPool when > 1. Residuals are

@@ -7,7 +7,7 @@
 // the paper's experiments rely on: socio-economic features and labels are
 // *spatially autocorrelated*, driven by a latent "disadvantage" surface, so
 // geography carries label signal and per-neighborhood miscalibration
-// emerges. See DESIGN.md section 2 for the substitution rationale.
+// emerges.
 
 #ifndef FAIRIDX_DATA_EDGAP_SYNTHETIC_H_
 #define FAIRIDX_DATA_EDGAP_SYNTHETIC_H_

@@ -7,7 +7,7 @@
 //
 //   * SplitSweep::Children — Algorithm 2's per-offset corner expression,
 //   * Query / QueryMany    — the 4-corner rectangle combine,
-//   * IntegrateSlots       — the O(UV) prefix integration every build,
+//   * IntegratePrefix      — the O(UV) prefix integration every build,
 //                            fold and seal pays.
 //
 // Dispatch follows the Crc32c pattern in common/binary_io.cc: one

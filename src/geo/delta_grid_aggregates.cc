@@ -67,7 +67,8 @@ Status DeltaGridAggregates::Insert(int cell_id, int label, double score) {
 Status DeltaGridAggregates::Insert(int cell_id, int label, double score,
                                    double residual) {
   FAIRIDX_RETURN_IF_ERROR(
-      GridAggregates::ValidateRecord(rows_ * cols_, cell_id, label));
+      GridAggregates::ValidateRecord(rows_ * cols_, cell_id, label, score,
+                                     residual));
   PrefixEntry& slot = cell_sums_[static_cast<size_t>(cell_id)];
   if (!dirty_flag_[static_cast<size_t>(cell_id)]) {
     // First pending insert for this cell: snapshot what the base prefix

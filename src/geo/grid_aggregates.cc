@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "geo/aggregate_kernels.h"
@@ -18,7 +21,12 @@ using PrefixEntry = GridAggregates::PrefixEntry;
 // row at the same offsets. Per entry the operation sequence is fixed —
 // cell_abs from the RAW label/score sums first, then the three-neighbour
 // fold field by field — which is what makes scalar, SIMD, serial and
-// wavefront execution bit-identical.
+// band-pipelined execution bit-identical. Kept out of line: when two NaNs
+// meet in a commutative add, the compiler's operand order picks the one
+// that survives, and a standalone body fixes that choice for every caller.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
 void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
                           size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -26,9 +34,8 @@ void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
     const PrefixEntry& west = *(entries + i - 1);
     const PrefixEntry& nn = north[i];
     const PrefixEntry& nw = *(north + i - 1);
-    // From the raw per-cell sums, BEFORE the folds below turn the
-    // labels/scores slots into prefix values (absolute values do not
-    // distribute over sums).
+    // From the raw per-cell sums, BEFORE the folds below turn them into
+    // prefix values (absolute values do not distribute over sums).
     const double cell_abs = std::abs(e.labels - e.scores);
     e.count += (west.count + nn.count) - nw.count;
     e.labels += (west.labels + nn.labels) - nw.labels;
@@ -40,7 +47,7 @@ void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
 
 // Integrates one row segment through the dispatched kernel (or the scalar
 // twin when dispatch resolved to scalar). `kernels` is hoisted by the
-// caller so the wavefront tasks never touch the atomic.
+// caller so the band loops never touch the atomic.
 inline void IntegrateSegment(const internal::AggregateKernels* kernels,
                              PrefixEntry* entries, const PrefixEntry* north,
                              size_t n) {
@@ -50,6 +57,36 @@ inline void IntegrateSegment(const internal::AggregateKernels* kernels,
   } else {
     IntegrateCellsScalar(entries, north, n);
   }
+}
+
+// The rectangle corner combine behind Query and QueryMany: the dispatched
+// kernel, or the same per-field expression in scalar code.
+inline void CombineCorners(const internal::AggregateKernels* kernels,
+                           const PrefixEntry& p11, const PrefixEntry& p01,
+                           const PrefixEntry& p10, const PrefixEntry& p00,
+                           RegionAggregate* out) {
+  if (kernels != nullptr) {
+    kernels->corner_combine(reinterpret_cast<const double*>(&p11),
+                            reinterpret_cast<const double*>(&p01),
+                            reinterpret_cast<const double*>(&p10),
+                            reinterpret_cast<const double*>(&p00),
+                            reinterpret_cast<double*>(out));
+    return;
+  }
+  out->count = p11.count - p01.count - p10.count + p00.count;
+  out->sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
+  out->sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
+  out->sum_residuals =
+      p11.residuals - p01.residuals - p10.residuals + p00.residuals;
+  out->sum_cell_abs_miscalibration =
+      p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
+}
+
+// Spin-wait hint: tells the core a busy-wait loop is running.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
 }
 
 }  // namespace
@@ -63,10 +100,12 @@ RegionAggregate& RegionAggregate::operator+=(const RegionAggregate& other) {
   return *this;
 }
 
-GridAggregates::GridAggregates(int rows, int cols)
-    : rows_(rows),
-      cols_(cols),
-      prefix_(static_cast<size_t>(rows + 1) * (cols + 1)) {}
+GridAggregates::GridAggregates(int rows, int cols,
+                               std::vector<PrefixEntry> storage)
+    : rows_(rows), cols_(cols), prefix_(std::move(storage)) {
+  const size_t size = static_cast<size_t>(rows + 1) * (cols + 1);
+  if (prefix_.size() != size) prefix_.assign(size, PrefixEntry{});
+}
 
 Status GridAggregates::AccumulateInto(const Grid& grid,
                                       const std::vector<int>& cell_ids,
@@ -75,6 +114,26 @@ Status GridAggregates::AccumulateInto(const Grid& grid,
                                       const std::vector<double>& residuals,
                                       PrefixEntry* slots, size_t stride,
                                       int offset) {
+  FAIRIDX_RETURN_IF_ERROR(
+      ValidateRecords(grid.num_cells(), cell_ids, labels, scores, residuals));
+  const size_t n = cell_ids.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int cell = cell_ids[i];
+    PrefixEntry& slot =
+        slots[static_cast<size_t>(grid.RowOfCell(cell) + offset) * stride +
+              (grid.ColOfCell(cell) + offset)];
+    AccumulateRecord(&slot, labels[i], scores[i],
+                     residuals.empty() ? (scores[i] - labels[i])
+                                       : residuals[i]);
+  }
+  return Status::Ok();
+}
+
+Status GridAggregates::ValidateRecords(int num_cells,
+                                       const std::vector<int>& cell_ids,
+                                       const std::vector<int>& labels,
+                                       const std::vector<double>& scores,
+                                       const std::vector<double>& residuals) {
   const size_t n = cell_ids.size();
   if (labels.size() != n || scores.size() != n) {
     return InvalidArgumentError(
@@ -83,16 +142,29 @@ Status GridAggregates::AccumulateInto(const Grid& grid,
   if (!residuals.empty() && residuals.size() != n) {
     return InvalidArgumentError("GridAggregates: residuals size mismatch");
   }
+  // Column by column, OR-ing flags instead of branching, which the
+  // compiler vectorizes: an out-of-range cell or label wraps to a large
+  // unsigned value, and a non-finite double has an all-ones exponent, so
+  // adding one to the exponent alone carries into the sign bit.
+  const auto non_finite = [](const std::vector<double>& values) {
+    uint64_t carries = 0;
+    for (const double value : values) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &value, sizeof bits);
+      carries |= (bits & 0x7FF0000000000000ull) + (1ull << 52);
+    }
+    return carries >> 63;
+  };
+  uint64_t flagged = non_finite(scores) | non_finite(residuals);
   for (size_t i = 0; i < n; ++i) {
-    const int cell = cell_ids[i];
-    FAIRIDX_RETURN_IF_ERROR(
-        ValidateRecord(grid.num_cells(), cell, labels[i]));
-    PrefixEntry& slot =
-        slots[static_cast<size_t>(grid.RowOfCell(cell) + offset) * stride +
-              (grid.ColOfCell(cell) + offset)];
-    AccumulateRecord(&slot, labels[i], scores[i],
-                     residuals.empty() ? (scores[i] - labels[i])
-                                       : residuals[i]);
+    flagged |= (static_cast<unsigned>(cell_ids[i]) >=
+                static_cast<unsigned>(num_cells)) |
+               (static_cast<unsigned>(labels[i]) > 1u);
+  }
+  for (size_t i = 0; flagged != 0 && i < n; ++i) {
+    FAIRIDX_RETURN_IF_ERROR(ValidateRecord(
+        num_cells, cell_ids[i], labels[i], scores[i],
+        residuals.empty() ? scores[i] - labels[i] : residuals[i]));
   }
   return Status::Ok();
 }
@@ -121,13 +193,15 @@ Result<GridAggregates> GridAggregates::Build(
       AccumulateInto(grid, cell_ids, labels, scores, residuals,
                      agg.prefix_.data(),
                      static_cast<size_t>(grid.cols()) + 1, 1));
-  agg.IntegrateSlots(/*num_threads=*/0);
+  internal::IntegratePrefix(agg.prefix_.data(), agg.rows_, agg.cols_,
+                            /*cell_sums=*/nullptr, /*num_threads=*/0,
+                            ThreadPool::Shared());
   return agg;
 }
 
 Result<GridAggregates> GridAggregates::FromCellSums(
     int rows, int cols, const std::vector<PrefixEntry>& cell_sums,
-    int num_threads) {
+    int num_threads, std::vector<PrefixEntry> storage) {
   if (rows <= 0 || cols <= 0) {
     return InvalidArgumentError(
         "GridAggregates::FromCellSums: non-positive grid shape");
@@ -136,144 +210,90 @@ Result<GridAggregates> GridAggregates::FromCellSums(
     return InvalidArgumentError(
         "GridAggregates::FromCellSums: cell_sums size mismatch");
   }
-  GridAggregates agg(rows, cols);
-  const size_t stride = static_cast<size_t>(cols) + 1;
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      agg.prefix_[static_cast<size_t>(r + 1) * stride + (c + 1)] =
-          cell_sums[static_cast<size_t>(r) * cols + c];
-    }
-  }
-  agg.IntegrateSlots(num_threads);
+  GridAggregates agg(rows, cols, std::move(storage));
+  internal::IntegratePrefix(agg.prefix_.data(), rows, cols, cell_sums.data(),
+                            num_threads, ThreadPool::Shared());
   return agg;
 }
 
-void GridAggregates::IntegrateSlots(int num_threads) {
+namespace internal {
+
+void IntegratePrefix(PrefixEntry* prefix, int rows, int cols,
+                     const PrefixEntry* cell_sums, int num_threads,
+                     ThreadPool& pool) {
   int threads = num_threads;
   if (threads == 0) {
-    // Auto: engage the shared pool only when it actually has workers (on a
-    // 1-core host Wait() would just run everything inline with scheduling
-    // overhead on top) and the grid is big enough that the integration
-    // dominates the task bookkeeping.
-    ThreadPool& pool = ThreadPool::Shared();
-    const bool big =
-        static_cast<long long>(rows_) * cols_ >= 256LL * 256LL;
+    // Auto: engage the pool only when it actually has workers (with none,
+    // the bands would just run one after another with bookkeeping on top)
+    // and the grid is big enough that the integration dominates it.
+    const bool big = static_cast<long long>(rows) * cols >= 256LL * 256LL;
     threads = (pool.num_workers() > 0 && big) ? pool.num_workers() + 1 : 1;
   }
-  if (threads > 1 && rows_ > 1) {
-    IntegrateWavefront(threads);
-    return;
-  }
-  const size_t stride = static_cast<size_t>(cols_) + 1;
-  const internal::AggregateKernels* kernels =
-      internal::ActiveAggregateKernels();
-  for (int r = 1; r <= rows_; ++r) {
-    PrefixEntry* row = prefix_.data() + static_cast<size_t>(r) * stride;
-    IntegrateSegment(kernels, row + 1, row + 1 - stride,
-                     static_cast<size_t>(cols_));
-  }
-}
+  // Below 64 columns a band's segment is too short to amortise its
+  // per-row handoff.
+  constexpr int kMinBandCols = 64;
+  const int num_bands = std::max(1, std::min(threads, cols / kMinBandCols));
+  const size_t stride = static_cast<size_t>(cols) + 1;
+  const AggregateKernels* kernels = ActiveAggregateKernels();
+  if (cell_sums != nullptr) std::fill(prefix, prefix + stride, PrefixEntry{});
 
-void GridAggregates::IntegrateWavefront(int num_threads) {
-  const size_t stride = static_cast<size_t>(cols_) + 1;
-  const internal::AggregateKernels* kernels =
-      internal::ActiveAggregateKernels();
-
-  // Cut every row into the same column chunks. Block (r, j) depends on
-  // (r-1, j) — its north row — and (r, j-1) — its west neighbour, whose
-  // last entry is this chunk's entries[-1]. That is the full dependence
-  // set of the recurrence, so scheduling a block the moment its counter
-  // hits zero is safe under ANY interleaving; the per-cell arithmetic
-  // (and therefore the result, bit for bit) never depends on the order.
-  constexpr int kMinChunkCols = 64;
-  const int max_chunks = (cols_ + kMinChunkCols - 1) / kMinChunkCols;
-  const int num_chunks = std::max(1, std::min(max_chunks, 2 * num_threads));
-  const int chunk_cols = (cols_ + num_chunks - 1) / num_chunks;
-
-  struct Wavefront {
-    GridAggregates* agg;
-    const internal::AggregateKernels* kernels;
-    size_t stride;
-    int num_chunks;
-    int chunk_cols;
-    ThreadPool::TaskGroup* group;
-    // One dependency counter per block, row-major rows x num_chunks.
-    // Interior blocks start at 2, the top row and left column at 1, the
-    // origin at 0 (it is spawned directly).
-    std::vector<std::atomic<int>> deps;
-
-    void Run(int r, int j) {
-      const int col_begin = 1 + j * chunk_cols;
-      const int col_end = std::min(col_begin + chunk_cols,
-                                   agg->cols_ + 1);
-      // Ceil-division chunking can leave the last chunk empty; it still
-      // must flow through the dependency graph to release its successors.
-      if (col_end > col_begin) {
-        PrefixEntry* row =
-            agg->prefix_.data() + static_cast<size_t>(r + 1) * stride;
-        IntegrateSegment(kernels, row + col_begin,
-                         row + col_begin - stride,
-                         static_cast<size_t>(col_end - col_begin));
+  // Band j owns a contiguous run of padded columns in every row.
+  // Integrating its segment of row r reads the west entry (the last column
+  // of band j - 1 in row r) and the north row r - 1, so it may start once
+  // band j - 1 has published row r: rows stream through the bands as a
+  // pipeline, and each cell's arithmetic is the serial loop's.
+  struct alignas(64) BandProgress {
+    std::atomic<int> rows{0};  // Rows this band has integrated.
+  };
+  std::vector<BandProgress> progress(static_cast<size_t>(num_bands));
+  const auto run_band = [&](int band) {
+    const size_t begin = 1 + static_cast<size_t>(cols) * band / num_bands;
+    const size_t end = 1 + static_cast<size_t>(cols) * (band + 1) / num_bands;
+    for (int r = 1; r <= rows; ++r) {
+      // Pause while the west neighbour is likely mid-row; yield once it
+      // looks preempted, so the wait does not burn its core.
+      for (int spins = 0; band > 0 && progress[band - 1].rows.load(
+                                          std::memory_order_acquire) < r;
+           ++spins) {
+        spins < 64 ? CpuRelax() : std::this_thread::yield();
       }
-      // Release the south and east successors. acq_rel pairs the counter
-      // handoff with the data writes above (the pool's queue mutex also
-      // orders them, but the counter must not be weaker than the data).
-      if (r + 1 < agg->rows_) Release((r + 1) * num_chunks + j, r + 1, j);
-      if (j + 1 < num_chunks) Release(r * num_chunks + j + 1, r, j + 1);
-    }
-
-    void Release(int block, int r, int j) {
-      if (deps[block].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        group->Spawn([this, r, j] { Run(r, j); });
+      PrefixEntry* row = prefix + static_cast<size_t>(r) * stride;
+      if (cell_sums != nullptr) {
+        // Source cell c sits in padded slot c + 1.
+        const PrefixEntry* src = cell_sums + static_cast<size_t>(r - 1) * cols;
+        if (band == 0) row[0] = PrefixEntry{};
+        std::copy(src + begin - 1, src + end - 1, row + begin);
       }
+      IntegrateSegment(kernels, row + begin, row + begin - stride,
+                       end - begin);
+      progress[band].rows.store(r, std::memory_order_release);
     }
   };
-
-  Wavefront wave;
-  wave.agg = this;
-  wave.kernels = kernels;
-  wave.stride = stride;
-  wave.num_chunks = num_chunks;
-  wave.chunk_cols = chunk_cols;
-  wave.deps = std::vector<std::atomic<int>>(
-      static_cast<size_t>(rows_) * num_chunks);
-  for (int r = 0; r < rows_; ++r) {
-    for (int j = 0; j < num_chunks; ++j) {
-      wave.deps[static_cast<size_t>(r) * num_chunks + j].store(
-          (r > 0 ? 1 : 0) + (j > 0 ? 1 : 0), std::memory_order_relaxed);
-    }
+  if (num_bands == 1) {
+    run_band(0);
+    return;
   }
-
-  ThreadPool::TaskGroup group(&ThreadPool::Shared());
-  wave.group = &group;
-  group.Spawn([&wave] { wave.Run(0, 0); });
-  group.Wait();
+  // Participants claim bands in increasing order, so a band only ever
+  // waits on a lower one that is already claimed — running on some
+  // thread. That keeps the pipeline deadlock-free however the pool
+  // schedules the participants; on a pool with no workers it degenerates
+  // to the bands running one after another.
+  std::atomic<int> next_band{0};
+  pool.ParallelFor(static_cast<size_t>(num_bands), num_bands, [&](size_t) {
+    run_band(next_band.fetch_add(1, std::memory_order_relaxed));
+  });
 }
+
+}  // namespace internal
 
 RegionAggregate GridAggregates::Query(const CellRect& rect) const {
   RegionAggregate out;
   if (rect.empty()) return out;
-  const PrefixEntry& p11 = EntryAt(rect.row_end, rect.col_end);
-  const PrefixEntry& p01 = EntryAt(rect.row_begin, rect.col_end);
-  const PrefixEntry& p10 = EntryAt(rect.row_end, rect.col_begin);
-  const PrefixEntry& p00 = EntryAt(rect.row_begin, rect.col_begin);
-  const internal::AggregateKernels* kernels =
-      internal::ActiveAggregateKernels();
-  if (kernels != nullptr) {
-    kernels->corner_combine(reinterpret_cast<const double*>(&p11),
-                            reinterpret_cast<const double*>(&p01),
-                            reinterpret_cast<const double*>(&p10),
-                            reinterpret_cast<const double*>(&p00),
-                            reinterpret_cast<double*>(&out));
-    return out;
-  }
-  out.count = p11.count - p01.count - p10.count + p00.count;
-  out.sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
-  out.sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
-  out.sum_residuals =
-      p11.residuals - p01.residuals - p10.residuals + p00.residuals;
-  out.sum_cell_abs_miscalibration =
-      p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
+  CombineCorners(internal::ActiveAggregateKernels(),
+                 EntryAt(rect.row_end, rect.col_end),
+                 EntryAt(rect.row_begin, rect.col_end),
+                 EntryAt(rect.row_end, rect.col_begin),
+                 EntryAt(rect.row_begin, rect.col_begin), &out);
   return out;
 }
 
@@ -282,10 +302,8 @@ void GridAggregates::QueryMany(Span<CellRect> rects,
   // Two passes over blocks of rects: the first resolves all prefix-corner
   // addresses back to back (the scattered loads whose cache misses
   // dominate; issuing them together lets the core overlap them), the
-  // second combines each rect's corners with arithmetic identical to
-  // Query(), so every result matches the one-at-a-time path bit for bit.
-  // The combine pass runs through the dispatched kernel — same corner
-  // expression, four fields per vector op — when one is active.
+  // second combines each rect's corners exactly as Query() does, so every
+  // result matches the one-at-a-time path bit for bit.
   constexpr size_t kBlock = 16;
   const PrefixEntry* corners[4 * kBlock];
   const internal::AggregateKernels* kernels =
@@ -318,30 +336,10 @@ void GridAggregates::QueryMany(Span<CellRect> rects,
       __builtin_prefetch(corners[4 * i + 3]);
 #endif
     }
-    if (kernels != nullptr) {
-      for (size_t i = 0; i < block; ++i) {
-        kernels->corner_combine(
-            reinterpret_cast<const double*>(corners[4 * i + 0]),
-            reinterpret_cast<const double*>(corners[4 * i + 1]),
-            reinterpret_cast<const double*>(corners[4 * i + 2]),
-            reinterpret_cast<const double*>(corners[4 * i + 3]),
-            reinterpret_cast<double*>(&out[base + i]));
-      }
-      continue;
-    }
     for (size_t i = 0; i < block; ++i) {
-      const PrefixEntry& p11 = *corners[4 * i + 0];
-      const PrefixEntry& p01 = *corners[4 * i + 1];
-      const PrefixEntry& p10 = *corners[4 * i + 2];
-      const PrefixEntry& p00 = *corners[4 * i + 3];
-      RegionAggregate& agg = out[base + i];
-      agg.count = p11.count - p01.count - p10.count + p00.count;
-      agg.sum_labels = p11.labels - p01.labels - p10.labels + p00.labels;
-      agg.sum_scores = p11.scores - p01.scores - p10.scores + p00.scores;
-      agg.sum_residuals =
-          p11.residuals - p01.residuals - p10.residuals + p00.residuals;
-      agg.sum_cell_abs_miscalibration =
-          p11.cell_abs - p01.cell_abs - p10.cell_abs + p00.cell_abs;
+      CombineCorners(kernels, *corners[4 * i + 0], *corners[4 * i + 1],
+                     *corners[4 * i + 2], *corners[4 * i + 3],
+                     &out[base + i]);
     }
   }
 }

@@ -115,17 +115,27 @@ class GridAggregates {
   /// per-cell sums — DeltaGridAggregates uses this for its threshold
   /// rebuilds, and the sharded serving store for its seal folds.
   ///
-  /// `num_threads` controls the prefix-integration pass: 0 picks
-  /// automatically (the shared pool, when it has workers and the grid is
-  /// big enough to pay for scheduling), 1 forces the serial loop, and
-  /// N > 1 runs the wavefront pipeline on the shared pool. The
-  /// integration is bit-identical under every setting — each cell's
-  /// operation sequence is fixed and the wavefront ordering only changes
-  /// WHEN independent cells run, never the per-cell arithmetic — which
-  /// the WavefrontIntegrate differential suite pins.
+  /// One pass: each source row segment is copied into its padded slot
+  /// just before it is integrated, while it is still cache-hot.
+  /// `num_threads` controls that pass: 0 picks automatically (the shared
+  /// pool, when it has workers and the grid is big enough to pay for
+  /// scheduling), 1 forces the serial loop, and N > 1 cuts the columns
+  /// into min(N, cols / 64) bands that integrate as a row pipeline on the
+  /// shared pool. The result is bit-identical under every setting — each
+  /// cell's operation sequence is fixed and the bands only change WHEN a
+  /// segment runs — which the BandIntegrate differential suite pins.
+  ///
+  /// `storage`, if it is a (rows+1) * (cols+1) array (the ReleaseStorage
+  /// of an earlier structure of the same shape), is reused for the prefix
+  /// array instead of allocating and page-faulting a fresh one; any other
+  /// size is ignored. Its old contents never leak into the result.
   static Result<GridAggregates> FromCellSums(
       int rows, int cols, const std::vector<PrefixEntry>& cell_sums,
-      int num_threads = 0);
+      int num_threads = 0, std::vector<PrefixEntry> storage = {});
+
+  /// Moves the prefix array out for reuse as FromCellSums `storage`,
+  /// leaving this structure empty: it may only be destroyed afterwards.
+  std::vector<PrefixEntry> ReleaseStorage() && { return std::move(prefix_); }
 
   /// Validates `cell_ids`/`labels`/`scores`/`residuals` (the Build
   /// contract) and accumulates them into dense row-major per-cell sums in
@@ -150,17 +160,36 @@ class GridAggregates {
     slot->residuals += residual;
   }
 
-  /// The per-record acceptance rule Build and the streaming overlay's
-  /// Insert both enforce: in-grid cell id and a 0/1 label.
-  static Status ValidateRecord(int num_cells, int cell_id, int label) {
+  /// The per-record acceptance rule Build, the streaming overlay's Insert
+  /// and the sharded store's Ingest all enforce: in-grid cell id, a 0/1
+  /// label, and a finite score and residual (one NaN or inf would turn
+  /// every prefix entry downstream of its cell non-finite).
+  static Status ValidateRecord(int num_cells, int cell_id, int label,
+                               double score, double residual) {
     if (cell_id < 0 || cell_id >= num_cells) {
       return OutOfRangeError("GridAggregates: cell id out of range");
     }
     if (label != 0 && label != 1) {
       return InvalidArgumentError("GridAggregates: labels must be 0 or 1");
     }
+    if (!std::isfinite(score) || !std::isfinite(residual)) {
+      return InvalidArgumentError(
+          "GridAggregates: scores and residuals must be finite");
+    }
     return Status::Ok();
   }
+
+  /// The Build contract over a record set: parallel vectors of one length
+  /// (`residuals` may be empty; each then defaults to score - label, finite
+  /// exactly when the score is) and ValidateRecord for every record. One
+  /// branch-free pass flags a bad set, so the ingest hot path pays a few
+  /// vector ops per record; only a flagged set is walked again through
+  /// ValidateRecord for its first offender's status.
+  static Status ValidateRecords(int num_cells,
+                                const std::vector<int>& cell_ids,
+                                const std::vector<int>& labels,
+                                const std::vector<double>& scores,
+                                const std::vector<double>& residuals);
 
   /// Aggregate over all cells in `rect` (half-open). O(1).
   RegionAggregate Query(const CellRect& rect) const;
@@ -235,7 +264,9 @@ class GridAggregates {
   int cols() const { return cols_; }
 
  private:
-  GridAggregates(int rows, int cols);
+  /// A (rows+1) x (cols+1) prefix array: `storage` when it already has
+  /// that size (its contents are the caller's to overwrite), else zeros.
+  GridAggregates(int rows, int cols, std::vector<PrefixEntry> storage = {});
 
   /// The single definition of the validate-and-accumulate step: adds each
   /// record to slots[(row + offset) * stride + col + offset] in arrival
@@ -252,23 +283,6 @@ class GridAggregates {
                                PrefixEntry* slots, size_t stride,
                                int offset);
 
-  /// Turns raw per-cell sums sitting in the (row+1, col+1) slots into the
-  /// final prefix structure: per cell, derives cell_abs from the raw
-  /// label/score sums and folds in the west/north/northwest prefix
-  /// neighbours, in one pass. Shared by Build and FromCellSums so both
-  /// produce bit-identical prefixes from identical per-cell sums.
-  /// `num_threads` as in FromCellSums (0 auto, 1 serial, N > 1 wavefront);
-  /// every setting yields bit-identical prefixes.
-  void IntegrateSlots(int num_threads);
-
-  /// The wavefront pipeline behind IntegrateSlots: rows are cut into
-  /// column chunks and chunk (r, j) is scheduled the moment (r-1, j) and
-  /// (r, j-1) are done, so rows stream through the pool in a diagonal
-  /// front instead of waiting on a per-row barrier. Runs on the shared
-  /// ThreadPool; correct (and serial) even when the pool has no workers,
-  /// because TaskGroup::Wait executes queued tasks itself.
-  void IntegrateWavefront(int num_threads);
-
   const PrefixEntry& EntryAt(int row, int col) const {
     return prefix_[static_cast<size_t>(row) * (cols_ + 1) + col];
   }
@@ -279,6 +293,25 @@ class GridAggregates {
   // five statistics interleaved per corner.
   std::vector<PrefixEntry> prefix_;
 };
+
+class ThreadPool;
+
+namespace internal {
+
+/// The prefix integration behind Build and FromCellSums, over a padded
+/// (rows+1) x (cols+1) `prefix` array. With `cell_sums` set, every row
+/// segment is first copied from the dense row-major sums into its padded
+/// slots (and the border written as zeros); with nullptr the slots already
+/// hold the raw sums and a zero border. Per cell, derives cell_abs from
+/// the raw label/score sums and folds in the west/north/northwest prefix
+/// neighbours. `num_threads` as in FromCellSums, with the bands running
+/// on `pool`; exposed so tests can pin the pipeline on a pool of their
+/// own (one with no workers, say).
+void IntegratePrefix(GridAggregates::PrefixEntry* prefix, int rows, int cols,
+                     const GridAggregates::PrefixEntry* cell_sums,
+                     int num_threads, ThreadPool& pool);
+
+}  // namespace internal
 
 // The SIMD kernels address PrefixEntry / RegionAggregate as 5 contiguous
 // doubles (geo/aggregate_kernels.h); these pins fail the build if either

@@ -70,7 +70,7 @@ Result<Partition> Partition::FromRects(const Grid& grid,
 
   int threads = num_threads;
   if (threads == 0) {
-    // Auto: same heuristic as GridAggregates::IntegrateSlots — engage the
+    // Auto: same heuristic as internal::IntegratePrefix — engage the
     // shared pool only when it has workers and the grid is big enough for
     // the fill to dominate the task bookkeeping.
     ThreadPool& pool = ThreadPool::Shared();

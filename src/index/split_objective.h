@@ -32,7 +32,7 @@ enum class SplitObjectiveKind {
   /// Paper Eq. 13 (multi-objective): | |L|*|resid(L)| - |R|*|resid(R)| |.
   kResidualBalanceEq13,
   /// Eq. 9-consistent residual form: | |resid(L)| - |resid(R)| | (for m = 1
-  /// this equals Eq. 9 exactly; see DESIGN.md on the printed discrepancy).
+  /// this equals Eq. 9 exactly, unlike Eq. 13 as printed).
   kResidualBalanceEq9,
   /// Standard KD-tree median split: | count(L) - count(R) |.
   kMedianCount,

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -36,8 +37,67 @@ void SyncDir(const std::string& dir) {
   ::close(fd);
 }
 
-std::string SerializeBody(const CheckpointData& data) {
+// Every checkpoint file is a 16-byte header — magic, version, body length,
+// body CRC-32 — followed by the body. The body is serialized straight after
+// a placeholder header that FinishFrame patches, so the file image is the
+// only full-size buffer.
+constexpr size_t kFrameHeaderBytes = 16;
+constexpr size_t kEntryBytes = 5 * sizeof(double);  // One PrefixEntry.
+constexpr size_t kRectBytes = 4 * sizeof(int32_t);
+constexpr size_t kDirtyCellBytes = sizeof(uint32_t) + kEntryBytes;
+
+// `body_bytes` must be the body's exact size: a reservation that falls
+// short by even a few bytes makes the buffer double.
+BinaryWriter StartFrame(size_t body_bytes) {
   BinaryWriter out;
+  out.Reserve(kFrameHeaderBytes + body_bytes);
+  for (size_t i = 0; i < kFrameHeaderBytes; i += 4) out.PutU32(0);
+  return out;
+}
+
+std::string FinishFrame(BinaryWriter out, uint32_t magic, uint32_t version) {
+  const size_t body_bytes = out.size() - kFrameHeaderBytes;
+  out.PatchU32(0, magic);
+  out.PatchU32(4, version);
+  out.PatchU32(8, static_cast<uint32_t>(body_bytes));
+  out.PatchU32(12,
+               Crc32(out.buffer().data() + kFrameHeaderBytes, body_bytes));
+  return out.Release();
+}
+
+void PutEntry(const GridAggregates::PrefixEntry& entry, BinaryWriter* out) {
+  out->PutDouble(entry.count);
+  out->PutDouble(entry.labels);
+  out->PutDouble(entry.scores);
+  out->PutDouble(entry.residuals);
+  out->PutDouble(entry.cell_abs);
+}
+
+void PutRects(const std::vector<CellRect>& rects, BinaryWriter* out) {
+  out->PutU64(rects.size());
+  for (const CellRect& rect : rects) {
+    out->PutI32(rect.row_begin);
+    out->PutI32(rect.row_end);
+    out->PutI32(rect.col_begin);
+    out->PutI32(rect.col_end);
+  }
+}
+
+// Bytes of the fields every body starts with: rows, cols, four int64s and
+// the length-prefixed algorithm name.
+size_t CommonHeaderBytes(const std::string& algorithm) {
+  return 2 * sizeof(int32_t) + 4 * sizeof(int64_t) + sizeof(uint64_t) +
+         algorithm.size();
+}
+
+std::string SerializeFramed(const CheckpointData& data) {
+  const std::string partition = SerializePartitionBinary(data.partition);
+  BinaryWriter out = StartFrame(
+      CommonHeaderBytes(data.algorithm) + sizeof(uint64_t) +
+      data.cell_sums.size() * kEntryBytes + sizeof(uint64_t) +
+      partition.size() + sizeof(uint64_t) +
+      data.regions.size() * kRectBytes + sizeof(uint64_t) +
+      data.maintained_blob.size());
   out.PutI32(data.rows);
   out.PutI32(data.cols);
   out.PutI64(data.epoch);
@@ -47,22 +107,63 @@ std::string SerializeBody(const CheckpointData& data) {
   out.PutString(data.algorithm);
   out.PutU64(data.cell_sums.size());
   for (const GridAggregates::PrefixEntry& entry : data.cell_sums) {
-    out.PutDouble(entry.count);
-    out.PutDouble(entry.labels);
-    out.PutDouble(entry.scores);
-    out.PutDouble(entry.residuals);
-    out.PutDouble(entry.cell_abs);
+    PutEntry(entry, &out);
   }
-  out.PutString(SerializePartitionBinary(data.partition));
-  out.PutU64(data.regions.size());
-  for (const CellRect& rect : data.regions) {
-    out.PutI32(rect.row_begin);
-    out.PutI32(rect.row_end);
-    out.PutI32(rect.col_begin);
-    out.PutI32(rect.col_end);
-  }
+  out.PutString(partition);
+  PutRects(data.regions, &out);
   out.PutString(data.maintained_blob);
-  return out.Release();
+  return FinishFrame(std::move(out), kCheckpointMagic, kCheckpointVersion);
+}
+
+// Reads a count of `entry_bytes`-sized entries and bounds it by the bytes
+// left, so a corrupt length fails as DataLoss before anything is reserved.
+Result<uint64_t> ReadCount(BinaryReader& in, size_t entry_bytes,
+                           const std::string& path, const char* what) {
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t count, in.ReadU64());
+  if (count > in.remaining() / entry_bytes) {
+    return DataLossError("checkpoint " + path + ": " + what +
+                         " count exceeds the bytes left");
+  }
+  return count;
+}
+
+// Checks the header's grid shape, including that rows * cols fits the
+// int cell ids, and returns the cell count.
+Result<uint64_t> GridCells(int32_t rows, int32_t cols,
+                           const std::string& path) {
+  const uint64_t cells =
+      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols);
+  if (cells > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return DataLossError("checkpoint " + path + ": grid shape overflows");
+  }
+  return cells;
+}
+
+Result<GridAggregates::PrefixEntry> ReadEntry(BinaryReader& in) {
+  GridAggregates::PrefixEntry entry;
+  FAIRIDX_ASSIGN_OR_RETURN(entry.count, in.ReadDouble());
+  FAIRIDX_ASSIGN_OR_RETURN(entry.labels, in.ReadDouble());
+  FAIRIDX_ASSIGN_OR_RETURN(entry.scores, in.ReadDouble());
+  FAIRIDX_ASSIGN_OR_RETURN(entry.residuals, in.ReadDouble());
+  FAIRIDX_ASSIGN_OR_RETURN(entry.cell_abs, in.ReadDouble());
+  return entry;
+}
+
+Result<std::vector<CellRect>> ReadRects(BinaryReader& in,
+                                        const std::string& path) {
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_rects,
+                           ReadCount(in, kRectBytes, path, "region"));
+  std::vector<CellRect> rects;
+  rects.reserve(static_cast<size_t>(num_rects));
+  for (uint64_t i = 0; i < num_rects; ++i) {
+    CellRect rect;
+    FAIRIDX_ASSIGN_OR_RETURN(rect.row_begin, in.ReadI32());
+    FAIRIDX_ASSIGN_OR_RETURN(rect.row_end, in.ReadI32());
+    FAIRIDX_ASSIGN_OR_RETURN(rect.col_begin, in.ReadI32());
+    FAIRIDX_ASSIGN_OR_RETURN(rect.col_end, in.ReadI32());
+    rects.push_back(rect);
+  }
+  return rects;
 }
 
 Result<CheckpointData> ParseBody(const std::string& body,
@@ -80,20 +181,17 @@ Result<CheckpointData> ParseBody(const std::string& body,
       data.sealed_records < 0 || data.wal_generation < 1) {
     return DataLossError("checkpoint " + path + ": invalid header fields");
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_cells, in.ReadU64());
-  if (num_cells != static_cast<uint64_t>(data.rows) *
-                       static_cast<uint64_t>(data.cols)) {
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t grid_cells,
+                           GridCells(data.rows, data.cols, path));
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_cells,
+                           ReadCount(in, kEntryBytes, path, "cell-sum"));
+  if (num_cells != grid_cells) {
     return DataLossError("checkpoint " + path +
                          ": cell-sum count disagrees with grid shape");
   }
   data.cell_sums.reserve(static_cast<size_t>(num_cells));
   for (uint64_t i = 0; i < num_cells; ++i) {
-    GridAggregates::PrefixEntry entry;
-    FAIRIDX_ASSIGN_OR_RETURN(entry.count, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.labels, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.scores, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.residuals, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.cell_abs, in.ReadDouble());
+    FAIRIDX_ASSIGN_OR_RETURN(GridAggregates::PrefixEntry entry, ReadEntry(in));
     data.cell_sums.push_back(entry);
   }
   // The partition cell map, region ids verbatim (same wire format as
@@ -103,7 +201,8 @@ Result<CheckpointData> ParseBody(const std::string& body,
                            in.ReadString());
   BinaryReader partition_in(partition_bytes);
   FAIRIDX_ASSIGN_OR_RETURN(const uint64_t map_cells, partition_in.ReadU64());
-  if (map_cells != num_cells) {
+  if (map_cells != num_cells ||
+      map_cells > partition_in.remaining() / sizeof(int32_t)) {
     return DataLossError("checkpoint " + path +
                          ": partition cell count disagrees with grid");
   }
@@ -121,16 +220,7 @@ Result<CheckpointData> ParseBody(const std::string& body,
                          partition.status().message());
   }
   data.partition = std::move(*partition);
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_rects, in.ReadU64());
-  data.regions.reserve(static_cast<size_t>(num_rects));
-  for (uint64_t i = 0; i < num_rects; ++i) {
-    CellRect rect;
-    FAIRIDX_ASSIGN_OR_RETURN(rect.row_begin, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.row_end, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.col_begin, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.col_end, in.ReadI32());
-    data.regions.push_back(rect);
-  }
+  FAIRIDX_ASSIGN_OR_RETURN(data.regions, ReadRects(in, path));
   FAIRIDX_ASSIGN_OR_RETURN(data.maintained_blob, in.ReadString());
   if (in.remaining() != 0) {
     return DataLossError("checkpoint " + path + ": trailing bytes");
@@ -138,8 +228,12 @@ Result<CheckpointData> ParseBody(const std::string& body,
   return data;
 }
 
-std::string SerializeDeltaBody(const CheckpointDelta& delta) {
-  BinaryWriter out;
+std::string SerializeDeltaFramed(const CheckpointDelta& delta) {
+  BinaryWriter out = StartFrame(
+      CommonHeaderBytes(delta.algorithm) + 2 * sizeof(int64_t) +
+      sizeof(uint64_t) + delta.cells.size() * kDirtyCellBytes +
+      sizeof(uint64_t) + delta.regions.size() * kRectBytes +
+      sizeof(uint64_t) + delta.maintained_blob.size());
   out.PutI32(delta.rows);
   out.PutI32(delta.cols);
   out.PutI64(delta.epoch);
@@ -152,21 +246,12 @@ std::string SerializeDeltaBody(const CheckpointDelta& delta) {
   out.PutU64(delta.cells.size());
   for (size_t i = 0; i < delta.cells.size(); ++i) {
     out.PutU32(static_cast<uint32_t>(delta.cells[i]));
-    out.PutDouble(delta.sums[i].count);
-    out.PutDouble(delta.sums[i].labels);
-    out.PutDouble(delta.sums[i].scores);
-    out.PutDouble(delta.sums[i].residuals);
-    out.PutDouble(delta.sums[i].cell_abs);
+    PutEntry(delta.sums[i], &out);
   }
-  out.PutU64(delta.regions.size());
-  for (const CellRect& rect : delta.regions) {
-    out.PutI32(rect.row_begin);
-    out.PutI32(rect.row_end);
-    out.PutI32(rect.col_begin);
-    out.PutI32(rect.col_end);
-  }
+  PutRects(delta.regions, &out);
   out.PutString(delta.maintained_blob);
-  return out.Release();
+  return FinishFrame(std::move(out), kDeltaCheckpointMagic,
+                     kDeltaCheckpointVersion);
 }
 
 Result<CheckpointDelta> ParseDeltaBody(const std::string& body,
@@ -187,9 +272,11 @@ Result<CheckpointDelta> ParseDeltaBody(const std::string& body,
       delta.prev_epoch < 0 || delta.prev_generation < 1) {
     return DataLossError("checkpoint " + path + ": invalid header fields");
   }
-  const uint64_t num_cells = static_cast<uint64_t>(delta.rows) *
-                             static_cast<uint64_t>(delta.cols);
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_dirty, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_cells,
+                           GridCells(delta.rows, delta.cols, path));
+  FAIRIDX_ASSIGN_OR_RETURN(
+      const uint64_t num_dirty,
+      ReadCount(in, kDirtyCellBytes, path, "dirty-cell"));
   if (num_dirty > num_cells) {
     return DataLossError("checkpoint " + path +
                          ": more dirty cells than grid cells");
@@ -204,25 +291,11 @@ Result<CheckpointDelta> ParseDeltaBody(const std::string& body,
       return DataLossError("checkpoint " + path +
                            ": dirty cells not ascending in-grid ids");
     }
-    GridAggregates::PrefixEntry entry;
-    FAIRIDX_ASSIGN_OR_RETURN(entry.count, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.labels, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.scores, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.residuals, in.ReadDouble());
-    FAIRIDX_ASSIGN_OR_RETURN(entry.cell_abs, in.ReadDouble());
+    FAIRIDX_ASSIGN_OR_RETURN(GridAggregates::PrefixEntry entry, ReadEntry(in));
     delta.cells.push_back(static_cast<int>(cell));
     delta.sums.push_back(entry);
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_rects, in.ReadU64());
-  delta.regions.reserve(static_cast<size_t>(num_rects));
-  for (uint64_t i = 0; i < num_rects; ++i) {
-    CellRect rect;
-    FAIRIDX_ASSIGN_OR_RETURN(rect.row_begin, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.row_end, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.col_begin, in.ReadI32());
-    FAIRIDX_ASSIGN_OR_RETURN(rect.col_end, in.ReadI32());
-    delta.regions.push_back(rect);
-  }
+  FAIRIDX_ASSIGN_OR_RETURN(delta.regions, ReadRects(in, path));
   FAIRIDX_ASSIGN_OR_RETURN(delta.maintained_blob, in.ReadString());
   if (in.remaining() != 0) {
     return DataLossError("checkpoint " + path + ": trailing bytes");
@@ -262,11 +335,10 @@ Result<std::vector<CheckpointInfo>> ListByPattern(const std::string& dir,
   return checkpoints;
 }
 
-// Atomically installs one CRC-framed body as dir/name (tmp + fsync +
+// Atomically installs one framed file image as dir/name (tmp + fsync +
 // rename) — the shared tail of WriteCheckpoint / WriteDeltaCheckpoint.
 Status WriteFramedFile(const std::string& dir, const std::string& name,
-                       uint32_t magic, uint32_t version,
-                       const std::string& body,
+                       const std::string& framed,
                        const WritableFileFactory& file_factory) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -274,12 +346,6 @@ Status WriteFramedFile(const std::string& dir, const std::string& name,
     return InternalError("cannot create checkpoint dir '" + dir +
                          "': " + ec.message());
   }
-  BinaryWriter framed;
-  framed.PutU32(magic);
-  framed.PutU32(version);
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  framed.PutU32(Crc32(body.data(), body.size()));
-  framed.PutBytes(body.data(), body.size());
 
   const std::string final_path = JoinPath(dir, name);
   const std::string tmp_path = final_path + ".tmp";
@@ -288,7 +354,7 @@ Status WriteFramedFile(const std::string& dir, const std::string& name,
         file_factory ? file_factory(tmp_path) : OpenWritableFile(tmp_path);
     FAIRIDX_RETURN_IF_ERROR(file.status());
     FAIRIDX_RETURN_IF_ERROR(
-        (*file)->Append(framed.buffer().data(), framed.buffer().size()));
+        (*file)->Append(framed.data(), framed.size()));
     FAIRIDX_RETURN_IF_ERROR((*file)->Sync());
     FAIRIDX_RETURN_IF_ERROR((*file)->Close());
   }
@@ -454,10 +520,9 @@ Result<std::vector<CheckpointInfo>> ListDeltaCheckpoints(
 
 Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
                        const WritableFileFactory& file_factory) {
-  return WriteFramedFile(
-      dir, CheckpointFileName(data.epoch, data.wal_generation),
-      kCheckpointMagic, kCheckpointVersion, SerializeBody(data),
-      file_factory);
+  return WriteFramedFile(dir,
+                         CheckpointFileName(data.epoch, data.wal_generation),
+                         SerializeFramed(data), file_factory);
 }
 
 Status WriteDeltaCheckpoint(const std::string& dir,
@@ -469,8 +534,7 @@ Status WriteDeltaCheckpoint(const std::string& dir,
   }
   return WriteFramedFile(
       dir, DeltaCheckpointFileName(delta.epoch, delta.wal_generation),
-      kDeltaCheckpointMagic, kDeltaCheckpointVersion,
-      SerializeDeltaBody(delta), file_factory);
+      SerializeDeltaFramed(delta), file_factory);
 }
 
 Result<CheckpointData> ReadCheckpoint(const std::string& path) {

@@ -11,26 +11,24 @@ namespace {
 
 using PrefixEntry = GridAggregates::PrefixEntry;
 
-// Whole-batch validation: the batch is accepted or rejected atomically, so
-// a failed Ingest leaves no partial per-shard state behind.
-Status ValidateBatch(int num_cells, const AggregateBatch& batch) {
-  const size_t n = batch.size();
-  if (batch.labels.size() != n || batch.scores.size() != n) {
-    return InvalidArgumentError(
-        "ShardedDeltaStore: cell_ids, labels, scores sizes differ");
+}  // namespace
+
+void ShardedDeltaStore::SnapshotDeleter::operator()(
+    const GridAggregates* snapshot) const {
+  if (recycle_into != nullptr) {
+    // Only the store's own reset reaches here with the pointer set, and
+    // only on a snapshot it solely owned: nothing else can see it now.
+    *recycle_into =
+        std::move(*const_cast<GridAggregates*>(snapshot)).ReleaseStorage();
   }
-  if (!batch.residuals.empty() && batch.residuals.size() != n) {
-    return InvalidArgumentError(
-        "ShardedDeltaStore: residuals size mismatch");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    FAIRIDX_RETURN_IF_ERROR(GridAggregates::ValidateRecord(
-        num_cells, batch.cell_ids[i], batch.labels[i]));
-  }
-  return Status::Ok();
+  delete snapshot;
 }
 
-}  // namespace
+std::shared_ptr<const GridAggregates> ShardedDeltaStore::MakeSnapshot(
+    GridAggregates sealed) {
+  return std::shared_ptr<const GridAggregates>(
+      new GridAggregates(std::move(sealed)), SnapshotDeleter{});
+}
 
 ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
                                      const ShardedDeltaStoreOptions& options)
@@ -64,8 +62,7 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
     store->cell_dirty_epoch_[static_cast<size_t>(cell)] = 0;
   }
   store->cell_sums_ = std::move(cell_sums);
-  store->snapshot_ =
-      std::make_shared<const GridAggregates>(std::move(sealed));
+  store->snapshot_ = MakeSnapshot(std::move(sealed));
   const long long n = static_cast<long long>(warmup.size());
   store->num_records_.store(n, std::memory_order_release);
   store->sealed_records_.store(n, std::memory_order_release);
@@ -93,8 +90,7 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Restore(
   std::unique_ptr<ShardedDeltaStore> store(
       new ShardedDeltaStore(grid, options));
   store->cell_sums_ = std::move(cell_sums);
-  store->snapshot_ =
-      std::make_shared<const GridAggregates>(std::move(sealed));
+  store->snapshot_ = MakeSnapshot(std::move(sealed));
   store->epoch_.store(epoch, std::memory_order_release);
   store->num_records_.store(sealed_records, std::memory_order_release);
   store->sealed_records_.store(sealed_records, std::memory_order_release);
@@ -103,7 +99,11 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Restore(
 }
 
 Result<long long> ShardedDeltaStore::Ingest(AggregateBatch batch) {
-  FAIRIDX_RETURN_IF_ERROR(ValidateBatch(rows_ * cols_, batch));
+  // Whole-batch validation: the batch is accepted or rejected atomically,
+  // so a failed Ingest leaves no partial per-shard state behind.
+  FAIRIDX_RETURN_IF_ERROR(GridAggregates::ValidateRecords(
+      rows_ * cols_, batch.cell_ids, batch.labels, batch.scores,
+      batch.residuals));
   // Take ownership outside any lock; sharding happens at fold time
   // (writer-side slicing measured allocation-bound).
   const long long batch_records = static_cast<long long>(batch.size());
@@ -242,14 +242,20 @@ Result<SealedEpoch> ShardedDeltaStore::Seal(
   }
 
   // The fold's thread budget also drives the prefix integration: the
-  // wavefront pipeline is bit-identical at any thread count, so the
-  // sealed snapshot stays byte-for-byte the serial-replay snapshot.
+  // band pipeline is bit-identical at any thread count, so the sealed
+  // snapshot stays byte-for-byte the serial-replay snapshot. It writes
+  // into the prefix array retention last recycled, when there is one.
+  std::vector<PrefixEntry> storage;
+  {
+    std::lock_guard<std::mutex> lock(history_mutex_);
+    storage.swap(spare_);
+  }
   FAIRIDX_ASSIGN_OR_RETURN(
       GridAggregates sealed,
-      GridAggregates::FromCellSums(rows_, cols_, cell_sums_,
-                                   fold_threads_));
+      GridAggregates::FromCellSums(rows_, cols_, cell_sums_, fold_threads_,
+                                   std::move(storage)));
   SealedEpoch out;
-  out.snapshot = std::make_shared<const GridAggregates>(std::move(sealed));
+  out.snapshot = MakeSnapshot(std::move(sealed));
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     snapshot_ = out.snapshot;
@@ -307,7 +313,16 @@ int ShardedDeltaStore::RetainEpochs(int keep_last) {
   int dropped = 0;
   const size_t boundary = history_.size() - keep;
   for (size_t i = 0; i < history_.size(); ++i) {
-    if (i < boundary && history_[i].snapshot.use_count() <= 1) {
+    std::shared_ptr<const GridAggregates>& snapshot = history_[i].snapshot;
+    if (i < boundary && snapshot.use_count() <= 1) {
+      // The history holds the only reference, and no one can take a new
+      // one without it, so this reset is the final release: while the
+      // spare slot is empty, its deleter moves the prefix array there for
+      // the next Seal. The newest entry (i >= boundary) is never dropped.
+      if (spare_.empty()) {
+        std::get_deleter<SnapshotDeleter>(snapshot)->recycle_into = &spare_;
+      }
+      snapshot.reset();
       ++dropped;
       continue;
     }

@@ -19,7 +19,8 @@
 //     Seal()         ->  cut: swap out all pending slices at a consistent
 //                        batch boundary, fold them (per shard, in seq
 //                        order) into the cumulative per-cell sums,
-//                        integrate a fresh prefix snapshot, epoch += 1
+//                        integrate a new prefix snapshot (into the
+//                        buffer retention last recycled), epoch += 1
 //     Query*()       ->  the last sealed snapshot only (never pending)
 //
 // Determinism: every cell belongs to exactly one shard and each shard
@@ -209,7 +210,9 @@ class ShardedDeltaStore {
   /// keeping the newest `keep_last` plus any older entry whose snapshot
   /// is still externally pinned (a reader holds the shared_ptr). Returns
   /// the number of entries dropped. keep_last < 1 keeps the newest entry
-  /// only.
+  /// only. The first dropped snapshot's prefix array is kept as the one
+  /// spare the next Seal integrates into, so a steady seal + retain loop
+  /// allocates no fresh snapshot memory.
   int RetainEpochs(int keep_last);
 
   /// Retained sealed epochs (monotone history kept for readers; bounded
@@ -254,6 +257,18 @@ class ShardedDeltaStore {
 
   ShardedDeltaStore(const Grid& grid,
                     const ShardedDeltaStoreOptions& options);
+
+  /// Deleter of every snapshot the store publishes: a plain delete,
+  /// unless RetainEpochs set `recycle_into` just before releasing the
+  /// last reference; the prefix array then moves there instead of being
+  /// freed. Moving it inside the deleter orders the move after every
+  /// reader's final release of the reference count.
+  struct SnapshotDeleter {
+    std::vector<GridAggregates::PrefixEntry>* recycle_into = nullptr;
+    void operator()(const GridAggregates* snapshot) const;
+  };
+  static std::shared_ptr<const GridAggregates> MakeSnapshot(
+      GridAggregates sealed);
 
   int rows_;
   int cols_;
@@ -304,6 +319,9 @@ class ShardedDeltaStore {
   /// trims.
   mutable std::mutex history_mutex_;
   std::vector<SealedEpoch> history_;
+  /// At most one recycled prefix array (empty = none), guarded by
+  /// history_mutex_: RetainEpochs fills it, the next Seal takes it.
+  std::vector<GridAggregates::PrefixEntry> spare_;
 };
 
 }  // namespace fairidx

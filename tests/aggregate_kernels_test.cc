@@ -1,9 +1,10 @@
 // Differential tests for the runtime-dispatched SIMD aggregate kernels
-// (geo/aggregate_kernels.h) and the wavefront prefix integration: every
+// (geo/aggregate_kernels.h) and the band-pipelined prefix integration: every
 // dispatched path must match the scalar loops BIT FOR BIT — on randomized
 // grids, degenerate shapes (1x1, 1xN, Nx1), negative / denormal / ±inf
 // cell sums, every field-mask subset of SplitSweep::Children, and every
-// integration thread count. Comparisons go through memcmp of the whole
+// integration thread count, pool and reused buffer. Comparisons go through
+// memcmp of the whole
 // aggregate, so NaN payloads and signed zeros are pinned too (EXPECT_EQ
 // would pass -0.0 == +0.0 and fail NaN == NaN).
 
@@ -17,6 +18,7 @@
 
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "geo/aggregate_kernels.h"
 #include "geo/grid_aggregates.h"
 
@@ -323,8 +325,9 @@ TEST(AggregateKernelsTest, ChildrenDifferentialSpecialValues) {
 }
 
 // ---------------------------------------------------------------------
-// Wavefront integration: every thread count, both dispatch modes, bit
-// for bit against the serial scalar reference.
+// Band-pipelined integration: every thread count, both dispatch modes,
+// any pool, reused buffers — bit for bit against the serial scalar
+// reference.
 // ---------------------------------------------------------------------
 
 void ExpectSamePrefixes(const GridAggregates& got,
@@ -341,12 +344,15 @@ void ExpectSamePrefixes(const GridAggregates& got,
   ExpectBitwiseEq(got.Total(), want.Total(), "total");
 }
 
-void RunWavefrontDifferential(int rows, int cols,
-                              const std::vector<PrefixEntry>& sums) {
-  const GridAggregates reference = [&] {
-    ScopedDispatch scalar(true);
-    return GridAggregates::FromCellSums(rows, cols, sums, 1).value();
-  }();
+GridAggregates SerialScalarReference(int rows, int cols,
+                                     const std::vector<PrefixEntry>& sums) {
+  ScopedDispatch scalar(true);
+  return GridAggregates::FromCellSums(rows, cols, sums, 1).value();
+}
+
+void RunBandDifferential(int rows, int cols,
+                         const std::vector<PrefixEntry>& sums) {
+  const GridAggregates reference = SerialScalarReference(rows, cols, sums);
   for (const bool force_scalar : {true, false}) {
     for (const int threads : {0, 2, 3, 8}) {
       ScopedDispatch dispatch(force_scalar);
@@ -359,33 +365,111 @@ void RunWavefrontDifferential(int rows, int cols,
   }
 }
 
-TEST(WavefrontIntegrateTest, ThreadCountsBitIdenticalRandomGrid) {
+TEST(BandIntegrateTest, ThreadCountsBitIdenticalRandomGrid) {
   Rng rng(101);
-  RunWavefrontDifferential(37, 53, RandomCellSums(rng, 37, 53));
+  RunBandDifferential(37, 53, RandomCellSums(rng, 37, 53));
 }
 
-TEST(WavefrontIntegrateTest, ThreadCountsBitIdenticalSpecialValues) {
+TEST(BandIntegrateTest, ThreadCountsBitIdenticalSpecialValues) {
   Rng rng(103);
-  RunWavefrontDifferential(23, 31, SpecialCellSums(rng, 23, 31));
+  RunBandDifferential(23, 31, SpecialCellSums(rng, 23, 31));
 }
 
-TEST(WavefrontIntegrateTest, DegenerateShapes) {
+TEST(BandIntegrateTest, DegenerateShapes) {
   Rng rng(107);
-  RunWavefrontDifferential(1, 1, RandomCellSums(rng, 1, 1));
-  RunWavefrontDifferential(1, 40, RandomCellSums(rng, 1, 40));
-  RunWavefrontDifferential(40, 1, RandomCellSums(rng, 40, 1));
+  RunBandDifferential(1, 1, RandomCellSums(rng, 1, 1));
+  RunBandDifferential(1, 40, RandomCellSums(rng, 1, 40));
+  RunBandDifferential(40, 1, RandomCellSums(rng, 40, 1));
 }
 
-TEST(WavefrontIntegrateTest, ManyColumnChunks) {
-  // Wide enough that the wavefront actually cuts rows into several
-  // chunks (64-column minimum per chunk), so the east-edge handoff —
-  // chunk (r, j)'s first west neighbour living in chunk (r, j-1) — is
-  // really exercised.
+TEST(BandIntegrateTest, ManyColumnChunks) {
+  // Wide enough that the pipeline really cuts rows into several bands
+  // (64-column minimum per band), so the band-edge handoff — band j's
+  // first west neighbour living in band j - 1 — is exercised.
   Rng rng(109);
-  RunWavefrontDifferential(17, 400, RandomCellSums(rng, 17, 400));
+  RunBandDifferential(17, 400, RandomCellSums(rng, 17, 400));
 }
 
-TEST(WavefrontIntegrateTest, BuildUsesIntegrationAuto) {
+TEST(BandIntegrateTest, MoreThreadsThanColumnBands) {
+  // 200 columns allow 3 bands; 16 requested threads must clamp to them.
+  Rng rng(111);
+  const auto sums = RandomCellSums(rng, 21, 200);
+  const GridAggregates reference = SerialScalarReference(21, 200, sums);
+  ExpectSamePrefixes(GridAggregates::FromCellSums(21, 200, sums, 16).value(),
+                     reference, 21, 200);
+}
+
+TEST(BandIntegrateTest, EightThreadsOnThreeColumns) {
+  Rng rng(112);
+  const auto sums = RandomCellSums(rng, 30, 3);
+  const GridAggregates reference = SerialScalarReference(30, 3, sums);
+  ExpectSamePrefixes(GridAggregates::FromCellSums(30, 3, sums, 8).value(),
+                     reference, 30, 3);
+}
+
+TEST(BandIntegrateTest, WorkerlessPoolRunsBandsSerially) {
+  // With no workers, every participant runs on the calling thread inside
+  // ParallelFor's wait, in claim order: band j starts only after band j-1
+  // has finished every row, so the pipeline must neither deadlock nor
+  // change a bit.
+  Rng rng(114);
+  const int rows = 19, cols = 300;
+  const auto sums = RandomCellSums(rng, rows, cols);
+  const size_t padded = static_cast<size_t>(rows + 1) * (cols + 1);
+  std::vector<PrefixEntry> want(padded);
+  internal::IntegratePrefix(want.data(), rows, cols, sums.data(), 1,
+                            ThreadPool::Shared());
+  ThreadPool workerless(0);
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<PrefixEntry> got(padded);
+    internal::IntegratePrefix(got.data(), rows, cols, sums.data(), threads,
+                              workerless);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             padded * sizeof(PrefixEntry)));
+  }
+}
+
+TEST(BandIntegrateTest, ReusedStorageMatchesFreshBitwise) {
+  // Each build integrates into the previous build's prefix array, as the
+  // sharded store's seals do once retention recycles a snapshot. The
+  // first storage is NaN garbage: its old contents must never leak.
+  Rng rng(115);
+  const int rows = 26, cols = 140;
+  std::vector<PrefixEntry> storage(
+      static_cast<size_t>(rows + 1) * (cols + 1),
+      PrefixEntry{std::nan(""), std::nan(""), std::nan(""), std::nan(""),
+                  std::nan("")});
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto sums = RandomCellSums(rng, rows, cols);
+    GridAggregates reused =
+        GridAggregates::FromCellSums(rows, cols, sums, round % 3,
+                                     std::move(storage))
+            .value();
+    ExpectSamePrefixes(reused, SerialScalarReference(rows, cols, sums), rows,
+                       cols);
+    storage = std::move(reused).ReleaseStorage();
+  }
+}
+
+TEST(BandIntegrateTest, WrongShapeStorageIsIgnored) {
+  Rng rng(116);
+  const int rows = 9, cols = 12;
+  const auto sums = RandomCellSums(rng, rows, cols);
+  const GridAggregates reference = SerialScalarReference(rows, cols, sums);
+  for (const size_t size : {size_t{0}, size_t{5}, size_t{10 * 13 + 1}}) {
+    SCOPED_TRACE("storage size " + std::to_string(size));
+    std::vector<PrefixEntry> storage(size, PrefixEntry{1.0, 2.0, 3.0, 4.0,
+                                                       5.0});
+    ExpectSamePrefixes(GridAggregates::FromCellSums(rows, cols, sums, 1,
+                                                    std::move(storage))
+                           .value(),
+                       reference, rows, cols);
+  }
+}
+
+TEST(BandIntegrateTest, BuildUsesIntegrationAuto) {
   // Build() routes through the same integration (auto thread mode); a
   // built structure must match a serial FromCellSums of its own sums.
   Rng rng(113);
@@ -402,29 +486,26 @@ TEST(WavefrontIntegrateTest, BuildUsesIntegrationAuto) {
   const auto sums =
       GridAggregates::AccumulateCellSums(grid, cells, labels, scores)
           .value();
-  const GridAggregates folded = [&] {
-    ScopedDispatch scalar(true);
-    return GridAggregates::FromCellSums(19, 23, sums, 1).value();
-  }();
-  ExpectSamePrefixes(built, folded, 19, 23);
+  ExpectSamePrefixes(built, SerialScalarReference(19, 23, sums), 19, 23);
 }
 
-// TSan stress: repeated wavefront runs with enough chunks in flight to
-// surface a missing release edge as a data race under
-// -fsanitize=thread (this suite is part of the TSan CI filter).
-TEST(WavefrontIntegrateTest, StressRepeatedThreadedRuns) {
+// TSan stress: repeated band-pipelined runs with several bands in flight,
+// so a missing release/acquire edge between neighbouring bands surfaces as
+// a data race under -fsanitize=thread (this suite is part of the TSan CI
+// filter).
+TEST(BandIntegrateTest, StressRepeatedThreadedRuns) {
   Rng rng(127);
   const int rows = 48, cols = 260;
   const auto sums = RandomCellSums(rng, rows, cols);
-  const GridAggregates reference = [&] {
-    ScopedDispatch scalar(true);
-    return GridAggregates::FromCellSums(rows, cols, sums, 1).value();
-  }();
-  const RegionAggregate want = reference.Total();
+  const RegionAggregate want =
+      SerialScalarReference(rows, cols, sums).Total();
+  std::vector<PrefixEntry> storage;
   for (int iter = 0; iter < 20; ++iter) {
-    const GridAggregates agg =
-        GridAggregates::FromCellSums(rows, cols, sums, 8).value();
+    GridAggregates agg =
+        GridAggregates::FromCellSums(rows, cols, sums, 8, std::move(storage))
+            .value();
     ExpectBitwiseEq(agg.Total(), want, "threaded total");
+    storage = std::move(agg).ReleaseStorage();
   }
 }
 

@@ -5,14 +5,17 @@
 // corrupt / cyclic chains, chain-aware pruning, and the write-side
 // validation seams.
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "service/checkpoint.h"
 
 namespace fairidx {
@@ -158,6 +161,82 @@ TEST(DeltaCheckpointTest, ReadRejectsNonAscendingOrOutOfGridCells) {
   ASSERT_TRUE(WriteDeltaCheckpoint(dir, delta).ok());
   status = ReadDeltaCheckpoint((*listed)[0].path).status();
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+}
+
+// Frames `body` exactly as the writer does (magic, version, length, CRC)
+// and installs it as a delta (or full) checkpoint file in `dir`.
+std::string WriteFramed(const std::string& dir, const std::string& name,
+                        uint32_t magic, const std::string& body) {
+  std::filesystem::create_directories(dir);
+  BinaryWriter framed;
+  framed.PutU32(magic);
+  framed.PutU32(1);
+  framed.PutU32(static_cast<uint32_t>(body.size()));
+  framed.PutU32(Crc32(body.data(), body.size()));
+  framed.PutBytes(body.data(), body.size());
+  const std::string path = dir + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(framed.buffer().data(),
+            static_cast<std::streamsize>(framed.size()));
+  return path;
+}
+
+// The fields every body starts with, for a rows x cols grid.
+void PutCommonHeader(int32_t rows, int32_t cols, BinaryWriter* body) {
+  body->PutI32(rows);
+  body->PutI32(cols);
+  body->PutI64(1);  // epoch
+  body->PutI64(0);  // sealed_records
+  body->PutI64(1);  // wal_generation
+  body->PutI64(0);  // total_resplits
+  body->PutString("fair_kd_tree");
+}
+
+// Lengths read from disk are bounded by the bytes left before anything is
+// reserved: a body claiming 2^31 x 2^31 cells (or more entries than it
+// holds) fails as DataLoss instead of throwing bad_alloc.
+TEST(DeltaCheckpointTest, HugeClaimedLengthsAreDataLossNotBadAlloc) {
+  const std::string dir = FreshDir("huge_lengths");
+  constexpr uint32_t kFullMagic = 0x4658434Bu;   // "FXCK"
+  constexpr uint32_t kDeltaMagic = 0x46584443u;  // "FXDC"
+  constexpr int32_t kHuge = std::numeric_limits<int32_t>::max();
+  const uint64_t huge_cells = uint64_t{kHuge} * kHuge;
+
+  BinaryWriter full_overflow;  // Consistent, but rows * cols overflows.
+  PutCommonHeader(kHuge, kHuge, &full_overflow);
+  full_overflow.PutU64(huge_cells);
+  BinaryWriter full_truncated;  // 1000 x 1000 fits an int; the sums do not.
+  PutCommonHeader(1000, 1000, &full_truncated);
+  full_truncated.PutU64(1000000);
+  BinaryWriter full_rects;  // A valid 1x1 body up to a huge rect count.
+  PutCommonHeader(1, 1, &full_rects);
+  full_rects.PutU64(1);
+  for (int f = 0; f < 5; ++f) full_rects.PutDouble(0.0);
+  BinaryWriter partition;
+  partition.PutU64(1);
+  partition.PutI32(1);
+  partition.PutI32(0);
+  full_rects.PutString(partition.buffer());
+  full_rects.PutU64(huge_cells);
+  for (const BinaryWriter* body :
+       {&full_overflow, &full_truncated, &full_rects}) {
+    const std::string path = WriteFramed(dir, CheckpointFileName(1, 1),
+                                         kFullMagic, body->buffer());
+    const Status status = ReadCheckpoint(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  }
+
+  for (const int32_t side : {kHuge, int32_t{1000}}) {
+    BinaryWriter delta;
+    PutCommonHeader(side, side, &delta);
+    delta.PutI64(0);  // prev_epoch
+    delta.PutI64(1);  // prev_generation
+    delta.PutU64(static_cast<uint64_t>(side) * side);  // Every cell dirty.
+    const std::string path = WriteFramed(dir, DeltaCheckpointFileName(1, 1),
+                                         kDeltaMagic, delta.buffer());
+    const Status status = ReadDeltaCheckpoint(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  }
 }
 
 // The core resolution contract: a full base plus a chain of two deltas
