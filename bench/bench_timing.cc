@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "core/iterative_fair_kd_tree.h"
 #include "core/multi_objective.h"
 #include "data/split.h"
@@ -24,6 +25,7 @@
 #include "index/kd_tree_maintainer.h"
 #include "index/partition.h"
 #include "index/quadtree_maintainer.h"
+#include "ml/logistic_regression.h"
 #include "service/checkpoint.h"
 #include "service/fair_index_service.h"
 #include "service/point_lookup.h"
@@ -1216,6 +1218,43 @@ void BM_MultiObjectiveResidualsThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiObjectiveResidualsThreads)->Arg(1)->Arg(2)->Arg(4);
+
+// --- One logistic-regression descent step: loss + gradient together. ---
+// 75,000 standardized rows x 6 features, the shape of the paper pipeline's
+// training set. Arg 0 runs the per-row terms on the shared pool (what Fit
+// does), arg 1 on a pool with no workers (the serial twin); the results
+// are bit-identical. CI gates /0 against /1: on a 1-CPU runner the shared
+// pool has no workers and the pair passes at parity.
+void BM_LogisticLossAndGradient(benchmark::State& state) {
+  constexpr size_t kRows = 75000;
+  constexpr size_t kCols = 6;
+  Rng rng(2468);
+  Matrix Z(kRows, kCols);
+  std::vector<int> y(kRows);
+  const std::vector<double> weights(kRows, 1.0);
+  for (size_t r = 0; r < kRows; ++r) {
+    double margin = 0.0;
+    for (size_t c = 0; c < kCols; ++c) {
+      Z(r, c) = rng.Gaussian(0.0, 1.0);
+      margin += (c % 2 == 0 ? 0.7 : -0.4) * Z(r, c);
+    }
+    y[r] = rng.NextDouble() < Sigmoid(margin) ? 1 : 0;
+  }
+  const std::vector<double> w = {0.5, -0.3, 0.6, -0.2, 0.4, -0.1};
+  ThreadPool serial(0);
+  ThreadPool& pool = state.range(0) == 0 ? ThreadPool::Shared() : serial;
+  internal::LogisticObjective objective(Z, y, weights, 1e-3);
+  std::vector<double> grad;
+  double grad_b = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(objective.Evaluate(w, 0.1, pool, &grad, &grad_b));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRows);
+}
+BENCHMARK(BM_LogisticLossAndGradient)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

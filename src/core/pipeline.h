@@ -85,8 +85,9 @@ struct PipelineOptions {
   double min_region_population = 0.0;
   /// Threads for the partition-construction stage (task-parallel subtree
   /// builds for the KD trees, chunked region splits for the iterative
-  /// tree). The resulting partition is identical at any thread count;
-  /// <= 1 runs fully sequentially.
+  /// tree); <= 1 builds sequentially. Model fits do not read it: a
+  /// logistic-regression fit always runs its per-row terms on the shared
+  /// pool. Every result is identical at any thread count.
   int num_threads = 1;
 };
 

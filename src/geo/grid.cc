@@ -1,7 +1,5 @@
 #include "geo/grid.h"
 
-#include <algorithm>
-
 namespace fairidx {
 
 Result<Grid> Grid::Create(int rows, int cols, const BoundingBox& extent) {
@@ -21,14 +19,26 @@ Grid::Grid(int rows, int cols, const BoundingBox& extent)
       cell_width_(extent.width() / cols),
       cell_height_(extent.height() / rows) {}
 
+namespace {
+
+// Index of the cell holding offset `t` (in cells) along an axis of `n`
+// cells. Clamps in double space before the cast, which is UB for NaN,
+// infinities and anything beyond int. Finite in-range offsets truncate
+// exactly as a plain cast does; below the axis (or NaN) is cell 0.
+int ClampedCellIndex(double t, int n) {
+  if (!(t >= 1.0)) return 0;
+  if (t >= n) return n - 1;
+  return static_cast<int>(t);
+}
+
+}  // namespace
+
 int Grid::RowOf(double y) const {
-  const int row = static_cast<int>((y - extent_.min_y) / cell_height_);
-  return std::clamp(row, 0, rows_ - 1);
+  return ClampedCellIndex((y - extent_.min_y) / cell_height_, rows_);
 }
 
 int Grid::ColOf(double x) const {
-  const int col = static_cast<int>((x - extent_.min_x) / cell_width_);
-  return std::clamp(col, 0, cols_ - 1);
+  return ClampedCellIndex((x - extent_.min_x) / cell_width_, cols_);
 }
 
 int Grid::CellIdOf(const Point& p) const {

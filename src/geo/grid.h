@@ -32,7 +32,8 @@ class Grid {
 
   /// Maps a point to its enclosing cell id; points outside the extent are
   /// clamped to the border cells (matching how the paper assigns every
-  /// individual to some neighborhood).
+  /// individual to some neighborhood). Total over all doubles: ±inf map
+  /// to the matching border, and a NaN coordinate to row / column 0.
   int CellIdOf(const Point& p) const;
 
   /// Row / column of a point, individually (clamped like CellIdOf).

@@ -57,7 +57,10 @@ class Classifier {
 std::vector<int> ScoresToLabels(const std::vector<double>& scores,
                                 double threshold = 0.5);
 
-/// Validates (X, y, weights) shape/value invariants shared by all models.
+/// Validates (X, y, weights) shape/value invariants shared by all models:
+/// a non-empty X, one 0/1 label per row, finite features, and (if given)
+/// one finite nonnegative weight per row with a positive finite sum. A
+/// failure is a one-line InvalidArgument naming the first offending row.
 Status ValidateTrainingInputs(const Matrix& X, const std::vector<int>& y,
                               const std::vector<double>* sample_weights);
 

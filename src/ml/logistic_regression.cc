@@ -3,40 +3,82 @@
 #include <algorithm>
 #include <cmath>
 
-namespace fairidx {
+#include "common/thread_pool.h"
 
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
+namespace fairidx {
 
 namespace {
 
-// Weighted negative log-likelihood + L2, averaged over total weight.
-double ComputeLoss(const Matrix& Z, const std::vector<int>& y,
-                   const std::vector<double>& weights_per_sample,
-                   double total_weight, const std::vector<double>& w,
-                   double b, double l2) {
-  double loss = 0.0;
-  for (size_t r = 0; r < Z.rows(); ++r) {
-    const double margin = Z.RowDot(r, w) + b;
-    // log(1 + exp(-m)) for y=1 and log(1 + exp(m)) for y=0, stably.
-    const double z = y[r] == 1 ? margin : -margin;
-    const double nll = z > 0 ? std::log1p(std::exp(-z)) : -z +
-                                   std::log1p(std::exp(z));
-    loss += weights_per_sample[r] * nll;
-  }
-  loss /= total_weight;
-  double penalty = 0.0;
-  for (double wj : w) penalty += wj * wj;
-  return loss + 0.5 * l2 * penalty;
+// Sigmoid(z) given e = exp(-|z|), the operand both stable branches
+// exponentiate.
+double SigmoidOfExp(double z, double e) {
+  return z >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
 }
 
 }  // namespace
+
+double Sigmoid(double z) { return SigmoidOfExp(z, std::exp(-std::abs(z))); }
+
+namespace internal {
+
+LogisticObjective::LogisticObjective(const Matrix& Z, const std::vector<int>& y,
+                                     const std::vector<double>& sample_weights,
+                                     double l2)
+    : Z_(Z),
+      y_(y),
+      sample_weights_(sample_weights),
+      l2_(l2),
+      row_loss_(Z.rows()),
+      row_err_(Z.rows()) {
+  for (double w : sample_weights) total_weight_ += w;
+}
+
+double LogisticObjective::Evaluate(const std::vector<double>& w, double b,
+                                   ThreadPool& pool, std::vector<double>* grad,
+                                   double* grad_b) {
+  const size_t n = Z_.rows();
+  const size_t d = Z_.cols();
+  // Phase 1, per row and independent across rows: one exp(-|margin|)
+  // serves both the probability and the loss, whose stable branches
+  // exponentiate exactly this operand.
+  const size_t chunks = (n + kLogisticRowChunk - 1) / kLogisticRowChunk;
+  pool.ParallelFor(chunks, pool.num_workers() + 1, [&](size_t chunk) {
+    const size_t end = std::min(n, (chunk + 1) * kLogisticRowChunk);
+    for (size_t r = chunk * kLogisticRowChunk; r < end; ++r) {
+      const double margin = Z_.RowDot(r, w) + b;
+      const double e = std::exp(-std::abs(margin));
+      const double p = SigmoidOfExp(margin, e);
+      // log(1 + exp(-m)) for y=1 and log(1 + exp(m)) for y=0, stably.
+      const double z = y_[r] == 1 ? margin : -margin;
+      const double nll = z > 0 ? std::log1p(e) : -z + std::log1p(e);
+      row_loss_[r] = sample_weights_[r] * nll;
+      row_err_[r] = sample_weights_[r] * (p - y_[r]);
+    }
+  });
+
+  // Phase 2, serial in row order: the sums see the same terms in the same
+  // order at any thread count, so every bit is independent of the pool.
+  grad->assign(d, 0.0);
+  double* g = grad->data();
+  double loss = 0.0;
+  double gb = 0.0;
+  for (size_t r = 0; r < n; ++r) {
+    loss += row_loss_[r];
+    const double err = row_err_[r];
+    const double* row = Z_.Row(r);
+    for (size_t c = 0; c < d; ++c) g[c] += err * row[c];
+    gb += err;
+  }
+  double penalty = 0.0;
+  for (size_t c = 0; c < d; ++c) {
+    g[c] = g[c] / total_weight_ + l2_ * w[c];
+    penalty += w[c] * w[c];
+  }
+  *grad_b = gb / total_weight_;
+  return loss / total_weight_ + 0.5 * l2_ * penalty;
+}
+
+}  // namespace internal
 
 Status LogisticRegression::Fit(const Matrix& X, const std::vector<int>& y,
                                const std::vector<double>* sample_weights) {
@@ -52,48 +94,44 @@ Status LogisticRegression::Fit(const Matrix& X, const std::vector<int>& y,
   const size_t d = Z.cols();
   std::vector<double> weights_per_sample(n, 1.0);
   if (sample_weights != nullptr) weights_per_sample = *sample_weights;
-  double total_weight = 0.0;
-  for (double w : weights_per_sample) total_weight += w;
+  internal::LogisticObjective objective(Z, y, weights_per_sample,
+                                        options_.l2);
+  ThreadPool& pool = ThreadPool::Shared();
 
   weights_.assign(d, 0.0);
   intercept_ = 0.0;
   double step = options_.learning_rate;
-  double prev_loss = ComputeLoss(Z, y, weights_per_sample, total_weight,
-                                 weights_, intercept_, options_.l2);
+  std::vector<double> grad;
+  double grad_b = 0.0;
+  double prev_loss =
+      objective.Evaluate(weights_, intercept_, pool, &grad, &grad_b);
 
-  std::vector<double> grad(d, 0.0);
+  std::vector<double> old_weights;
+  std::vector<double> trial_grad;
+  double trial_grad_b = 0.0;
   last_fit_iterations_ = 0;
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    std::fill(grad.begin(), grad.end(), 0.0);
-    double grad_b = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      const double p = Sigmoid(Z.RowDot(r, weights_) + intercept_);
-      const double err = weights_per_sample[r] * (p - y[r]);
-      const double* row = Z.Row(r);
-      for (size_t c = 0; c < d; ++c) grad[c] += err * row[c];
-      grad_b += err;
-    }
-    double max_grad = std::abs(grad_b / total_weight);
-    for (size_t c = 0; c < d; ++c) {
-      grad[c] = grad[c] / total_weight + options_.l2 * weights_[c];
-      max_grad = std::max(max_grad, std::abs(grad[c]));
-    }
-    grad_b /= total_weight;
+    double max_grad = std::abs(grad_b);
+    for (double g : grad) max_grad = std::max(max_grad, std::abs(g));
     ++last_fit_iterations_;
     if (max_grad < options_.gradient_tolerance) break;
 
     // Backtracking step: retry with halved step while the loss increases.
-    const std::vector<double> old_weights = weights_;
+    // The accepted point's gradient comes with its loss, and is exactly
+    // the one the next iteration needs.
+    old_weights = weights_;
     const double old_intercept = intercept_;
     while (true) {
       for (size_t c = 0; c < d; ++c) {
         weights_[c] = old_weights[c] - step * grad[c];
       }
       intercept_ = old_intercept - step * grad_b;
-      const double loss = ComputeLoss(Z, y, weights_per_sample, total_weight,
-                                      weights_, intercept_, options_.l2);
+      const double loss = objective.Evaluate(weights_, intercept_, pool,
+                                             &trial_grad, &trial_grad_b);
       if (loss <= prev_loss + 1e-12 || step < 1e-8) {
         prev_loss = loss;
+        grad.swap(trial_grad);
+        grad_b = trial_grad_b;
         // Gentle step growth recovers speed after a backtrack.
         step = std::min(step * 1.05, options_.learning_rate * 4.0);
         break;

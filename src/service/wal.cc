@@ -142,6 +142,14 @@ Result<WalRecord> ParseRecordPayload(const std::string& payload,
     FAIRIDX_ASSIGN_OR_RETURN(record.seq, in.ReadI64());
     FAIRIDX_ASSIGN_OR_RETURN(const uint32_t n, in.ReadU32());
     FAIRIDX_ASSIGN_OR_RETURN(const uint8_t has_residuals, in.ReadU8());
+    // Bound the on-disk count by the bytes present before reserving: a
+    // CRC-valid but hostile length must not become a huge allocation.
+    const size_t record_bytes = has_residuals ? 4 + 1 + 8 + 8 : 4 + 1 + 8;
+    if (n > in.remaining() / record_bytes) {
+      return DataLossError("wal segment " + path + ": batch claims " +
+                           std::to_string(n) + " records in " +
+                           std::to_string(in.remaining()) + " bytes");
+    }
     record.batch.cell_ids.reserve(n);
     record.batch.labels.reserve(n);
     record.batch.scores.reserve(n);

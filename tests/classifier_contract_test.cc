@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "ml/classifier.h"
@@ -184,6 +186,40 @@ TEST_P(ClassifierContractTest, SampleWeightBehaviourIsDocumented) {
   // Invalid weights must always be rejected up front.
   const std::vector<double> negative(data.y.size(), -1.0);
   EXPECT_FALSE(model->Fit(data.X, data.y, &negative).ok());
+}
+
+// One NaN or infinity among the features or weights used to slip through
+// validation and fit a model whose every score was NaN.
+TEST_P(ClassifierContractTest, RejectsNonFiniteInputsNamingTheRow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const TrainingData data = MakeData(50);
+  for (const double bad : {kNan, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    TrainingData poisoned = data;
+    poisoned.X(17, 1) = bad;
+    const auto model = Make(GetParam());
+    const Status status = model->Fit(poisoned.X, poisoned.y);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("row 17"), std::string::npos) << status;
+    EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
+    EXPECT_FALSE(model->is_fitted());
+  }
+  for (const double bad : {kNan, kInf}) {
+    SCOPED_TRACE(bad);
+    std::vector<double> weights(data.y.size(), 1.0);
+    weights[23] = bad;
+    const auto model = Make(GetParam());
+    const Status status = model->Fit(data.X, data.y, &weights);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("row 23"), std::string::npos) << status;
+    EXPECT_FALSE(model->is_fitted());
+  }
+  // Finite weights whose sum overflows poison the fit the same way.
+  const std::vector<double> huge(data.y.size(), 1e308);
+  const auto model = Make(GetParam());
+  EXPECT_EQ(model->Fit(data.X, data.y, &huge).code(),
+            StatusCode::kInvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ClassifierContractTest,

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.h"
+
 namespace fairidx {
 namespace {
 
@@ -46,6 +52,61 @@ TEST(GridTest, OutsidePointsClampToBorder) {
   const Grid grid = MakeGrid();
   EXPECT_EQ(grid.CellIdOf(Point{-100.0, -100.0}), grid.CellId(0, 0));
   EXPECT_EQ(grid.CellIdOf(Point{100.0, 100.0}), grid.CellId(3, 4));
+}
+
+// Coordinates with no meaningful cell still get a defined one: ±inf and
+// values far beyond int range clamp to the matching border, NaN to 0.
+TEST(GridTest, NonFiniteAndHugeCoordinatesClampToTheRightBorder) {
+  const Grid grid = MakeGrid();  // 4 rows, 5 cols.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.ColOf(kInf), 4);
+  EXPECT_EQ(grid.ColOf(-kInf), 0);
+  EXPECT_EQ(grid.ColOf(1e300), 4);
+  EXPECT_EQ(grid.ColOf(-1e300), 0);
+  EXPECT_EQ(grid.ColOf(kNan), 0);
+  EXPECT_EQ(grid.RowOf(kInf), 3);
+  EXPECT_EQ(grid.RowOf(-kInf), 0);
+  EXPECT_EQ(grid.RowOf(1e300), 3);
+  EXPECT_EQ(grid.RowOf(-1e300), 0);
+  EXPECT_EQ(grid.RowOf(kNan), 0);
+  EXPECT_EQ(grid.CellIdOf(Point{kInf, 1.0}), grid.CellId(0, 4));
+  EXPECT_EQ(grid.CellIdOf(Point{1.0, kInf}), grid.CellId(3, 0));
+  EXPECT_EQ(grid.CellIdOf(Point{kNan, kNan}), grid.CellId(0, 0));
+  EXPECT_EQ(grid.CellIdOf(Point{-kInf, 1e300}), grid.CellId(3, 0));
+}
+
+// Wherever the old cast-then-clamp mapping was defined, the mapping is
+// unchanged, so every stored cell id (and checksum) stays the same.
+TEST(GridTest, FiniteCoordinatesMapAsCastThenClamp) {
+  const Grid grid = Grid::Create(512, 384, BoundingBox{-3.5, 2.0, 7.25, 9.0})
+                        .value();
+  const auto cast_then_clamp = [](double t, int n) {
+    return std::clamp(static_cast<int>(t), 0, n - 1);
+  };
+  const double cell_w = grid.extent().width() / grid.cols();
+  const double cell_h = grid.extent().height() / grid.rows();
+  Rng rng(5);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = rng.Uniform(-20.0, 25.0);
+    const double y = rng.Uniform(-10.0, 20.0);
+    ASSERT_EQ(grid.ColOf(x),
+              cast_then_clamp((x - grid.extent().min_x) / cell_w, 384))
+        << x;
+    ASSERT_EQ(grid.RowOf(y),
+              cast_then_clamp((y - grid.extent().min_y) / cell_h, 512))
+        << y;
+  }
+  // Exact cell edges, both borders and the values just around them.
+  for (int c = 0; c <= 384; ++c) {
+    const double edge = grid.extent().min_x + c * cell_w;
+    for (const double x : {std::nextafter(edge, -1e9), edge,
+                           std::nextafter(edge, 1e9)}) {
+      ASSERT_EQ(grid.ColOf(x),
+                cast_then_clamp((x - grid.extent().min_x) / cell_w, 384))
+          << x;
+    }
+  }
 }
 
 TEST(GridTest, MaxBoundaryLandsInLastCell) {

@@ -354,6 +354,39 @@ TEST(WalReadTest, BadMagicIsAlwaysAHardError) {
             StatusCode::kDataLoss);
 }
 
+// A record whose CRC checks out but whose batch length is absurd must be
+// refused from the byte count alone, before any allocation sized by it.
+TEST(WalReadTest, HugeBatchLengthIsDataLossNotAnAllocation) {
+  for (const uint8_t has_residuals : {uint8_t{0}, uint8_t{1}}) {
+    const std::string dir = FreshDir("hugelen" + std::to_string(has_residuals));
+    auto writer = WalWriter::Open(dir, 1, 1, WalOptions{});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+    auto segments = ListWalSegments(dir);
+    ASSERT_TRUE(segments.ok());
+    const std::string path = (*segments)[0].path;
+
+    BinaryWriter payload;
+    payload.PutU8(1);  // Batch record.
+    payload.PutI64(1);
+    payload.PutU32(0xFFFFFFFFu);
+    payload.PutU8(has_residuals);
+    for (int i = 0; i < 64; ++i) payload.PutU8(0);
+    const std::string body = payload.Release();
+    BinaryWriter frame;
+    frame.PutU32(static_cast<uint32_t>(body.size()));
+    frame.PutU32(Crc32c(body.data(), body.size()));
+    WriteFileBytes(path, ReadFileBytes(path) + frame.Release() + body);
+
+    for (const bool allow_torn_tail : {true, false}) {
+      const Status status = ReadWalSegment(path, allow_torn_tail).status();
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+      EXPECT_NE(status.message().find("4294967295"), std::string::npos)
+          << status;
+    }
+  }
+}
+
 TEST(WalListTest, SortsByGenerationThenEpochAndIgnoresForeignFiles) {
   const std::string dir = FreshDir("list");
   std::filesystem::create_directories(dir);
