@@ -139,8 +139,7 @@ constexpr const char* kScenarioKeys[] = {
     "threads",         "test_fraction",
     "min_region_population",
     "workload",        "stream_batch",
-    "stream_shards",   "stream_refine_bound",
-    "stream_warmup_pct",
+    "stream_shards",   "stream_warmup_pct",
     "stream_seal_records",
     "maintain_policy", "seal_interval",
     "drift_bound",     "wal_dir",
@@ -170,24 +169,6 @@ constexpr const char* kTenantKeys[] = {
     "full_snapshot_interval",
 };
 
-// Tenant names double as per-tenant WAL namespace directories, so the
-// accepted alphabet must not allow separators or traversal (the same
-// rule TenantRegistry enforces).
-Status ValidateScenarioTenantName(const std::string& name) {
-  if (name.empty()) {
-    return InvalidArgumentError("empty tenant name");
-  }
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok) {
-      return InvalidArgumentError("tenant name '" + name +
-                                  "' must match [A-Za-z0-9_-]+");
-    }
-  }
-  return Status::Ok();
-}
-
 // One `tenant.<name>.<key> = value` line: find-or-create the named
 // section (first-appearance order) and set the override. Values are
 // validated here the way the top-level keys are; range checks live in
@@ -202,7 +183,7 @@ Status ParseTenantKey(const std::string& key, const std::string& value,
   }
   const std::string name = rest.substr(0, dot);
   const std::string sub = rest.substr(dot + 1);
-  FAIRIDX_RETURN_IF_ERROR(ValidateScenarioTenantName(name));
+  FAIRIDX_RETURN_IF_ERROR(ValidateTenantName(name));
   ScenarioTenantConfig* tenant = nullptr;
   for (ScenarioTenantConfig& existing : config->tenants) {
     if (existing.name == name) tenant = &existing;
@@ -377,10 +358,6 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
       auto shards = ParseInt(value);
       if (shards.ok()) config->stream_shards = *shards;
       status = shards.ok() ? Status::Ok() : shards.status();
-    } else if (key == "stream_refine_bound") {
-      auto bound = ParseDouble(value);
-      if (bound.ok()) config->stream_refine_bound = *bound;
-      status = bound.ok() ? Status::Ok() : bound.status();
     } else if (key == "stream_warmup_pct") {
       auto pct = ParseInt(value);
       if (pct.ok()) config->stream_warmup_pct = *pct;
@@ -403,11 +380,8 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
       if (interval.ok()) config->seal_interval = *interval;
       status = interval.ok() ? Status::Ok() : interval.status();
     } else if (key == "drift_bound") {
-      // The maintenance-policy spelling of stream_refine_bound: one field,
-      // two names, so the caller loop and the background scheduler can
-      // never disagree on the bound.
       auto bound = ParseDouble(value);
-      if (bound.ok()) config->stream_refine_bound = *bound;
+      if (bound.ok()) config->drift_bound = *bound;
       status = bound.ok() ? Status::Ok() : bound.status();
     } else if (key == "wal_dir") {
       config->wal_dir = value;
@@ -523,7 +497,7 @@ Status ValidateScenario(const ScenarioConfig& config) {
     // dropping the key would violate the engine's typo-proof stance.
     return InvalidArgumentError(
         "scenario: min_region_population is not supported with "
-        "workload = stream or serve");
+        "workload = stream, serve or multi_tenant");
   }
   if (config.seal_interval < 0.0) {
     return InvalidArgumentError("scenario: seal_interval must be >= 0");
@@ -533,8 +507,8 @@ Status ValidateScenario(const ScenarioConfig& config) {
     // Background maintenance only exists on the serving path; silently
     // ignoring the key on a pipeline sweep would hide the typo.
     return InvalidArgumentError(
-        "scenario: maintain_policy = auto requires workload = stream "
-        "or serve");
+        "scenario: maintain_policy = auto requires workload = stream, "
+        "serve or multi_tenant");
   }
   if (config.seal_interval > 0.0 &&
       config.maintain_policy != ScenarioMaintainPolicy::kAuto) {
@@ -546,7 +520,8 @@ Status ValidateScenario(const ScenarioConfig& config) {
     // Durability only exists on the serving path; dropping the key on a
     // pipeline sweep would hide the typo.
     return InvalidArgumentError(
-        "scenario: wal_dir requires workload = stream or serve");
+        "scenario: wal_dir requires workload = stream, serve or "
+        "multi_tenant");
   }
   if (config.full_snapshot_interval < 1) {
     return InvalidArgumentError(
@@ -806,7 +781,7 @@ Result<ScenarioRow> RunOnePipelinePoint(const ScenarioConfig& config,
   return row;
 }
 
-// The shared stream/serve preamble: one model fit scores every record,
+// The per-tenant serving preamble: one model fit scores every record,
 // and the record stream splits into a warmup prefix (builds the initial
 // partition) and the ingest tail.
 struct StreamFeed {
@@ -864,9 +839,11 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
   return feed;
 }
 
-// The FairIndexService configuration both serving workloads share: the
-// sweep point's build/store/refine knobs, the per-point WAL
-// subdirectory, and the maintain_policy = auto scheduler mapping.
+// The FairIndexService configuration every serving tenant uses: the
+// sweep point's build/store/refine knobs, the durability cadence, and
+// the maintenance policy the registry's shared thread runs under
+// maintain_policy = auto. The registry owns the WAL directory and the
+// scheduler thread, so neither is set here.
 Result<FairIndexServiceOptions> MakeServiceOptions(
     const ScenarioConfig& config, const ScenarioRun& run) {
   FairIndexServiceOptions options;
@@ -876,104 +853,24 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
   options.build.num_threads = config.threads;
   options.store.num_shards = config.stream_shards;
   options.store.num_threads = config.threads;
-  options.refine.drift_bound = config.stream_refine_bound;
-  if (!config.wal_dir.empty()) {
-    // One subdirectory per sweep point: concurrent points must never
-    // interleave their logs.
-    options.durability.wal_dir =
-        config.wal_dir + "/" + PartitionAlgorithmName(run.algorithm) +
-        "-h" + std::to_string(run.height) + "-s" +
-        std::to_string(run.seed);
-    options.durability.checkpoint_interval = config.checkpoint_interval;
-    options.durability.full_snapshot_interval =
-        config.full_snapshot_interval;
-    FAIRIDX_ASSIGN_OR_RETURN(options.durability.fsync,
-                             ParseWalFsync(config.fsync));
-  }
-  if (config.maintain_policy == ScenarioMaintainPolicy::kAuto) {
-    options.auto_maintain = true;
-    // stream_seal_records = 0 means "every batch" in caller mode; for
-    // the scheduler that is a 1-record cadence — unless seal_interval
-    // was given, in which case 0 disables the record cadence so the
-    // wall clock alone governs (interval-only policies stay
-    // expressible).
-    options.maintain.seal_records =
-        config.stream_seal_records > 0
-            ? config.stream_seal_records
-            : (config.seal_interval > 0.0 ? 0 : 1);
-    options.maintain.seal_interval_seconds = config.seal_interval;
-    options.maintain.drift_bound = config.stream_refine_bound >= 0.0
-                                       ? config.stream_refine_bound
-                                       : -1.0;
-    options.maintain.poll_interval_seconds = 0.002;
-    options.maintain.retain_epochs = config.retain_epochs;
-  }
+  options.refine.drift_bound = config.drift_bound;
+  options.durability.checkpoint_interval = config.checkpoint_interval;
+  options.durability.full_snapshot_interval = config.full_snapshot_interval;
+  FAIRIDX_ASSIGN_OR_RETURN(options.durability.fsync,
+                           ParseWalFsync(config.fsync));
+  // stream_seal_records = 0 means "every batch" in caller mode; for the
+  // scheduler that is a 1-record cadence — unless seal_interval was
+  // given, in which case 0 disables the record cadence so the wall clock
+  // alone governs (interval-only policies stay expressible).
+  options.maintain.seal_records =
+      config.stream_seal_records > 0
+          ? config.stream_seal_records
+          : (config.seal_interval > 0.0 ? 0 : 1);
+  options.maintain.seal_interval_seconds = config.seal_interval;
+  options.maintain.drift_bound = config.drift_bound;
+  options.maintain.poll_interval_seconds = 0.002;
+  options.maintain.retain_epochs = config.retain_epochs;
   return options;
-}
-
-// One serving-layer sweep point: one model fit scores every record, a
-// warmup prefix builds the maintained partition, and the tail streams
-// through a FairIndexService (ingest batches, epoch seals, drift-bounded
-// refines) — the scenario-file form of `fairidx_cli stream`. With
-// maintain_policy = auto the service's background scheduler owns the
-// seal/refine cadence and the loop below only ingests.
-Result<ScenarioStreamRow> RunOneStreamPoint(const ScenarioConfig& config,
-                                            const Dataset& dataset,
-                                            const Classifier& prototype,
-                                            const ScenarioRun& run) {
-  FAIRIDX_ASSIGN_OR_RETURN(StreamFeed feed,
-                           MakeStreamFeed(config, dataset, prototype, run));
-  FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions service_options,
-                           MakeServiceOptions(config, run));
-  const bool refine = config.stream_refine_bound >= 0.0;
-  const bool auto_maintain =
-      config.maintain_policy == ScenarioMaintainPolicy::kAuto;
-
-  const auto start = std::chrono::steady_clock::now();
-  FAIRIDX_ASSIGN_OR_RETURN(
-      std::unique_ptr<FairIndexService> service,
-      FairIndexService::Create(dataset.grid(),
-                               feed.all.Slice(0, feed.warmup),
-                               service_options));
-
-  for (size_t next = feed.warmup; next < feed.total;) {
-    const size_t end = std::min(
-        feed.total, next + static_cast<size_t>(config.stream_batch));
-    FAIRIDX_RETURN_IF_ERROR(
-        service->Ingest(feed.all.Slice(next, end)).status());
-    next = end;
-    if (auto_maintain) continue;  // The background scheduler maintains.
-    if (service->store().pending_records() >= config.stream_seal_records) {
-      if (refine) {
-        FAIRIDX_RETURN_IF_ERROR(service->MaybeRefine().status());
-      } else {
-        FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
-      }
-      if (config.retain_epochs > 0) {
-        service->ApplyRetention(config.retain_epochs);
-      }
-    }
-  }
-  // Quiesce before the final audit: stop the scheduler (joins any
-  // in-flight pass), then seal the tail.
-  if (auto_maintain) service->StopMaintenance();
-  FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
-  const std::vector<RegionAggregate> final_regions =
-      service->QueryRegions();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  ScenarioStreamRow row;
-  row.run = run;
-  row.regions = static_cast<int>(final_regions.size());
-  row.records = service->store().num_records();
-  row.epochs = service->store().epoch();
-  row.resplits = service->total_resplits();
-  row.published_patched = service->publications_patched();
-  row.published_fallback = service->publications_fallback();
-  row.final_ence = RegionEnce(final_regions).ence;
-  row.stream_seconds =
-      std::chrono::duration<double>(elapsed).count();
-  return row;
 }
 
 // Percentile of an ASCENDING sample vector with linear interpolation
@@ -1022,158 +919,6 @@ std::vector<Point> MakeZipfPoints(const Grid& grid, double s,
   return points;
 }
 
-// One serve worker's pre-built traffic and its measurements.
-struct ServeWorker {
-  /// Pre-generated lookup points (serve_lookups of them).
-  std::vector<Point> points;
-  /// This worker's round-robin share of the ingest tail.
-  std::vector<AggregateBatch> write_batches;
-  /// Steady-state LookupMany call latencies (first 10% of calls are
-  /// cache/JIT warmup and excluded).
-  std::vector<double> latencies_us;
-  long long lookups = 0;
-  Status status = Status::Ok();
-};
-
-// One serve sweep point: the stream preamble builds the service
-// (maintain_policy = auto, so the background scheduler owns seals and
-// refines), then serve_readers threads run a closed-loop mix of batched
-// point lookups and tail ingest against it. Closed loop: each worker
-// keeps exactly one operation in flight, so a slow lookup delays only
-// that worker's next send — the latency histogram measures service
-// time without the coordinated-omission distortion an open-loop
-// generator would need correcting for (see docs/benchmarking.md).
-Result<ScenarioServeRow> RunOneServePoint(const ScenarioConfig& config,
-                                          const Dataset& dataset,
-                                          const Classifier& prototype,
-                                          const ScenarioRun& run) {
-  FAIRIDX_ASSIGN_OR_RETURN(StreamFeed feed,
-                           MakeStreamFeed(config, dataset, prototype, run));
-  FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions service_options,
-                           MakeServiceOptions(config, run));
-  FAIRIDX_ASSIGN_OR_RETURN(
-      std::unique_ptr<FairIndexService> service,
-      FairIndexService::Create(dataset.grid(),
-                               feed.all.Slice(0, feed.warmup),
-                               service_options));
-
-  // Everything random or allocation-heavy happens BEFORE the clock.
-  const int workers = config.serve_readers;
-  std::vector<ServeWorker> state(static_cast<size_t>(workers));
-  std::vector<Rng> coins;
-  coins.reserve(static_cast<size_t>(workers));
-  Rng base(run.seed);
-  for (int w = 0; w < workers; ++w) {
-    Rng point_rng = base.Fork(static_cast<uint64_t>(2 * w + 1));
-    state[static_cast<size_t>(w)].points = MakeZipfPoints(
-        dataset.grid(), config.serve_zipf, config.serve_lookups, point_rng);
-    coins.push_back(base.Fork(static_cast<uint64_t>(2 * w + 2)));
-  }
-  {
-    // Round-robin the ingest tail across workers: every record is owned
-    // by exactly one thread and drained even if its coin never says
-    // "write", so the final record count is deterministic.
-    size_t next = feed.warmup;
-    int w = 0;
-    while (next < feed.total) {
-      const size_t end = std::min(
-          feed.total, next + static_cast<size_t>(config.stream_batch));
-      state[static_cast<size_t>(w % workers)].write_batches.push_back(
-          feed.all.Slice(next, end));
-      next = end;
-      ++w;
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w]() {
-      ServeWorker& me = state[static_cast<size_t>(w)];
-      Rng& coin = coins[static_cast<size_t>(w)];
-      const size_t batch = static_cast<size_t>(config.serve_batch);
-      const size_t calls = (me.points.size() + batch - 1) / batch;
-      const size_t warmup_calls = calls / 10;
-      std::vector<PointLookupResult> out(batch);
-      size_t write_next = 0;
-      size_t call = 0;
-      for (size_t off = 0; off < me.points.size();) {
-        const bool write =
-            write_next < me.write_batches.size() &&
-            static_cast<int>(coin.NextBounded(100)) >= config.serve_read_pct;
-        if (write) {
-          Result<long long> seq =
-              service->Ingest(std::move(me.write_batches[write_next]));
-          if (!seq.ok()) {
-            me.status = seq.status();
-            return;
-          }
-          ++write_next;
-          continue;
-        }
-        const size_t len = std::min(batch, me.points.size() - off);
-        const auto t0 = std::chrono::steady_clock::now();
-        service->LookupMany(Span<Point>(me.points.data() + off, len),
-                            out.data());
-        const auto t1 = std::chrono::steady_clock::now();
-        if (call >= warmup_calls) {
-          me.latencies_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-        ++call;
-        me.lookups += static_cast<long long>(len);
-        off += len;
-      }
-      // Drain the leftover tail share.
-      for (; write_next < me.write_batches.size(); ++write_next) {
-        Result<long long> seq =
-            service->Ingest(std::move(me.write_batches[write_next]));
-        if (!seq.ok()) {
-          me.status = seq.status();
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  // Quiesce (join any in-flight maintenance pass), seal the tail, then
-  // audit the final published state.
-  service->StopMaintenance();
-  FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
-  std::vector<double> latencies;
-  long long lookups = 0;
-  for (ServeWorker& worker : state) {
-    FAIRIDX_RETURN_IF_ERROR(worker.status);
-    lookups += worker.lookups;
-    latencies.insert(latencies.end(), worker.latencies_us.begin(),
-                     worker.latencies_us.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const std::vector<RegionAggregate> final_regions = service->QueryRegions();
-
-  ScenarioServeRow row;
-  row.run = run;
-  row.regions = static_cast<int>(final_regions.size());
-  row.records = service->store().num_records();
-  row.epochs = service->store().epoch();
-  row.resplits = service->total_resplits();
-  row.lookups = lookups;
-  row.serve_seconds = std::chrono::duration<double>(elapsed).count();
-  row.read_qps = row.serve_seconds > 0.0
-                     ? static_cast<double>(lookups) / row.serve_seconds
-                     : 0.0;
-  row.p50_us = PercentileUs(latencies, 50.0);
-  row.p95_us = PercentileUs(latencies, 95.0);
-  row.p99_us = PercentileUs(latencies, 99.0);
-  row.publish_stall_us = service->max_publish_stall_us();
-  row.checkpoint_stall_us = service->max_checkpoint_stall_us();
-  row.final_ence = RegionEnce(final_regions).ence;
-  return row;
-}
-
 // The per-tenant effective view: the top-level config with this
 // tenant's overrides applied. Every key a tenant does not name inherits
 // the scenario-wide value, so the fleet defaults are stated once.
@@ -1189,7 +934,7 @@ ScenarioConfig TenantEffectiveConfig(const ScenarioConfig& base,
   if (tenant.warmup_pct) cfg.stream_warmup_pct = *tenant.warmup_pct;
   if (tenant.seal_records) cfg.stream_seal_records = *tenant.seal_records;
   if (tenant.seal_interval) cfg.seal_interval = *tenant.seal_interval;
-  if (tenant.drift_bound) cfg.stream_refine_bound = *tenant.drift_bound;
+  if (tenant.drift_bound) cfg.drift_bound = *tenant.drift_bound;
   if (tenant.retain_epochs) cfg.retain_epochs = *tenant.retain_epochs;
   if (tenant.lookups) cfg.serve_lookups = *tenant.lookups;
   if (tenant.read_pct) cfg.serve_read_pct = *tenant.read_pct;
@@ -1217,11 +962,28 @@ ScenarioRun TenantEffectiveRun(const ScenarioRun& base,
   return run;
 }
 
-// One multi-tenant worker's pre-built traffic and measurements (the
-// ServeWorker shape, plus the per-tenant ingest throughput readout).
-struct TenantWorker {
+// One tenant of a serving sweep point: its effective config and run,
+// the dataset it streams, and its scored record feed.
+struct PointTenant {
+  std::string name;
+  ScenarioConfig eff;
+  ScenarioRun run;
+  const Dataset* data = nullptr;
+  StreamFeed feed;
+};
+
+// One worker thread's pre-built traffic and its measurements.
+struct Worker {
+  /// Index of the worker's tenant in the point's tenant list.
+  size_t tenant = 0;
+  /// Pre-generated lookup points (the tenant's serve_lookups).
   std::vector<Point> points;
+  /// This worker's round-robin share of the tenant's ingest tail.
   std::vector<AggregateBatch> write_batches;
+  /// The read-pct coin.
+  Rng coin{0};
+  /// Steady-state LookupMany call latencies (the first 10% of calls are
+  /// cache warmup and excluded).
   std::vector<double> latencies_us;
   long long lookups = 0;
   long long tail_records = 0;
@@ -1229,202 +991,216 @@ struct TenantWorker {
   Status status = Status::Ok();
 };
 
-// One multi-tenant sweep point: every tenant.<name>.* section becomes a
-// tenant of ONE TenantRegistry — its own grid/store/partition/WAL
-// namespace and per-tenant MaintenancePolicy, all maintained by the one
-// shared round-robin scheduler thread — and one worker thread per
-// tenant runs the serve-style closed loop against it (a tenant with
-// lookups = 0 just ingests flat out: the noisy neighbor). With a
-// wal_dir the point recovers-or-creates per tenant, resuming each
-// recovered tenant at the first record it never accepted; a tenant
-// whose recovery fails comes back as a "degraded" row while the others
-// keep serving.
-Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
+// The closed loop one worker runs against its tenant: batched LookupMany
+// calls mixed with ingest on the read-pct coin, leftover writes drained
+// at the end, so record counts never depend on the coin. Closed loop:
+// each worker keeps exactly one operation in flight, so a slow lookup
+// delays only that worker's next send — the latency histogram measures
+// service time without the coordinated-omission distortion an open-loop
+// generator would need correcting for (see docs/benchmarking.md). Under
+// maintain_policy = caller the worker is its tenant's only writer and
+// seals (or refines) after an ingest once stream_seal_records are
+// pending.
+Status RunWorker(const ScenarioConfig& eff, const std::string& tenant,
+                 TenantRegistry& registry, Worker& me) {
+  FAIRIDX_ASSIGN_OR_RETURN(FairIndexService* service,
+                           registry.tenant(tenant));
+  const auto ingest = [&](AggregateBatch batch) -> Status {
+    FAIRIDX_RETURN_IF_ERROR(
+        registry.Ingest(tenant, std::move(batch)).status());
+    if (eff.maintain_policy == ScenarioMaintainPolicy::kAuto ||
+        service->store().pending_records() < eff.stream_seal_records) {
+      return Status::Ok();
+    }
+    if (eff.drift_bound >= 0.0) {
+      FAIRIDX_RETURN_IF_ERROR(service->MaybeRefine().status());
+    } else {
+      FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
+    }
+    if (eff.retain_epochs > 0) service->ApplyRetention(eff.retain_epochs);
+    return Status::Ok();
+  };
+  const size_t batch = static_cast<size_t>(eff.serve_batch);
+  const size_t calls = (me.points.size() + batch - 1) / batch;
+  const size_t warmup_calls = calls / 10;
+  std::vector<PointLookupResult> out(batch);
+  size_t write_next = 0;
+  size_t call = 0;
+  for (size_t off = 0; off < me.points.size();) {
+    if (write_next < me.write_batches.size() &&
+        static_cast<int>(me.coin.NextBounded(100)) >= eff.serve_read_pct) {
+      FAIRIDX_RETURN_IF_ERROR(
+          ingest(std::move(me.write_batches[write_next++])));
+      continue;
+    }
+    const size_t len = std::min(batch, me.points.size() - off);
+    const auto t0 = std::chrono::steady_clock::now();
+    service->LookupMany(Span<Point>(me.points.data() + off, len),
+                        out.data());
+    const auto t1 = std::chrono::steady_clock::now();
+    if (call >= warmup_calls) {
+      me.latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    ++call;
+    me.lookups += static_cast<long long>(len);
+    off += len;
+  }
+  // Drain the leftover tail share (the whole share for a pure ingester).
+  for (; write_next < me.write_batches.size(); ++write_next) {
+    FAIRIDX_RETURN_IF_ERROR(ingest(std::move(me.write_batches[write_next])));
+  }
+  return Status::Ok();
+}
+
+// One serving sweep point, for every serving workload: the point's
+// tenants (its tenant.<name>.* sections, or one implicit tenant with the
+// top-level config) are hosted in ONE TenantRegistry, and worker threads
+// run the closed loop above against them — serve_readers workers for
+// serve, one per tenant otherwise. With a wal_dir the point recovers-or-
+// creates per tenant, resuming each recovered tenant at the first record
+// it never accepted; a multi_tenant tenant whose recovery fails comes
+// back as a "degraded" row while the others keep serving.
+Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
     const ScenarioConfig& config, const Dataset& dataset,
     const Classifier& prototype, const ScenarioRun& run) {
-  const size_t n = config.tenants.size();
-  std::vector<ScenarioConfig> effs;
-  std::vector<ScenarioRun> eff_runs;
-  std::vector<StreamFeed> feeds;
-  std::vector<TenantSpec> specs;
-  std::vector<Grid> grids;
-  std::vector<Dataset> owned;
-  owned.reserve(n);  // Pointers into `owned` must survive push_back.
-  effs.reserve(n);
-  eff_runs.reserve(n);
-  feeds.reserve(n);
-  specs.reserve(n);
-  grids.reserve(n);
-  for (const ScenarioTenantConfig& tenant : config.tenants) {
-    effs.push_back(TenantEffectiveConfig(config, tenant));
-    eff_runs.push_back(TenantEffectiveRun(run, tenant));
-    const ScenarioConfig& eff = effs.back();
-    const Dataset* data = &dataset;
-    if (tenant.city) {
-      // A city override gives the tenant its own dataset AND grid shape.
-      FAIRIDX_ASSIGN_OR_RETURN(Dataset tenant_dataset,
-                               LoadScenarioDataset(eff));
-      owned.push_back(std::move(tenant_dataset));
-      data = &owned.back();
-    }
-    FAIRIDX_ASSIGN_OR_RETURN(
-        StreamFeed feed,
-        MakeStreamFeed(eff, *data, prototype, eff_runs.back()));
-    // The registry owns the WAL namespace (<point root>/<tenant>), so
-    // MakeServiceOptions must not also carve a per-point subdirectory.
-    ScenarioConfig options_cfg = eff;
-    options_cfg.wal_dir.clear();
-    FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions options,
-                             MakeServiceOptions(options_cfg, eff_runs.back()));
-    if (!config.wal_dir.empty()) {
-      options.durability.checkpoint_interval = eff.checkpoint_interval;
-      options.durability.full_snapshot_interval = eff.full_snapshot_interval;
-      FAIRIDX_ASSIGN_OR_RETURN(options.durability.fsync,
-                               ParseWalFsync(eff.fsync));
-    }
-    grids.push_back(data->grid());
-    specs.push_back(TenantSpec{tenant.name, data->grid(),
-                               feed.all.Slice(0, feed.warmup),
-                               std::move(options)});
-    feeds.push_back(std::move(feed));
+  const std::string point =
+      std::string(PartitionAlgorithmName(run.algorithm)) + "-h" +
+      std::to_string(run.height) + "-s" + std::to_string(run.seed);
+  // Without tenant sections the point is one tenant named after the point
+  // and rooted at wal_dir itself (<wal_dir>/<point>/); sections get one
+  // root per point (<wal_dir>/<point>/<tenant>/).
+  std::vector<ScenarioTenantConfig> sections = config.tenants;
+  TenantRegistryOptions registry_options;
+  registry_options.wal_dir = config.wal_dir;
+  if (sections.empty()) {
+    sections.emplace_back();
+    sections.back().name = point;
+  } else if (!config.wal_dir.empty()) {
+    registry_options.wal_dir += "/" + point;
   }
 
-  // One durability root per sweep point (the registry appends /<tenant>
-  // per tenant), same naming as the single-tenant workloads.
-  TenantRegistryOptions registry_options;
-  if (!config.wal_dir.empty()) {
-    registry_options.wal_dir =
-        config.wal_dir + "/" + PartitionAlgorithmName(run.algorithm) +
-        "-h" + std::to_string(run.height) + "-s" + std::to_string(run.seed);
+  const size_t n = sections.size();
+  std::vector<PointTenant> tenants(n);
+  std::vector<Dataset> owned;
+  owned.reserve(n);  // Pointers into `owned` must survive push_back.
+  std::vector<TenantSpec> specs;
+  specs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    PointTenant& t = tenants[i];
+    t.name = sections[i].name;
+    t.eff = TenantEffectiveConfig(config, sections[i]);
+    // A stream worker never looks anything up: it is a pure ingester.
+    if (config.workload == ScenarioWorkload::kStream) t.eff.serve_lookups = 0;
+    t.run = TenantEffectiveRun(run, sections[i]);
+    t.data = &dataset;
+    if (sections[i].city) {
+      // A city override gives the tenant its own dataset AND grid shape.
+      FAIRIDX_ASSIGN_OR_RETURN(Dataset tenant_dataset,
+                               LoadScenarioDataset(t.eff));
+      owned.push_back(std::move(tenant_dataset));
+      t.data = &owned.back();
+    }
+    FAIRIDX_ASSIGN_OR_RETURN(t.feed,
+                             MakeStreamFeed(t.eff, *t.data, prototype, t.run));
+    FAIRIDX_ASSIGN_OR_RETURN(FairIndexServiceOptions options,
+                             MakeServiceOptions(t.eff, t.run));
+    specs.push_back(TenantSpec{t.name, t.data->grid(),
+                               t.feed.all.Slice(0, t.feed.warmup),
+                               std::move(options)});
   }
   // Recover-or-create when durable (a rerun over the same root resumes
-  // the previous run's tenants; a corrupt tenant degrades instead of
-  // failing the point), plain create otherwise.
+  // the previous run's tenants), plain create otherwise.
   FAIRIDX_ASSIGN_OR_RETURN(
       std::unique_ptr<TenantRegistry> registry,
       registry_options.wal_dir.empty()
           ? TenantRegistry::Create(std::move(specs), registry_options)
           : TenantRegistry::Recover(std::move(specs), registry_options));
 
-  // Pre-build every worker's traffic before any clock starts. A
-  // recovered tenant resumes at the first record it never accepted
-  // (records stream in feed order and every accepted record was logged
-  // exactly once, so its store count IS the resume position).
-  std::vector<TenantWorker> workers(n);
-  std::vector<Rng> coins;
-  coins.reserve(n);
+  // Pre-build every worker's traffic before any clock starts. Worker w
+  // of a tenant draws its points from Rng(seed).Fork(2w + 1) and its coin
+  // from Fork(2w + 2). A recovered tenant resumes at the first record it
+  // never accepted (records stream in feed order and every accepted
+  // record was logged exactly once, so its store count IS the resume
+  // position); the rest of the tail is dealt round-robin by batch, so
+  // every record is owned by exactly one worker.
+  const int per_tenant = config.workload == ScenarioWorkload::kServe
+                             ? config.serve_readers
+                             : 1;
+  std::vector<Worker> workers;
   for (size_t i = 0; i < n; ++i) {
-    const ScenarioConfig& eff = effs[i];
-    Rng base(eff_runs[i].seed);
-    Rng point_rng = base.Fork(1);
-    coins.push_back(base.Fork(2));
-    const auto service = registry->tenant(config.tenants[i].name);
+    const PointTenant& t = tenants[i];
+    const auto service = registry->tenant(t.name);
     if (!service.ok()) continue;  // Degraded: no traffic, a status row.
-    workers[i].points =
-        MakeZipfPoints(grids[i], eff.serve_zipf, eff.serve_lookups,
-                       point_rng);
-    size_t next = feeds[i].warmup;
+    const size_t first = workers.size();
+    Rng base(t.run.seed);
+    for (int w = 0; w < per_tenant; ++w) {
+      Worker worker;
+      worker.tenant = i;
+      Rng point_rng = base.Fork(static_cast<uint64_t>(2 * w + 1));
+      worker.points = MakeZipfPoints(t.data->grid(), t.eff.serve_zipf,
+                                     t.eff.serve_lookups, point_rng);
+      worker.coin = base.Fork(static_cast<uint64_t>(2 * w + 2));
+      workers.push_back(std::move(worker));
+    }
     const long long accepted = (*service)->store().num_records();
-    next = std::min(
-        feeds[i].total,
-        std::max(next, static_cast<size_t>(std::max(0LL, accepted))));
-    while (next < feeds[i].total) {
+    size_t next = std::min(
+        t.feed.total,
+        std::max(t.feed.warmup, static_cast<size_t>(std::max(0LL, accepted))));
+    for (size_t k = 0; next < t.feed.total; ++k) {
       const size_t end = std::min(
-          feeds[i].total, next + static_cast<size_t>(eff.stream_batch));
-      workers[i].write_batches.push_back(feeds[i].all.Slice(next, end));
-      workers[i].tail_records += static_cast<long long>(end - next);
+          t.feed.total, next + static_cast<size_t>(t.eff.stream_batch));
+      Worker& owner = workers[first + k % static_cast<size_t>(per_tenant)];
+      owner.write_batches.push_back(t.feed.all.Slice(next, end));
+      owner.tail_records += static_cast<long long>(end - next);
       next = end;
     }
   }
 
-  FAIRIDX_RETURN_IF_ERROR(registry->StartMaintenance());
-
-  // One worker thread per serving tenant: the serve-style closed loop
-  // (batched LookupMany mixed with registry ingest on the read-pct
-  // coin; leftovers always drain), so every tenant's latency histogram
-  // measures ITS service time while the neighbors compete for the
-  // shared scheduler and CPU — the cross-tenant interference readout.
+  const bool auto_maintain =
+      config.maintain_policy == ScenarioMaintainPolicy::kAuto;
+  if (auto_maintain) FAIRIDX_RETURN_IF_ERROR(registry->StartMaintenance());
   std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!registry->tenant(config.tenants[i].name).ok()) continue;
-    threads.emplace_back([&, i]() {
-      TenantWorker& me = workers[i];
-      const ScenarioConfig& eff = effs[i];
-      const std::string& name = config.tenants[i].name;
-      FairIndexService* service =
-          registry->tenant(name).value();  // Checked above.
-      Rng& coin = coins[i];
-      const size_t batch = static_cast<size_t>(config.serve_batch);
-      const size_t calls = (me.points.size() + batch - 1) / batch;
-      const size_t warmup_calls = calls / 10;
-      std::vector<PointLookupResult> out(batch);
+  threads.reserve(workers.size());
+  for (Worker& worker : workers) {
+    threads.emplace_back([&, me = &worker] {
+      const PointTenant& t = tenants[me->tenant];
       const auto t_begin = std::chrono::steady_clock::now();
-      size_t write_next = 0;
-      size_t call = 0;
-      for (size_t off = 0; off < me.points.size();) {
-        const bool write =
-            write_next < me.write_batches.size() &&
-            static_cast<int>(coin.NextBounded(100)) >= eff.serve_read_pct;
-        if (write) {
-          Result<long long> seq =
-              registry->Ingest(name, std::move(me.write_batches[write_next]));
-          if (!seq.ok()) {
-            me.status = seq.status();
-            return;
-          }
-          ++write_next;
-          continue;
-        }
-        const size_t len = std::min(batch, me.points.size() - off);
-        const auto t0 = std::chrono::steady_clock::now();
-        service->LookupMany(Span<Point>(me.points.data() + off, len),
-                            out.data());
-        const auto t1 = std::chrono::steady_clock::now();
-        if (call >= warmup_calls) {
-          me.latencies_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
-        ++call;
-        me.lookups += static_cast<long long>(len);
-        off += len;
-      }
-      // Drain the leftover tail (and the whole tail, for a pure
-      // ingester with no lookup points).
-      for (; write_next < me.write_batches.size(); ++write_next) {
-        Result<long long> seq =
-            registry->Ingest(name, std::move(me.write_batches[write_next]));
-        if (!seq.ok()) {
-          me.status = seq.status();
-          return;
-        }
-      }
-      me.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t_begin)
-                       .count();
+      me->status = RunWorker(t.eff, t.name, *registry, *me);
+      me->seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t_begin)
+                        .count();
     });
   }
   for (std::thread& thread : threads) thread.join();
   // Quiesce the shared scheduler (joins any in-flight pass) before the
   // final audit seals.
-  registry->StopMaintenance();
+  if (auto_maintain) registry->StopMaintenance();
 
   const std::vector<TenantStatus> statuses = registry->statuses();
-  std::vector<ScenarioTenantRow> rows;
-  rows.reserve(n);
+  std::vector<ScenarioServingRow> rows(n);
   for (size_t i = 0; i < n; ++i) {
-    ScenarioTenantRow row;
-    row.run = eff_runs[i];
-    row.tenant = config.tenants[i].name;
+    ScenarioServingRow& row = rows[i];
+    row.run = tenants[i].run;
+    row.tenant = tenants[i].name;
     if (statuses[i].state == TenantState::kDegraded) {
       row.state = "degraded";
-      rows.push_back(std::move(row));
       continue;
     }
-    FAIRIDX_RETURN_IF_ERROR(workers[i].status);
     row.state = statuses[i].recovered ? "recovered" : "serving";
-    FairIndexService* service =
-        registry->tenant(config.tenants[i].name).value();
+    std::vector<double> latencies;
+    long long tail_records = 0;
+    for (const Worker& worker : workers) {
+      if (worker.tenant != i) continue;
+      FAIRIDX_RETURN_IF_ERROR(worker.status);
+      latencies.insert(latencies.end(), worker.latencies_us.begin(),
+                       worker.latencies_us.end());
+      row.lookups += worker.lookups;
+      tail_records += worker.tail_records;
+      row.seconds = std::max(row.seconds, worker.seconds);
+    }
+    std::sort(latencies.begin(), latencies.end());
+    FairIndexService* service = registry->tenant(row.tenant).value();
     FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
     const std::vector<RegionAggregate> final_regions =
         service->QueryRegions();
@@ -1432,19 +1208,18 @@ Result<std::vector<ScenarioTenantRow>> RunOneMultiTenantPoint(
     row.records = service->store().num_records();
     row.epochs = service->store().epoch();
     row.resplits = service->total_resplits();
-    row.lookups = workers[i].lookups;
-    std::sort(workers[i].latencies_us.begin(),
-              workers[i].latencies_us.end());
-    row.p50_us = PercentileUs(workers[i].latencies_us, 50.0);
-    row.p99_us = PercentileUs(workers[i].latencies_us, 99.0);
-    if (workers[i].seconds > 0.0) {
-      row.read_qps =
-          static_cast<double>(workers[i].lookups) / workers[i].seconds;
-      row.ingest_rps =
-          static_cast<double>(workers[i].tail_records) / workers[i].seconds;
+    row.published_patched = service->publications_patched();
+    row.published_fallback = service->publications_fallback();
+    if (row.seconds > 0.0) {
+      row.read_qps = static_cast<double>(row.lookups) / row.seconds;
+      row.ingest_rps = static_cast<double>(tail_records) / row.seconds;
     }
+    row.p50_us = PercentileUs(latencies, 50.0);
+    row.p95_us = PercentileUs(latencies, 95.0);
+    row.p99_us = PercentileUs(latencies, 99.0);
+    row.publish_stall_us = service->max_publish_stall_us();
+    row.checkpoint_stall_us = service->max_checkpoint_stall_us();
     row.final_ence = RegionEnce(final_regions).ence;
-    rows.push_back(std::move(row));
   }
   return rows;
 }
@@ -1483,42 +1258,27 @@ Result<ScenarioReport> RunScenario(const ScenarioConfig& config,
   const std::vector<ScenarioRun> runs = ExpandScenario(config);
   ScenarioReport report;
   report.workload = config.workload;
-  if (config.workload == ScenarioWorkload::kMultiTenant) {
-    // Each sweep point yields one row PER TENANT; flatten in sweep
-    // order so tenants stay grouped by point, section-ordered within.
-    FAIRIDX_ASSIGN_OR_RETURN(
-        std::vector<std::vector<ScenarioTenantRow>> groups,
-        (RunSweepPoints<std::vector<ScenarioTenantRow>>(
-            config, runs, [&](const ScenarioRun& run) {
-              return RunOneMultiTenantPoint(config, dataset, *prototype,
-                                            run);
-            })));
-    for (std::vector<ScenarioTenantRow>& group : groups) {
-      for (ScenarioTenantRow& row : group) {
-        report.tenant_rows.push_back(std::move(row));
-      }
-    }
-  } else if (config.workload == ScenarioWorkload::kServe) {
-    FAIRIDX_ASSIGN_OR_RETURN(
-        report.serve_rows,
-        (RunSweepPoints<ScenarioServeRow>(
-            config, runs, [&](const ScenarioRun& run) {
-              return RunOneServePoint(config, dataset, *prototype, run);
-            })));
-  } else if (config.workload == ScenarioWorkload::kStream) {
-    FAIRIDX_ASSIGN_OR_RETURN(
-        report.stream_rows,
-        (RunSweepPoints<ScenarioStreamRow>(
-            config, runs, [&](const ScenarioRun& run) {
-              return RunOneStreamPoint(config, dataset, *prototype, run);
-            })));
-  } else {
+  if (config.workload == ScenarioWorkload::kPipeline) {
     FAIRIDX_ASSIGN_OR_RETURN(
         report.rows,
         (RunSweepPoints<ScenarioRow>(
             config, runs, [&](const ScenarioRun& run) {
               return RunOnePipelinePoint(config, dataset, *prototype, run);
             })));
+    return report;
+  }
+  // Each serving point yields one row PER TENANT; flatten in sweep order
+  // so tenants stay grouped by point, section-ordered within.
+  FAIRIDX_ASSIGN_OR_RETURN(
+      std::vector<std::vector<ScenarioServingRow>> groups,
+      (RunSweepPoints<std::vector<ScenarioServingRow>>(
+          config, runs, [&](const ScenarioRun& run) {
+            return RunOneServingPoint(config, dataset, *prototype, run);
+          })));
+  for (std::vector<ScenarioServingRow>& group : groups) {
+    for (ScenarioServingRow& row : group) {
+      report.serving_rows.push_back(std::move(row));
+    }
   }
   return report;
 }

@@ -24,44 +24,43 @@
 //   test_fraction = 0.25
 //   min_region_population = 0       region-merging post-process
 //   workload = pipeline | stream    what each sweep point executes
-//            | serve
-//   stream_batch = 500              stream: records per ingest batch
-//   stream_shards = 4               stream: ShardedDeltaStore shards
-//   stream_refine_bound = 0.02      stream: drift bound (< 0: no refine)
-//   stream_warmup_pct = 50          stream: warmup prefix percentage
-//   stream_seal_records = 0         stream: seal when this many records
+//            | serve | multi_tenant
+//   stream_batch = 500              serving: records per ingest batch
+//   stream_shards = 4               serving: ShardedDeltaStore shards
+//   stream_warmup_pct = 50          serving: warmup prefix percentage
+//   stream_seal_records = 0         serving: seal when this many records
 //                                   are pending (0: seal every batch)
-//   maintain_policy = caller        stream: who runs maintenance.
-//                    | auto         caller (default) seals/refines from
-//                                   the ingest loop; auto starts the
-//                                   service-owned background scheduler
-//                                   (service/maintenance_scheduler.h) and
-//                                   the loop only ingests
-//   seal_interval = 0.05            stream+auto: background wall-clock
-//                                   seal cadence in seconds (0: record
+//   maintain_policy = caller        serving: who runs maintenance.
+//                    | auto         caller (default, stream only) seals/
+//                                   refines from the ingest loop; auto
+//                                   starts the point's shared registry
+//                                   scheduler (service/tenant_registry.h)
+//                                   and the workers only ingest and look
+//                                   up
+//   seal_interval = 0.05            auto: background wall-clock seal
+//                                   cadence in seconds (0: record
 //                                   cadence only; with it set and
 //                                   stream_seal_records = 0, the wall
 //                                   clock alone governs)
-//   drift_bound = 0.02              the maintenance-policy spelling of
-//                                   stream_refine_bound (same field;
-//                                   later key wins, < 0: never refine)
-//   wal_dir = /tmp/fairidx-wal      stream: write-ahead log + checkpoint
-//                                   directory (empty: durability off).
-//                                   Each sweep point logs under its own
+//   drift_bound = 0.02              refine drift bound for both policies
+//                                   (< 0: never refine)
+//   wal_dir = /tmp/fairidx-wal      serving: write-ahead log + checkpoint
+//                                   root (empty: durability off). Each
+//                                   sweep point logs under its own
 //                                   <algorithm>-h<height>-s<seed>/
 //                                   subdirectory so points never share a
-//                                   log
-//   checkpoint_interval = 8         stream+wal: checkpoint every N sealed
+//                                   log; a rerun recovers what is there
+//   checkpoint_interval = 8         wal: checkpoint every N sealed
 //                                   epochs (<= 0: only the initial one)
-//   full_snapshot_interval = 1      stream+wal: every Nth checkpoint is a
+//   full_snapshot_interval = 1      wal: every Nth checkpoint is a
 //                                   full snapshot; the rest are delta
 //                                   checkpoints carrying only the cells
 //                                   dirtied since the previous one
 //                                   (<= 1: every checkpoint is full)
-//   fsync = batch                   stream+wal: none | batch | always
+//   fsync = batch                   wal: none | batch | always
 //                                   (see service/wal.h for the window
 //                                   each mode leaves open)
-//   retain_epochs = 0               stream: after each maintenance pass
+//   retain_epochs = 0               serving: after each maintenance pass
 //                                   keep only the newest N sealed
 //                                   snapshots (+ reader-pinned ones);
 //                                   0 keeps the full history
@@ -100,39 +99,42 @@
 //                                   from the top-level keys and
 //                                   overrides what it names
 //
-// `workload = multi_tenant` hosts every `tenant.<name>.*` section in ONE
-// TenantRegistry (service/tenant_registry.h): per-tenant grids, stores,
-// partitions and WAL namespaces under <wal_dir>/<point>/<tenant>/, one
-// shared round-robin maintenance thread, one worker thread per tenant
-// driving a serve-style closed loop (a tenant with lookups = 0 ingests
-// flat out — the noisy neighbor). Rows report per-tenant p50/p99 lookup
-// latency and ingest throughput, so cross-tenant interference is read
-// straight off the table. With wal_dir set the point recovers-or-creates
-// per tenant: a corrupt tenant comes back degraded (its row says so)
-// while the others recover bit-identically.
-//
 // Unknown keys are errors (typos should not silently no-op). With the
 // default `workload = pipeline`, every run in the expansion is one
-// RunPipeline call; `workload = stream` instead drives each sweep point
-// through the concurrent serving layer (service/fair_index_service.h):
-// warmup build, batched ingest, epoch seals and drift-bounded refines.
-// `workload = serve` layers the read path on top of stream: after the
-// warmup build, serve_readers worker threads run a closed-loop mix of
-// batched point lookups (FairIndexService::LookupMany against the
-// published PointLookupIndex snapshot) and tail ingest while the
-// service's background scheduler seals and refines — it requires
-// maintain_policy = auto — and the row reports p50/p95/p99 LookupMany
-// latency plus aggregate lookup QPS (the first 10% of each worker's
-// lookup calls are treated as warmup and excluded from the percentiles).
+// RunPipeline call. The three serving workloads share ONE driver: every
+// sweep point is a TenantRegistry (service/tenant_registry.h), one model
+// fit scores each tenant's records, a warmup prefix builds each tenant's
+// maintained partition, and worker threads run a closed loop of batched
+// LookupMany calls mixed with tail ingest against it:
+//
+//   stream        one tenant, one worker, no lookups: a pure ingester.
+//                 Under maintain_policy = caller the worker seals or
+//                 refines once stream_seal_records are pending.
+//   serve         one tenant, serve_readers workers; requires
+//                 maintain_policy = auto.
+//   multi_tenant  one tenant per tenant.<name>.* section, one worker each
+//                 (a tenant with lookups = 0 is the noisy neighbor);
+//                 requires maintain_policy = auto.
+//
+// Under maintain_policy = auto the registry's one shared thread seals and
+// refines. Without tenant sections the point's single tenant is named
+// <algorithm>-h<height>-s<seed> and logs under <wal_dir>/<that name>/;
+// multi_tenant tenants log under <wal_dir>/<point>/<tenant>/. With
+// wal_dir set every point recovers-or-creates per tenant and resumes at
+// the first record it never accepted, so a rerun over the same wal_dir
+// reports its tenants "recovered"; a multi_tenant tenant whose recovery
+// fails comes back "degraded" while the others keep serving. Every
+// serving point reports one ScenarioServingRow per tenant.
+//
 // Independent sweep points execute on the shared ThreadPool (up to
 // `threads` at once); rows always come back in height-major,
 // algorithm-minor, seed-innermost order, bit-identical at any thread
-// count — EXCEPT under `maintain_policy = auto` (and therefore under
-// every serve run), where epoch/resplit counts (and hence final_ence,
-// and all serve latency/QPS numbers) depend on background-thread timing
-// by design: the scenario then exercises the hands-off serving story,
-// not a reproducible measurement. Serve record and lookup counts stay
-// deterministic.
+// count — EXCEPT under `maintain_policy = auto`, where epoch/resplit
+// counts (and hence final_ence) depend on background-thread timing by
+// design. Latency, QPS and throughput columns are timing-dependent
+// everywhere; record and lookup counts are always deterministic. The
+// first 10% of each worker's lookup calls are treated as warmup and
+// excluded from the percentiles.
 
 #ifndef FAIRIDX_CORE_SCENARIO_H_
 #define FAIRIDX_CORE_SCENARIO_H_
@@ -153,29 +155,25 @@ namespace fairidx {
 enum class ScenarioWorkload {
   /// The batch pipeline: one RunPipeline per sweep point.
   kPipeline,
-  /// The serving layer: warmup build + batched ingest through a
-  /// FairIndexService per sweep point.
+  /// The serving driver with one tenant and one pure-ingest worker:
+  /// warmup build, batched ingest, epoch seals, drift-bounded refines.
   kStream,
-  /// The read path: warmup build, then concurrent worker threads mixing
-  /// batched point lookups with tail ingest against the live service
-  /// while the background scheduler maintains (requires maintain_policy
-  /// = auto). Reports lookup latency percentiles and QPS.
+  /// The serving driver with one tenant and serve_readers workers mixing
+  /// batched point lookups with tail ingest (requires maintain_policy =
+  /// auto).
   kServe,
-  /// Multi-tenant serving: every tenant.<name>.* section becomes one
-  /// tenant of a shared TenantRegistry (per-tenant grid, store,
-  /// partition, WAL namespace and maintenance policy; one shared
-  /// round-robin scheduler thread). One worker per tenant runs a
-  /// serve-style closed loop; lookups = 0 makes that tenant a pure
-  /// ingester (the noisy neighbor). Requires maintain_policy = auto.
+  /// The serving driver with one tenant per tenant.<name>.* section, one
+  /// worker each; lookups = 0 makes that tenant a pure ingester (the
+  /// noisy neighbor). Requires maintain_policy = auto.
   kMultiTenant,
 };
 
-/// Who runs stream-workload maintenance.
+/// Who runs serving-workload maintenance.
 enum class ScenarioMaintainPolicy {
-  /// The ingest loop seals/refines (the pre-scheduler behavior).
+  /// The ingesting worker seals/refines (stream only: one writer).
   kCaller,
-  /// The service-owned background scheduler seals/refines; the loop only
-  /// ingests.
+  /// The registry's shared background scheduler seals/refines; the
+  /// workers only ingest and look up.
   kAuto,
 };
 
@@ -205,7 +203,7 @@ struct ScenarioTenantConfig {
   std::optional<long long> seal_records;
   /// Overrides seal_interval (per-tenant wall-clock seal cadence).
   std::optional<double> seal_interval;
-  /// Overrides drift_bound / stream_refine_bound (< 0: never refine).
+  /// Overrides drift_bound (< 0: never refine).
   std::optional<double> drift_bound;
   /// Overrides retain_epochs (per-tenant snapshot retention).
   std::optional<int> retain_epochs;
@@ -241,23 +239,24 @@ struct ScenarioConfig {
   double test_fraction = 0.25;
   double min_region_population = 0.0;
   ScenarioWorkload workload = ScenarioWorkload::kPipeline;
-  /// Streaming keys (used only when workload == kStream).
+  /// Ingest keys shared by every serving workload.
   int stream_batch = 500;
   int stream_shards = 1;
-  /// Drift bound for incremental maintenance; < 0 streams without
-  /// refining (the warmup partition stays fixed).
-  double stream_refine_bound = 0.02;
   int stream_warmup_pct = 50;
   /// Seal (and maybe refine) once this many records are pending; 0 seals
   /// after every batch.
   long long stream_seal_records = 0;
-  /// Caller-driven vs background maintenance (stream workload only).
+  /// Caller-driven vs background maintenance (serving workloads only).
   ScenarioMaintainPolicy maintain_policy = ScenarioMaintainPolicy::kCaller;
   /// Background wall-clock seal cadence in seconds (maintain_policy =
   /// auto only; 0 leaves only the record-count cadence).
   double seal_interval = 0.0;
-  /// Durability root directory (stream workload only; empty disables the
-  /// WAL and checkpoints). Each sweep point uses its own subdirectory.
+  /// Drift bound for incremental maintenance, under either policy; < 0
+  /// streams without refining (the warmup partition stays fixed).
+  double drift_bound = 0.02;
+  /// Durability root directory (serving workloads only; empty disables
+  /// the WAL and checkpoints). Each sweep point uses its own
+  /// subdirectory.
   std::string wal_dir;
   /// Checkpoint every this many sealed epochs (<= 0: only at create).
   long long checkpoint_interval = 8;
@@ -269,9 +268,8 @@ struct ScenarioConfig {
   /// Sealed-snapshot history bound applied after each maintenance pass
   /// (0 disables retention).
   int retain_epochs = 0;
-  /// Serving keys (used only when workload == kServe, which also uses
-  /// the stream_* ingest keys and requires maintain_policy = auto).
-  /// Concurrent worker threads issuing mixed lookup/ingest traffic.
+  /// Lookup-traffic keys (serve and multi_tenant; stream workers never
+  /// look up). Concurrent worker threads per tenant under serve.
   int serve_readers = 2;
   /// Lookup points per worker thread.
   long long serve_lookups = 50000;
@@ -357,67 +355,18 @@ struct ScenarioRow {
   int model_fits = 0;
 };
 
-/// One streaming sweep point's results (workload = stream).
-struct ScenarioStreamRow {
+/// One tenant's results within one serving sweep point (workload =
+/// stream, serve or multi_tenant; a stream or serve point has exactly
+/// one tenant). Every field is filled the same way for every workload,
+/// from the tenant's own service counters. Latency and throughput are
+/// timing-dependent by design; `records` and `lookups` are
+/// deterministic. A degraded tenant (failed recovery) reports its name
+/// and state with zeroed counters.
+struct ScenarioServingRow {
+  /// The tenant's effective sweep point (tenant overrides applied).
   ScenarioRun run;
-  /// Final published partition size.
-  int regions = 0;
-  /// Records streamed (warmup + ingested).
-  long long records = 0;
-  /// Sealed epochs over the stream.
-  long long epochs = 0;
-  /// Subtree re-splits published by maintenance.
-  long long resplits = 0;
-  /// Partition publications that went out via an O(changed area)
-  /// cell-map patch vs. a full O(grid) rebuild.
-  long long published_patched = 0;
-  long long published_fallback = 0;
-  /// Region ENCE of the final partition on the final sealed epoch.
-  double final_ence = 0.0;
-  /// Wall-clock seconds for the whole stream (excl. the one model fit).
-  double stream_seconds = 0.0;
-};
-
-/// One serving sweep point's results (workload = serve). Latency and
-/// QPS numbers are timing-dependent by design (see the header comment);
-/// `records` and `lookups` are deterministic.
-struct ScenarioServeRow {
-  ScenarioRun run;
-  /// Final published partition size.
-  int regions = 0;
-  /// Records streamed (warmup + everything the workers ingested).
-  long long records = 0;
-  /// Sealed epochs over the run.
-  long long epochs = 0;
-  /// Subtree re-splits published by background maintenance.
-  long long resplits = 0;
-  /// Lookup points answered across all workers (warmup calls included).
-  long long lookups = 0;
-  /// lookups / serve_seconds.
-  double read_qps = 0.0;
-  /// LookupMany call latency percentiles in microseconds, over the
-  /// steady-state window (first 10% of each worker's calls excluded).
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  /// Wall-clock seconds of the mixed-traffic phase (excludes the model
-  /// fit, warmup build and workload pre-generation).
-  double serve_seconds = 0.0;
-  /// Worst single publication swap over the run (max wall-clock micros
-  /// inside PublishMaintainedLocked — the reader-visible publish stall).
-  long long publish_stall_us = 0;
-  /// Worst single checkpoint write over the run (0 without a WAL).
-  long long checkpoint_stall_us = 0;
-  /// Region ENCE of the final partition on the final sealed epoch.
-  double final_ence = 0.0;
-};
-
-/// One tenant's results within one multi-tenant sweep point (workload =
-/// multi_tenant). Latency/throughput numbers are timing-dependent by
-/// design; `records` and `lookups` are deterministic. A degraded tenant
-/// (failed recovery) reports its name and state with zeroed counters.
-struct ScenarioTenantRow {
-  ScenarioRun run;
+  /// The tenant section's name, or <algorithm>-h<height>-s<seed> for
+  /// the single tenant of a stream or serve point.
   std::string tenant;
   /// "serving" (created fresh), "recovered" (rebuilt from its WAL/
   /// checkpoint namespace), or "degraded" (recovery failed; the other
@@ -427,35 +376,44 @@ struct ScenarioTenantRow {
   int regions = 0;
   /// Records in the tenant's store (warmup + ingested).
   long long records = 0;
-  /// Sealed epochs / published subtree re-splits for this tenant.
+  /// Sealed epochs / published subtree re-splits.
   long long epochs = 0;
   long long resplits = 0;
-  /// Lookup points answered by this tenant's worker (0 for a pure
-  /// ingester).
+  /// Partition publications that went out via an O(changed area)
+  /// cell-map patch vs. a full O(grid) rebuild.
+  long long published_patched = 0;
+  long long published_fallback = 0;
+  /// Lookup points answered by the tenant's workers (warmup calls
+  /// included; 0 for a pure ingester).
   long long lookups = 0;
-  /// lookups / the worker's wall-clock seconds.
+  /// lookups / seconds.
   double read_qps = 0.0;
-  /// LookupMany latency percentiles (steady-state window, first 10% of
-  /// calls excluded) — the cross-tenant interference readout.
+  /// LookupMany call latency percentiles in microseconds, pooled over
+  /// the tenant's workers (first 10% of each worker's calls excluded).
   double p50_us = 0.0;
+  double p95_us = 0.0;
   double p99_us = 0.0;
-  /// Tail records ingested / the worker's wall-clock seconds.
+  /// Tail records ingested / seconds.
   double ingest_rps = 0.0;
+  /// Worst single publication swap (the reader-visible publish stall)
+  /// and worst single checkpoint write (0 without a WAL), in micros.
+  long long publish_stall_us = 0;
+  long long checkpoint_stall_us = 0;
   /// Region ENCE of the final partition on the final sealed epoch.
   double final_ence = 0.0;
+  /// Wall-clock seconds of the tenant's traffic phase (its slowest
+  /// worker; excludes the model fit, warmup build and pre-generation).
+  double seconds = 0.0;
 };
 
 /// A finished scenario execution. `rows` is filled for the pipeline
-/// workload, `stream_rows` for the stream workload, `serve_rows` for the
-/// serve workload, `tenant_rows` for multi_tenant (grouped by sweep
-/// point, tenants in section order within each point); all in sweep
+/// workload, `serving_rows` for the serving workloads (grouped by sweep
+/// point, tenants in section order within each point); both in sweep
 /// order.
 struct ScenarioReport {
   ScenarioWorkload workload = ScenarioWorkload::kPipeline;
   std::vector<ScenarioRow> rows;
-  std::vector<ScenarioStreamRow> stream_rows;
-  std::vector<ScenarioServeRow> serve_rows;
-  std::vector<ScenarioTenantRow> tenant_rows;
+  std::vector<ScenarioServingRow> serving_rows;
 };
 
 /// Executes every expanded run against `dataset`, dispatching on
@@ -464,7 +422,7 @@ struct ScenarioReport {
 /// non-refinable structure under workload = stream) fail the whole
 /// scenario — list only applicable algorithms. Independent sweep points
 /// run on the shared ThreadPool, at most config.threads at once; the
-/// report is bit-identical at any thread count.
+/// report's deterministic columns are identical at any thread count.
 Result<ScenarioReport> RunScenario(const ScenarioConfig& config,
                                    const Dataset& dataset);
 

@@ -9,24 +9,6 @@
 namespace fairidx {
 namespace {
 
-// Tenant names double as on-disk directory names, so the accepted
-// alphabet must not allow path traversal or separators.
-Status ValidateTenantName(const std::string& name) {
-  if (name.empty()) {
-    return InvalidArgumentError("TenantRegistry: empty tenant name");
-  }
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-';
-    if (!ok) {
-      return InvalidArgumentError(
-          "TenantRegistry: tenant name '" + name +
-          "' must match [A-Za-z0-9_-]+ (it names a directory)");
-    }
-  }
-  return Status::Ok();
-}
-
 Status ValidateTenantPolicy(const std::string& name,
                             const MaintenancePolicy& policy) {
   if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
@@ -43,6 +25,22 @@ Status ValidateTenantPolicy(const std::string& name,
 }
 
 }  // namespace
+
+Status ValidateTenantName(const std::string& name) {
+  if (name.empty()) {
+    return InvalidArgumentError("empty tenant name");
+  }
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-';
+    if (!ok) {
+      return InvalidArgumentError(
+          "tenant name '" + name +
+          "' must match [A-Za-z0-9_-]+ (it names a directory)");
+    }
+  }
+  return Status::Ok();
+}
 
 Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Create(
     std::vector<TenantSpec> specs, const TenantRegistryOptions& options) {

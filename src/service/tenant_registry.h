@@ -48,13 +48,19 @@
 
 namespace fairidx {
 
+/// The one tenant-name rule: names double as on-disk namespace
+/// directories (`<wal_dir>/<name>/`), so only [A-Za-z0-9_-]+ is accepted
+/// — no separators, no traversal. The registry, the scenario parser and
+/// the CLI's --tenant all check names here.
+Status ValidateTenantName(const std::string& name);
+
 /// One tenant's full configuration: a name (its identity and its
 /// durability namespace), a grid, the warmup batch that builds its
 /// initial partition, and the per-tenant service options — including
 /// the per-tenant MaintenancePolicy the shared scheduler runs for it.
 struct TenantSpec {
-  /// Unique within the registry; also the on-disk namespace directory,
-  /// so only [A-Za-z0-9_-] is accepted (no path separators).
+  /// Unique within the registry; also the on-disk namespace directory
+  /// (see ValidateTenantName).
   std::string name;
   Grid grid;
   /// Builds epoch 0 and the initial partition when the tenant is

@@ -234,7 +234,7 @@ TEST(MultiTenantEngineTest, RunsNoisyNeighborPoint) {
   // Seal-only maintenance: region counts and final ENCE are then pure
   // functions of the record multiset, so the cross-tenant assertions
   // below cannot flake on background-refine timing.
-  config.stream_refine_bound = -1.0;
+  config.drift_bound = -1.0;
   config.maintain_policy = ScenarioMaintainPolicy::kAuto;
   config.seal_interval = 0.01;
   config.serve_lookups = 1500;
@@ -260,27 +260,27 @@ TEST(MultiTenantEngineTest, RunsNoisyNeighborPoint) {
   const Dataset dataset = GenerateEdgapCity(city).value();
   const auto report = RunScenario(config, dataset);
   ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->tenant_rows.size(), 3u);
+  ASSERT_EQ(report->serving_rows.size(), 3u);
 
-  for (const ScenarioTenantRow& row : report->tenant_rows) {
+  for (const ScenarioServingRow& row : report->serving_rows) {
     EXPECT_EQ(row.state, "serving") << row.tenant;
     EXPECT_EQ(row.records, 400) << row.tenant;
     EXPECT_GT(row.regions, 1) << row.tenant;
     EXPECT_GE(row.final_ence, 0.0) << row.tenant;
     EXPECT_GE(row.epochs, 1) << row.tenant;
   }
-  EXPECT_EQ(report->tenant_rows[0].tenant, "serving");
-  EXPECT_EQ(report->tenant_rows[1].tenant, "finer");
-  EXPECT_EQ(report->tenant_rows[2].tenant, "firehose");
-  EXPECT_EQ(report->tenant_rows[0].lookups, 1500);
-  EXPECT_EQ(report->tenant_rows[1].lookups, 1500);
+  EXPECT_EQ(report->serving_rows[0].tenant, "serving");
+  EXPECT_EQ(report->serving_rows[1].tenant, "finer");
+  EXPECT_EQ(report->serving_rows[2].tenant, "firehose");
+  EXPECT_EQ(report->serving_rows[0].lookups, 1500);
+  EXPECT_EQ(report->serving_rows[1].lookups, 1500);
   // The noisy neighbor never looks anything up; it only ingests.
-  EXPECT_EQ(report->tenant_rows[2].lookups, 0);
-  EXPECT_EQ(report->tenant_rows[2].p99_us, 0.0);
-  EXPECT_GT(report->tenant_rows[2].ingest_rps, 0.0);
+  EXPECT_EQ(report->serving_rows[2].lookups, 0);
+  EXPECT_EQ(report->serving_rows[2].p99_us, 0.0);
+  EXPECT_GT(report->serving_rows[2].ingest_rps, 0.0);
   // The finer tenant's height override produced a deeper partition.
-  EXPECT_GT(report->tenant_rows[1].regions,
-            report->tenant_rows[0].regions);
+  EXPECT_GT(report->serving_rows[1].regions,
+            report->serving_rows[0].regions);
 }
 
 // The same point re-run yields identical deterministic columns (records,
@@ -295,7 +295,7 @@ TEST(MultiTenantEngineTest, DeterministicColumnsAcrossReruns) {
   config.stream_batch = 40;
   config.stream_warmup_pct = 50;
   config.stream_seal_records = 80;
-  config.stream_refine_bound = -1.0;  // Seal-only: see above.
+  config.drift_bound = -1.0;  // Seal-only: see above.
   config.maintain_policy = ScenarioMaintainPolicy::kAuto;
   config.seal_interval = 0.01;
   config.serve_lookups = 500;
@@ -315,16 +315,16 @@ TEST(MultiTenantEngineTest, DeterministicColumnsAcrossReruns) {
   ASSERT_TRUE(first.ok()) << first.status();
   const auto second = RunScenario(config, dataset);
   ASSERT_TRUE(second.ok()) << second.status();
-  ASSERT_EQ(first->tenant_rows.size(), second->tenant_rows.size());
-  for (size_t i = 0; i < first->tenant_rows.size(); ++i) {
-    EXPECT_EQ(first->tenant_rows[i].records,
-              second->tenant_rows[i].records);
-    EXPECT_EQ(first->tenant_rows[i].lookups,
-              second->tenant_rows[i].lookups);
-    EXPECT_EQ(first->tenant_rows[i].regions,
-              second->tenant_rows[i].regions);
-    EXPECT_EQ(first->tenant_rows[i].final_ence,
-              second->tenant_rows[i].final_ence);
+  ASSERT_EQ(first->serving_rows.size(), second->serving_rows.size());
+  for (size_t i = 0; i < first->serving_rows.size(); ++i) {
+    EXPECT_EQ(first->serving_rows[i].records,
+              second->serving_rows[i].records);
+    EXPECT_EQ(first->serving_rows[i].lookups,
+              second->serving_rows[i].lookups);
+    EXPECT_EQ(first->serving_rows[i].regions,
+              second->serving_rows[i].regions);
+    EXPECT_EQ(first->serving_rows[i].final_ence,
+              second->serving_rows[i].final_ence);
   }
 }
 

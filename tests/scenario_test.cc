@@ -188,7 +188,7 @@ TEST(ScenarioParseTest, ParsesStreamWorkloadKeys) {
       "workload = stream\n"
       "stream_batch = 250\n"
       "stream_shards = 4\n"
-      "stream_refine_bound = 0.05\n"
+      "drift_bound = 0.05\n"
       "stream_warmup_pct = 40\n"
       "stream_seal_records = 500\n",
       "");
@@ -196,7 +196,7 @@ TEST(ScenarioParseTest, ParsesStreamWorkloadKeys) {
   EXPECT_EQ(config->workload, ScenarioWorkload::kStream);
   EXPECT_EQ(config->stream_batch, 250);
   EXPECT_EQ(config->stream_shards, 4);
-  EXPECT_DOUBLE_EQ(config->stream_refine_bound, 0.05);
+  EXPECT_DOUBLE_EQ(config->drift_bound, 0.05);
   EXPECT_EQ(config->stream_warmup_pct, 40);
   EXPECT_EQ(config->stream_seal_records, 500);
 }
@@ -207,6 +207,14 @@ TEST(ScenarioParseTest, RejectsBadStreamKeys) {
   EXPECT_FALSE(ParseScenarioText("stream_shards = 0\n", "").ok());
   EXPECT_FALSE(ParseScenarioText("stream_warmup_pct = 100\n", "").ok());
   EXPECT_FALSE(ParseScenarioText("stream_seal_records = -1\n", "").ok());
+  // drift_bound is the one spelling of the bound; stream_refine_bound is
+  // not a key.
+  const auto alias = ParseScenarioText(
+      "workload = stream\nstream_refine_bound = 0.05\n", "");
+  ASSERT_FALSE(alias.ok());
+  EXPECT_NE(alias.status().ToString().find("unknown scenario key"),
+            std::string::npos)
+      << alias.status().ToString();
   // No region-merging post-process exists on the stream path; the combo
   // must fail loudly rather than silently dropping the key.
   EXPECT_FALSE(ParseScenarioText(
@@ -225,9 +233,8 @@ TEST(ScenarioParseTest, ParsesMaintenanceKeys) {
   ASSERT_TRUE(config.ok()) << config.status();
   EXPECT_EQ(config->maintain_policy, ScenarioMaintainPolicy::kAuto);
   EXPECT_DOUBLE_EQ(config->seal_interval, 0.25);
-  // drift_bound is the maintenance spelling of stream_refine_bound: one
-  // field, so the caller loop and the scheduler share the bound.
-  EXPECT_DOUBLE_EQ(config->stream_refine_bound, 0.07);
+  // One field, so the caller loop and the scheduler share the bound.
+  EXPECT_DOUBLE_EQ(config->drift_bound, 0.07);
 
   const auto caller = ParseScenarioText(
       "workload = stream\nmaintain_policy = caller\n", "");
@@ -357,7 +364,7 @@ TEST(ScenarioEngineTest, StreamWorkloadRunsAndIsShardInvariant) {
   config.heights = {4};
   config.seeds = {11, 12};
   config.stream_batch = 60;
-  config.stream_refine_bound = 0.02;
+  config.drift_bound = 0.02;
   config.stream_warmup_pct = 50;
   CityConfig city;
   city.num_records = 400;
@@ -368,31 +375,31 @@ TEST(ScenarioEngineTest, StreamWorkloadRunsAndIsShardInvariant) {
   ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
   EXPECT_EQ(one_shard->workload, ScenarioWorkload::kStream);
   EXPECT_TRUE(one_shard->rows.empty());
-  ASSERT_EQ(one_shard->stream_rows.size(), 2u);
-  for (const ScenarioStreamRow& row : one_shard->stream_rows) {
+  ASSERT_EQ(one_shard->serving_rows.size(), 2u);
+  for (const ScenarioServingRow& row : one_shard->serving_rows) {
     EXPECT_GT(row.regions, 1);
     EXPECT_EQ(row.records, 400);
     EXPECT_GT(row.epochs, 0);
     EXPECT_GE(row.final_ence, 0.0);
   }
-  EXPECT_EQ(one_shard->stream_rows[0].run.seed, 11u);
-  EXPECT_EQ(one_shard->stream_rows[1].run.seed, 12u);
+  EXPECT_EQ(one_shard->serving_rows[0].run.seed, 11u);
+  EXPECT_EQ(one_shard->serving_rows[1].run.seed, 12u);
 
   config.stream_shards = 3;
   config.threads = 2;  // Also exercise the parallel sweep path.
   const auto sharded = RunScenario(config, dataset);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ(sharded->stream_rows.size(), one_shard->stream_rows.size());
-  for (size_t i = 0; i < sharded->stream_rows.size(); ++i) {
+  ASSERT_EQ(sharded->serving_rows.size(), one_shard->serving_rows.size());
+  for (size_t i = 0; i < sharded->serving_rows.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(sharded->stream_rows[i].regions,
-              one_shard->stream_rows[i].regions);
-    EXPECT_EQ(sharded->stream_rows[i].epochs,
-              one_shard->stream_rows[i].epochs);
-    EXPECT_EQ(sharded->stream_rows[i].resplits,
-              one_shard->stream_rows[i].resplits);
-    EXPECT_EQ(sharded->stream_rows[i].final_ence,
-              one_shard->stream_rows[i].final_ence);
+    EXPECT_EQ(sharded->serving_rows[i].regions,
+              one_shard->serving_rows[i].regions);
+    EXPECT_EQ(sharded->serving_rows[i].epochs,
+              one_shard->serving_rows[i].epochs);
+    EXPECT_EQ(sharded->serving_rows[i].resplits,
+              one_shard->serving_rows[i].resplits);
+    EXPECT_EQ(sharded->serving_rows[i].final_ence,
+              one_shard->serving_rows[i].final_ence);
   }
 }
 
@@ -408,7 +415,7 @@ TEST(ScenarioEngineTest, StreamWorkloadAutoMaintainRunsHandsOff) {
   config.heights = {4};
   config.seeds = {11};
   config.stream_batch = 50;
-  config.stream_refine_bound = 0.02;
+  config.drift_bound = 0.02;
   config.stream_warmup_pct = 50;
   config.stream_seal_records = 100;
   config.maintain_policy = ScenarioMaintainPolicy::kAuto;
@@ -419,8 +426,8 @@ TEST(ScenarioEngineTest, StreamWorkloadAutoMaintainRunsHandsOff) {
 
   const auto report = RunScenario(config, dataset);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->stream_rows.size(), 2u);
-  for (const ScenarioStreamRow& row : report->stream_rows) {
+  ASSERT_EQ(report->serving_rows.size(), 2u);
+  for (const ScenarioServingRow& row : report->serving_rows) {
     EXPECT_GT(row.regions, 1);
     EXPECT_EQ(row.records, 400);
     // The final quiescing seal always lands, so at least one epoch sealed
@@ -444,7 +451,7 @@ TEST(ScenarioEngineTest, StreamWorkloadWithWalLeavesRecoverableState) {
   config.heights = {4};
   config.seeds = {11, 12};
   config.stream_batch = 60;
-  config.stream_refine_bound = 0.02;
+  config.drift_bound = 0.02;
   config.stream_warmup_pct = 50;
   config.wal_dir = wal_root;
   config.checkpoint_interval = 1;
@@ -456,7 +463,10 @@ TEST(ScenarioEngineTest, StreamWorkloadWithWalLeavesRecoverableState) {
 
   const auto report = RunScenario(config, dataset);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->stream_rows.size(), 2u);
+  ASSERT_EQ(report->serving_rows.size(), 2u);
+  for (const ScenarioServingRow& row : report->serving_rows) {
+    EXPECT_EQ(row.state, "serving");
+  }
 
   for (uint64_t seed : {11, 12}) {
     const std::string point_dir =
@@ -466,6 +476,47 @@ TEST(ScenarioEngineTest, StreamWorkloadWithWalLeavesRecoverableState) {
     ASSERT_TRUE(checkpoint.ok()) << checkpoint.status();
     EXPECT_EQ(checkpoint->sealed_records, 400);
     EXPECT_EQ(checkpoint->algorithm, "fair_kd_tree");
+  }
+}
+
+// Re-running a durable point over the same wal_dir recovers each point's
+// tenant from its own namespace instead of refusing the non-empty
+// directory: the rerun reports "recovered", holds every record exactly
+// once, and (caller maintenance being deterministic) reproduces the
+// first run's partition.
+TEST(ScenarioEngineTest, StreamWorkloadRerunOverWalRecovers) {
+  const std::string wal_root =
+      ::testing::TempDir() + "/fairidx_scenario_wal_rerun";
+  std::filesystem::remove_all(wal_root);
+  ScenarioConfig config;
+  config.workload = ScenarioWorkload::kStream;
+  config.algorithms = {PartitionAlgorithm::kFairKdTree};
+  config.heights = {4};
+  config.seeds = {11, 12};
+  config.stream_batch = 60;
+  config.wal_dir = wal_root;
+  config.checkpoint_interval = 1;
+  config.fsync = "none";
+  CityConfig city;
+  city.num_records = 400;
+  const Dataset dataset = GenerateEdgapCity(city).value();
+
+  const auto first = RunScenario(config, dataset);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const auto second = RunScenario(config, dataset);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->serving_rows.size(), first->serving_rows.size());
+  for (size_t i = 0; i < first->serving_rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    const ScenarioServingRow& a = first->serving_rows[i];
+    const ScenarioServingRow& b = second->serving_rows[i];
+    EXPECT_EQ(a.state, "serving");
+    EXPECT_EQ(b.state, "recovered");
+    EXPECT_EQ(b.tenant, a.tenant);
+    EXPECT_EQ(b.records, 400);
+    EXPECT_EQ(b.records, a.records);
+    EXPECT_EQ(b.regions, a.regions);
+    EXPECT_EQ(b.final_ence, a.final_ence);
   }
 }
 

@@ -157,8 +157,8 @@ TEST(ServeScenarioEngineTest, ServeWorkloadRunsMixedTraffic) {
 
   const auto report = RunScenario(config, dataset);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->serve_rows.size(), 1u);
-  const ScenarioServeRow& row = report->serve_rows[0];
+  ASSERT_EQ(report->serving_rows.size(), 1u);
+  const ScenarioServingRow& row = report->serving_rows[0];
   EXPECT_GT(row.regions, 1);
   // Every record lands: warmup + the fully drained ingest tail.
   EXPECT_EQ(row.records, 400);
@@ -168,7 +168,7 @@ TEST(ServeScenarioEngineTest, ServeWorkloadRunsMixedTraffic) {
   EXPECT_GT(row.epochs, 0);
   EXPECT_GE(row.resplits, 0);
   EXPECT_GT(row.read_qps, 0.0);
-  EXPECT_GT(row.serve_seconds, 0.0);
+  EXPECT_GT(row.seconds, 0.0);
   EXPECT_GE(row.p50_us, 0.0);
   EXPECT_LE(row.p50_us, row.p95_us);
   EXPECT_LE(row.p95_us, row.p99_us);
@@ -198,11 +198,53 @@ TEST(ServeScenarioEngineTest, ServeCornerConfigsRun) {
 
   const auto report = RunScenario(config, dataset);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->serve_rows.size(), 1u);
-  const ScenarioServeRow& row = report->serve_rows[0];
+  ASSERT_EQ(report->serving_rows.size(), 1u);
+  const ScenarioServingRow& row = report->serving_rows[0];
   EXPECT_EQ(row.records, 240);
   EXPECT_EQ(row.lookups, 300);
   EXPECT_LE(row.p50_us, row.p99_us);
+}
+
+// A durable serve point rerun over the same wal_dir recovers its tenant
+// (the single tenant named after the point, under <wal_dir>/<point>/)
+// rather than failing on the non-empty directory, and every record is
+// still held exactly once.
+TEST(ServeScenarioEngineTest, ServeRerunOverWalRecovers) {
+  const std::string wal_root =
+      ::testing::TempDir() + "/fairidx_serve_wal_rerun";
+  std::filesystem::remove_all(wal_root);
+  ScenarioConfig config;
+  config.workload = ScenarioWorkload::kServe;
+  config.algorithms = {PartitionAlgorithm::kFairKdTree};
+  config.heights = {3};
+  config.seeds = {5};
+  config.stream_batch = 40;
+  config.stream_seal_records = 80;
+  config.maintain_policy = ScenarioMaintainPolicy::kAuto;
+  config.serve_readers = 2;
+  config.serve_lookups = 300;
+  config.serve_batch = 16;
+  config.wal_dir = wal_root;
+  config.fsync = "none";
+  CityConfig city;
+  city.num_records = 240;
+  const Dataset dataset = GenerateEdgapCity(city).value();
+
+  const auto first = RunScenario(config, dataset);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->serving_rows.size(), 1u);
+  EXPECT_EQ(first->serving_rows[0].state, "serving");
+  EXPECT_EQ(first->serving_rows[0].tenant, "fair_kd_tree-h3-s5");
+  EXPECT_TRUE(std::filesystem::exists(wal_root + "/fair_kd_tree-h3-s5"));
+
+  const auto second = RunScenario(config, dataset);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->serving_rows.size(), 1u);
+  const ScenarioServingRow& row = second->serving_rows[0];
+  EXPECT_EQ(row.state, "recovered");
+  EXPECT_EQ(row.records, 240);
+  EXPECT_EQ(row.records, first->serving_rows[0].records);
+  EXPECT_EQ(row.lookups, 2LL * 300);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/scenario.h"
 #include "service/checkpoint.h"
 #include "service/fair_index_service.h"
 #include "service/tenant_registry.h"
@@ -363,11 +364,30 @@ TEST(TenantRegistryTest, RejectsBadSpecs) {
   const std::vector<TenantFixture> fixtures = MakeFixtures(1, 13);
   EXPECT_FALSE(TenantRegistry::Create({}, TenantRegistryOptions{}).ok());
 
-  std::vector<TenantSpec> bad_name = MakeSpecs(fixtures);
-  bad_name[0].name = "a/b";
-  EXPECT_FALSE(
-      TenantRegistry::Create(std::move(bad_name), TenantRegistryOptions{})
-          .ok());
+  // One table of names through both front doors that share the
+  // ValidateTenantName rule: the registry itself and the scenario
+  // parser's tenant.<name>.* sections.
+  const struct {
+    const char* name;
+    bool valid;
+  } names[] = {{"", false},    {"a/b", false},   {"..", false},
+               {"a b", false}, {"ok_-9", true}};
+  for (const auto& entry : names) {
+    SCOPED_TRACE(entry.name);
+    std::vector<TenantSpec> specs = MakeSpecs(fixtures);
+    specs[0].name = entry.name;
+    EXPECT_EQ(
+        TenantRegistry::Create(std::move(specs), TenantRegistryOptions{})
+            .ok(),
+        entry.valid);
+    EXPECT_EQ(ParseScenarioText(
+                  "workload = multi_tenant\nmaintain_policy = auto\n"
+                  "seal_interval = 0.01\ntenant." +
+                      std::string(entry.name) + ".height = 4\n",
+                  "")
+                  .ok(),
+              entry.valid);
+  }
 
   std::vector<TenantSpec> duplicate = MakeSpecs(fixtures);
   duplicate[2].name = duplicate[0].name;

@@ -28,8 +28,9 @@
 // `run scenario.cfg` executes a declarative scenario file — a
 // multi-algorithm x multi-height x multi-seed sweep from one config (see
 // core/scenario.h for the format and examples/scenarios/ for samples).
-// Scenario files with `workload = stream` drive the serving layer below
-// instead of the batch pipeline.
+// Scenario files with `workload = stream`, `serve` or `multi_tenant`
+// drive the serving layer instead of the batch pipeline and print one
+// serving table (one row per sweep point and tenant).
 //
 // `stream` is the online re-districting demo on the concurrent serving
 // layer (service/fair_index_service.h): it builds a partition from a
@@ -87,6 +88,7 @@
 #include <vector>
 
 #include "common/cpu_features.h"
+#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/experiment_config.h"
 #include "core/pipeline.h"
@@ -98,6 +100,7 @@
 #include "index/partition_io.h"
 #include "service/checkpoint.h"
 #include "service/fair_index_service.h"
+#include "service/tenant_registry.h"
 #include "cli_spec.h"
 
 namespace fairidx {
@@ -105,6 +108,27 @@ namespace cli {
 namespace {
 
 // ----- Flag parsing -------------------------------------------------
+
+// Numeric flags are typed by their cli_spec.h value hint (N, K and P
+// take an integer, B and S a real number) and parsed with the scenario
+// parser's ParseInt/ParseDouble, so `--height banana` or `--batch 2x`
+// fails instead of silently becoming 0 or 2.
+Status CheckFlagValue(const std::string& name, const std::string& value) {
+  for (const CliFlagSpec& spec : kCliFlags) {
+    if (name != spec.name) continue;
+    const std::string hint = spec.value;
+    Status status = Status::Ok();
+    if (hint == "N" || hint == "K" || hint == "P") {
+      status = ParseInt(value).status();
+    } else if (hint == "B" || hint == "S") {
+      status = ParseDouble(value).status();
+    }
+    if (!status.ok()) {
+      return InvalidArgumentError("--" + name + ": " + status.message());
+    }
+  }
+  return Status::Ok();
+}
 
 class Flags {
  public:
@@ -133,28 +157,35 @@ class Flags {
       } else {
         values_[arg] = "true";
       }
+      value_error_ = CheckFlagValue(arg, values_[arg]);
+      if (!value_error_.ok()) return;
     }
   }
 
+  /// False on a usage error (unknown flag, stray argument).
   bool ok() const { return ok_; }
+  /// The first malformed numeric value, if any.
+  const Status& value_error() const { return value_error_; }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
+  // Values were checked by CheckFlagValue at parse time.
   int GetInt(const std::string& name, int fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return it == values_.end() ? fallback : ParseInt(it->second).value();
   }
   double GetDouble(const std::string& name, double fallback) const {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return it == values_.end() ? fallback : ParseDouble(it->second).value();
   }
 
  private:
   std::map<std::string, std::string> values_;
   bool ok_ = true;
+  Status value_error_ = Status::Ok();
 };
 
 // ----- Shared helpers -------------------------------------------------
@@ -208,75 +239,36 @@ int CmdRunScenario(const std::string& path) {
   auto report = RunScenario(*config, *dataset);
   if (!report.ok()) return Fail(report.status());
 
-  if (report->workload == ScenarioWorkload::kServe) {
-    TablePrinter table({"height", "algorithm", "seed", "regions",
-                        "records", "lookups", "qps", "p50_us", "p95_us",
-                        "p99_us", "epochs", "resplits", "pub_stall_us",
-                        "ckpt_stall_us", "serve_s"});
-    for (const ScenarioServeRow& row : report->serve_rows) {
-      table.AddRow({std::to_string(row.run.height),
-                    PartitionAlgorithmName(row.run.algorithm),
-                    std::to_string(row.run.seed),
-                    std::to_string(row.regions),
-                    std::to_string(row.records),
-                    std::to_string(row.lookups),
-                    TablePrinter::FormatDouble(row.read_qps, 0),
-                    TablePrinter::FormatDouble(row.p50_us, 1),
-                    TablePrinter::FormatDouble(row.p95_us, 1),
-                    TablePrinter::FormatDouble(row.p99_us, 1),
-                    std::to_string(row.epochs),
-                    std::to_string(row.resplits),
-                    std::to_string(row.publish_stall_us),
-                    std::to_string(row.checkpoint_stall_us),
-                    TablePrinter::FormatDouble(row.serve_seconds, 3)});
-    }
-    table.Print(std::cout);
-    return 0;
-  }
-
-  if (report->workload == ScenarioWorkload::kMultiTenant) {
-    // One row per (sweep point, tenant). A degraded tenant keeps its
-    // row — zeros everywhere, state says why — so fleet health is
-    // visible in the same table as the latency readout.
+  if (report->workload != ScenarioWorkload::kPipeline) {
+    // One row per (sweep point, tenant) for every serving workload. A
+    // degraded tenant keeps its row — zeros everywhere, state says why —
+    // so fleet health is visible in the same table as the latency
+    // readout.
     TablePrinter table({"height", "algorithm", "seed", "tenant", "state",
-                        "regions", "records", "lookups", "qps", "p50_us",
-                        "p99_us", "ingest_rps", "epochs", "resplits",
-                        "final_ence"});
-    for (const ScenarioTenantRow& row : report->tenant_rows) {
+                        "regions", "records", "epochs", "resplits",
+                        "patched", "fallback", "lookups", "qps", "p50_us",
+                        "p95_us", "p99_us", "ingest_rps", "pub_stall_us",
+                        "ckpt_stall_us", "final_ence", "seconds"});
+    for (const ScenarioServingRow& row : report->serving_rows) {
       table.AddRow({std::to_string(row.run.height),
                     PartitionAlgorithmName(row.run.algorithm),
                     std::to_string(row.run.seed), row.tenant, row.state,
-                    std::to_string(row.regions),
-                    std::to_string(row.records),
-                    std::to_string(row.lookups),
-                    TablePrinter::FormatDouble(row.read_qps, 0),
-                    TablePrinter::FormatDouble(row.p50_us, 1),
-                    TablePrinter::FormatDouble(row.p99_us, 1),
-                    TablePrinter::FormatDouble(row.ingest_rps, 0),
-                    std::to_string(row.epochs),
-                    std::to_string(row.resplits),
-                    TablePrinter::FormatDouble(row.final_ence, 5)});
-    }
-    table.Print(std::cout);
-    return 0;
-  }
-
-  if (report->workload == ScenarioWorkload::kStream) {
-    TablePrinter table({"height", "algorithm", "seed", "regions",
-                        "records", "epochs", "resplits", "patched",
-                        "fallback", "final_ence", "stream_s"});
-    for (const ScenarioStreamRow& row : report->stream_rows) {
-      table.AddRow({std::to_string(row.run.height),
-                    PartitionAlgorithmName(row.run.algorithm),
-                    std::to_string(row.run.seed),
                     std::to_string(row.regions),
                     std::to_string(row.records),
                     std::to_string(row.epochs),
                     std::to_string(row.resplits),
                     std::to_string(row.published_patched),
                     std::to_string(row.published_fallback),
+                    std::to_string(row.lookups),
+                    TablePrinter::FormatDouble(row.read_qps, 0),
+                    TablePrinter::FormatDouble(row.p50_us, 1),
+                    TablePrinter::FormatDouble(row.p95_us, 1),
+                    TablePrinter::FormatDouble(row.p99_us, 1),
+                    TablePrinter::FormatDouble(row.ingest_rps, 0),
+                    std::to_string(row.publish_stall_us),
+                    std::to_string(row.checkpoint_stall_us),
                     TablePrinter::FormatDouble(row.final_ence, 5),
-                    TablePrinter::FormatDouble(row.stream_seconds, 3)});
+                    TablePrinter::FormatDouble(row.seconds, 3)});
     }
     table.Print(std::cout);
     return 0;
@@ -471,13 +463,8 @@ int CmdStream(const Flags& flags) {
       return Fail(InvalidArgumentError(
           "--tenant needs --wal (it names a durability namespace)"));
     }
-    for (char c : tenant) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '-';
-      if (!ok) {
-        return Fail(InvalidArgumentError(
-            "--tenant must match [A-Za-z0-9_-]+ (it names a directory)"));
-      }
+    if (Status status = ValidateTenantName(tenant); !status.ok()) {
+      return Fail(InvalidArgumentError("--tenant: " + status.message()));
     }
     wal_dir += "/" + tenant;
   }
@@ -798,6 +785,10 @@ int Main(int argc, char** argv) {
   }
   const Flags flags(argc, argv, 2, command);
   if (!flags.ok()) return Usage();
+  if (!flags.value_error().ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.value_error().message().c_str());
+    return 1;
+  }
   if (command == "generate") return CmdGenerate(flags);
   if (command == "run") return CmdRun(flags);
   if (command == "sweep") return CmdSweep(flags);
