@@ -1219,42 +1219,90 @@ void BM_MultiObjectiveResidualsThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiObjectiveResidualsThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// --- One logistic-regression descent step: loss + gradient together. ---
+// --- Logistic regression: one fused pass, and a whole Newton fit. ---
 // 75,000 standardized rows x 6 features, the shape of the paper pipeline's
-// training set. Arg 0 runs the per-row terms on the shared pool (what Fit
-// does), arg 1 on a pool with no workers (the serial twin); the results
-// are bit-identical. CI gates /0 against /1: on a 1-CPU runner the shared
-// pool has no workers and the pair passes at parity.
-void BM_LogisticLossAndGradient(benchmark::State& state) {
+// training set.
+struct LogisticBenchData {
+  Matrix Z;
+  std::vector<int> y;
+  std::vector<double> weights;
+};
+
+LogisticBenchData MakeLogisticBenchData() {
   constexpr size_t kRows = 75000;
   constexpr size_t kCols = 6;
+  LogisticBenchData data{Matrix(kRows, kCols), std::vector<int>(kRows),
+                         std::vector<double>(kRows, 1.0)};
   Rng rng(2468);
-  Matrix Z(kRows, kCols);
-  std::vector<int> y(kRows);
-  const std::vector<double> weights(kRows, 1.0);
   for (size_t r = 0; r < kRows; ++r) {
     double margin = 0.0;
     for (size_t c = 0; c < kCols; ++c) {
-      Z(r, c) = rng.Gaussian(0.0, 1.0);
-      margin += (c % 2 == 0 ? 0.7 : -0.4) * Z(r, c);
+      data.Z(r, c) = rng.Gaussian(0.0, 1.0);
+      margin += (c % 2 == 0 ? 0.7 : -0.4) * data.Z(r, c);
     }
-    y[r] = rng.NextDouble() < Sigmoid(margin) ? 1 : 0;
+    data.y[r] = rng.NextDouble() < Sigmoid(margin) ? 1 : 0;
   }
+  return data;
+}
+
+const LogisticBenchData& LogisticBenchSet() {
+  static const LogisticBenchData data = MakeLogisticBenchData();
+  return data;
+}
+
+// One fused pass of LogisticObjective::Evaluate at a fixed point. Arg 0
+// runs the chunks on the shared pool (what Fit does), arg 1 on a pool
+// with no workers (the serial twin); the results are bit-identical. CI
+// gates /0 against /1: on a 1-CPU runner the shared pool has no workers
+// and the pair passes at parity. `with_hessian` adds the Hessian terms a
+// Newton iteration needs.
+void RunLogisticPass(benchmark::State& state, bool with_hessian) {
+  const LogisticBenchData& data = LogisticBenchSet();
   const std::vector<double> w = {0.5, -0.3, 0.6, -0.2, 0.4, -0.1};
   ThreadPool serial(0);
   ThreadPool& pool = state.range(0) == 0 ? ThreadPool::Shared() : serial;
-  internal::LogisticObjective objective(Z, y, weights, 1e-3);
+  internal::LogisticObjective objective(data.Z, data.y, data.weights, 1e-3);
   std::vector<double> grad;
+  std::vector<double> hessian;
   double grad_b = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(objective.Evaluate(w, 0.1, pool, &grad, &grad_b));
+    benchmark::DoNotOptimize(objective.Evaluate(
+        w, 0.1, pool, &grad, &grad_b, with_hessian ? &hessian : nullptr));
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRows);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.Z.rows()));
+}
+
+void BM_LogisticLossAndGradient(benchmark::State& state) {
+  RunLogisticPass(state, /*with_hessian=*/false);
 }
 BENCHMARK(BM_LogisticLossAndGradient)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_LogisticNewtonPass(benchmark::State& state) {
+  RunLogisticPass(state, /*with_hessian=*/true);
+}
+BENCHMARK(BM_LogisticNewtonPass)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// A whole LogisticRegression::Fit on the same set: standardize, then
+// Newton to the default gradient tolerance. Reports the iteration count.
+void BM_LogisticFit(benchmark::State& state) {
+  const LogisticBenchData& data = LogisticBenchSet();
+  LogisticRegression model;
+  for (auto _ : state) {
+    if (!model.Fit(data.Z, data.y).ok()) {
+      state.SkipWithError("fit failed");
+      return;
+    }
+  }
+  state.counters["iterations"] = model.last_fit_iterations();
+}
+BENCHMARK(BM_LogisticFit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

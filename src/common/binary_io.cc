@@ -181,6 +181,16 @@ Status BinaryReader::Need(size_t bytes) const {
   return Status::Ok();
 }
 
+Result<uint64_t> BinaryReader::ReadCount(size_t entry_bytes) {
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t count, ReadU64());
+  if (count > remaining() / entry_bytes) {
+    return DataLossError("binary input claims " + std::to_string(count) +
+                         " entries in " + std::to_string(remaining()) +
+                         " bytes");
+  }
+  return count;
+}
+
 Result<uint8_t> BinaryReader::ReadU8() {
   FAIRIDX_RETURN_IF_ERROR(Need(1));
   return data_[pos_++];

@@ -90,6 +90,10 @@ class BinaryReader {
   }
   Result<double> ReadDouble();
   Result<std::string> ReadString();
+  /// Reads a u64 count of entries of at least `entry_bytes` bytes each
+  /// that follow it, and fails with DataLoss when that many could not fit
+  /// in the bytes left: a corrupt count never reaches a `reserve`.
+  Result<uint64_t> ReadCount(size_t entry_bytes);
 
   size_t remaining() const { return size_ - pos_; }
 

@@ -52,7 +52,47 @@ Result<std::vector<std::string>> SplitList(const std::string& value) {
   return items;
 }
 
-// Heights accept both comma lists and inclusive "lo..hi" ranges.
+// Semantic bounds for the integer keys that size a run's tree, threads,
+// shards or batches: the one table ParseHeights and ValidateScenario (so
+// also `fairidx_cli check`) apply. `tenant_key` names the tenant.<name>.*
+// override of the same quantity, if any.
+struct IntBound {
+  const char* key;
+  const char* tenant_key;
+  long long lo;
+  long long hi;
+};
+
+constexpr long long kMaxThreads = 1024;
+constexpr long long kMaxBatch = 1 << 20;
+constexpr IntBound kIntBounds[] = {
+    // 1 << 30 regions is the most any partitioner builds.
+    {"heights", "height", 0, 30},
+    {"threads", nullptr, 1, kMaxThreads},
+    {"stream_batch", "batch", 1, kMaxBatch},
+    {"stream_shards", "shards", 1, 1024},
+    {"serve_readers", nullptr, 1, kMaxThreads},
+    {"serve_batch", nullptr, 1, kMaxBatch},
+};
+
+// Checks `value` against the bound whose key (or, with a `tenant` name,
+// tenant key) is `key`, and names the key in the one-line error.
+Status CheckBound(const std::string& key, long long value,
+                  const std::string& tenant = "") {
+  for (const IntBound& bound : kIntBounds) {
+    const char* name = tenant.empty() ? bound.key : bound.tenant_key;
+    if (name == nullptr || key != name) continue;
+    if (value >= bound.lo && value <= bound.hi) return Status::Ok();
+    return InvalidArgumentError(
+        "scenario: " + (tenant.empty() ? "" : "tenant." + tenant + ".") +
+        key + " = " + std::to_string(value) + " is out of range [" +
+        std::to_string(bound.lo) + ", " + std::to_string(bound.hi) + "]");
+  }
+  return InternalError("scenario: no bound for key '" + key + "'");
+}
+
+// Heights accept both comma lists and inclusive "lo..hi" ranges. A range
+// is bounded before it is expanded.
 Result<std::vector<int>> ParseHeights(const std::string& value) {
   std::vector<int> heights;
   FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
@@ -65,15 +105,13 @@ Result<std::vector<int>> ParseHeights(const std::string& value) {
       if (lo > hi) {
         return InvalidArgumentError("empty height range '" + item + "'");
       }
+      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", lo));
+      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", hi));
       for (int h = lo; h <= hi; ++h) heights.push_back(h);
     } else {
       FAIRIDX_ASSIGN_OR_RETURN(int height, ParseInt(item));
+      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", height));
       heights.push_back(height);
-    }
-  }
-  for (int height : heights) {
-    if (height < 0) {
-      return InvalidArgumentError("heights must be >= 0");
     }
   }
   return heights;
@@ -464,19 +502,16 @@ Status ValidateScenario(const ScenarioConfig& config) {
   if (config.task < 0) {
     return InvalidArgumentError("scenario: task must be >= 0");
   }
-  if (config.threads < 1) {
-    return InvalidArgumentError("scenario: threads must be >= 1");
+  for (int height : config.heights) {
+    FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", height));
   }
+  FAIRIDX_RETURN_IF_ERROR(CheckBound("threads", config.threads));
   if (config.test_fraction <= 0.0 || config.test_fraction >= 1.0) {
     return InvalidArgumentError(
         "scenario: test_fraction must be in (0, 1)");
   }
-  if (config.stream_batch < 1) {
-    return InvalidArgumentError("scenario: stream_batch must be >= 1");
-  }
-  if (config.stream_shards < 1) {
-    return InvalidArgumentError("scenario: stream_shards must be >= 1");
-  }
+  FAIRIDX_RETURN_IF_ERROR(CheckBound("stream_batch", config.stream_batch));
+  FAIRIDX_RETURN_IF_ERROR(CheckBound("stream_shards", config.stream_shards));
   if (config.stream_warmup_pct < 1 || config.stream_warmup_pct > 99) {
     return InvalidArgumentError(
         "scenario: stream_warmup_pct must be in [1, 99]");
@@ -543,15 +578,11 @@ Status ValidateScenario(const ScenarioConfig& config) {
         "(the background scheduler owns maintenance; workers only "
         "look up and ingest)");
   }
-  if (config.serve_readers < 1) {
-    return InvalidArgumentError("scenario: serve_readers must be >= 1");
-  }
+  FAIRIDX_RETURN_IF_ERROR(CheckBound("serve_readers", config.serve_readers));
   if (config.serve_lookups < 1) {
     return InvalidArgumentError("scenario: serve_lookups must be >= 1");
   }
-  if (config.serve_batch < 1) {
-    return InvalidArgumentError("scenario: serve_batch must be >= 1");
-  }
+  FAIRIDX_RETURN_IF_ERROR(CheckBound("serve_batch", config.serve_batch));
   if (config.serve_read_pct < 1 || config.serve_read_pct > 100) {
     return InvalidArgumentError(
         "scenario: serve_read_pct must be in [1, 100]");
@@ -596,14 +627,16 @@ Status ValidateScenario(const ScenarioConfig& config) {
   }
   for (const ScenarioTenantConfig& tenant : config.tenants) {
     const std::string who = "scenario: tenant." + tenant.name + ".";
-    if (tenant.height && *tenant.height < 0) {
-      return InvalidArgumentError(who + "height must be >= 0");
+    if (tenant.height) {
+      FAIRIDX_RETURN_IF_ERROR(
+          CheckBound("height", *tenant.height, tenant.name));
     }
-    if (tenant.batch && *tenant.batch < 1) {
-      return InvalidArgumentError(who + "batch must be >= 1");
+    if (tenant.batch) {
+      FAIRIDX_RETURN_IF_ERROR(CheckBound("batch", *tenant.batch, tenant.name));
     }
-    if (tenant.shards && *tenant.shards < 1) {
-      return InvalidArgumentError(who + "shards must be >= 1");
+    if (tenant.shards) {
+      FAIRIDX_RETURN_IF_ERROR(
+          CheckBound("shards", *tenant.shards, tenant.name));
     }
     if (tenant.warmup_pct &&
         (*tenant.warmup_pct < 1 || *tenant.warmup_pct > 99)) {

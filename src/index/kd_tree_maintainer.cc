@@ -1,6 +1,7 @@
 #include "index/kd_tree_maintainer.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <utility>
 
@@ -361,6 +362,10 @@ constexpr uint32_t kKdMaintainerMagic = 0x46584B4Du;  // "FXKM"
 // rects — blobs shrink from O(grid) to O(tree), which is what keeps delta
 // checkpoints O(changed). v1 blobs (embedded partition) still restore.
 constexpr uint32_t kKdMaintainerVersion = 2;
+// Serialized entry sizes, which bound the untrusted counts in a blob.
+constexpr size_t kRectBytes = 4 * sizeof(int32_t);
+constexpr size_t kNodeBytes = kRectBytes + 3 * sizeof(int32_t) +
+                              5 * sizeof(double);
 
 void PutRect(BinaryWriter* out, const CellRect& rect) {
   out->PutI32(rect.row_begin);
@@ -431,7 +436,11 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
   }
   KdTreeMaintainer maintainer(grid, options);
   FAIRIDX_ASSIGN_OR_RETURN(maintainer.tree_.num_split_scans, in.ReadI64());
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_nodes, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_nodes,
+                           in.ReadCount(kNodeBytes));
+  if (num_nodes > static_cast<uint64_t>(INT_MAX)) {
+    return DataLossError("KdTreeMaintainer: node count exceeds int range");
+  }
   maintainer.nodes_.reserve(static_cast<size_t>(num_nodes));
   for (uint64_t i = 0; i < num_nodes; ++i) {
     Node node;
@@ -446,7 +455,8 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
     }
     maintainer.nodes_.push_back(node);
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_leaves, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_leaves,
+                           in.ReadCount(sizeof(int32_t)));
   maintainer.leaf_nodes_.reserve(static_cast<size_t>(num_leaves));
   for (uint64_t i = 0; i < num_leaves; ++i) {
     FAIRIDX_ASSIGN_OR_RETURN(const int32_t leaf, in.ReadI32());
@@ -455,7 +465,8 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
     }
     maintainer.leaf_nodes_.push_back(leaf);
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_regions, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_regions,
+                           in.ReadCount(kRectBytes));
   if (num_regions != num_leaves) {
     return DataLossError(
         "KdTreeMaintainer: leaf and region counts disagree");

@@ -1,6 +1,7 @@
 #include "index/quadtree_maintainer.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <functional>
 #include <utility>
@@ -384,6 +385,10 @@ constexpr uint32_t kQuadMaintainerMagic = 0x4658514Du;  // "FXQM"
 // rects on Restore — see the KD maintainer for the rationale); v1 blobs
 // still restore.
 constexpr uint32_t kQuadMaintainerVersion = 2;
+// Serialized entry sizes, which bound the untrusted counts in a blob.
+constexpr size_t kRectBytes = 4 * sizeof(int32_t);
+constexpr size_t kNodeBytes = kRectBytes + 5 * sizeof(int32_t) +
+                              5 * sizeof(double);
 
 void PutRect(BinaryWriter* out, const CellRect& rect) {
   out->PutI32(rect.row_begin);
@@ -451,7 +456,11 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
     return DataLossError("QuadTreeMaintainer: bad magic or version");
   }
   QuadTreeMaintainer maintainer(grid, options);
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_nodes, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_nodes,
+                           in.ReadCount(kNodeBytes));
+  if (num_nodes > static_cast<uint64_t>(INT_MAX)) {
+    return DataLossError("QuadTreeMaintainer: node count exceeds int range");
+  }
   maintainer.nodes_.reserve(static_cast<size_t>(num_nodes));
   for (uint64_t i = 0; i < num_nodes; ++i) {
     Node node;
@@ -469,7 +478,8 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
     FAIRIDX_ASSIGN_OR_RETURN(node.snapshot, ReadAggregate(&in));
     maintainer.nodes_.push_back(node);
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_leaves, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_leaves,
+                           in.ReadCount(sizeof(int32_t)));
   maintainer.leaf_nodes_.reserve(static_cast<size_t>(num_leaves));
   for (uint64_t i = 0; i < num_leaves; ++i) {
     FAIRIDX_ASSIGN_OR_RETURN(const int32_t leaf, in.ReadI32());
@@ -478,7 +488,8 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
     }
     maintainer.leaf_nodes_.push_back(leaf);
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_regions, in.ReadU64());
+  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_regions,
+                           in.ReadCount(kRectBytes));
   if (num_regions != num_leaves) {
     return DataLossError(
         "QuadTreeMaintainer: leaf and region counts disagree");

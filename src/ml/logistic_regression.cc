@@ -24,58 +24,185 @@ namespace internal {
 LogisticObjective::LogisticObjective(const Matrix& Z, const std::vector<int>& y,
                                      const std::vector<double>& sample_weights,
                                      double l2)
-    : Z_(Z),
-      y_(y),
-      sample_weights_(sample_weights),
-      l2_(l2),
-      row_loss_(Z.rows()),
-      row_err_(Z.rows()) {
+    : Z_(Z), y_(y), sample_weights_(sample_weights), l2_(l2) {
   for (double w : sample_weights) total_weight_ += w;
 }
 
 double LogisticObjective::Evaluate(const std::vector<double>& w, double b,
                                    ThreadPool& pool, std::vector<double>* grad,
-                                   double* grad_b) {
+                                   double* grad_b,
+                                   std::vector<double>* hessian) {
   const size_t n = Z_.rows();
   const size_t d = Z_.cols();
-  // Phase 1, per row and independent across rows: one exp(-|margin|)
-  // serves both the probability and the loss, whose stable branches
-  // exponentiate exactly this operand.
+  const size_t k = d + 1;
+  const bool with_hessian = hessian != nullptr;
+  const size_t stride = 1 + k + (with_hessian ? k * (k + 1) / 2 : 0);
   const size_t chunks = (n + kLogisticRowChunk - 1) / kLogisticRowChunk;
+  partials_.assign(std::max<size_t>(chunks, 1) * stride, 0.0);
+
+  // Phase 1, one partial record per chunk, rows in order within it: one
+  // exp(-|margin|) serves the probability, the loss and the curvature,
+  // whose stable forms all exponentiate exactly this operand.
   pool.ParallelFor(chunks, pool.num_workers() + 1, [&](size_t chunk) {
+    double* record = partials_.data() + chunk * stride;
+    double* g = record + 1;  // d weight terms, then the intercept's.
+    double* h = g + k;       // Lower triangle, row by row.
+    double loss = 0.0;
     const size_t end = std::min(n, (chunk + 1) * kLogisticRowChunk);
     for (size_t r = chunk * kLogisticRowChunk; r < end; ++r) {
+      const double* row = Z_.Row(r);
       const double margin = Z_.RowDot(r, w) + b;
       const double e = std::exp(-std::abs(margin));
       const double p = SigmoidOfExp(margin, e);
       // log(1 + exp(-m)) for y=1 and log(1 + exp(m)) for y=0, stably.
       const double z = y_[r] == 1 ? margin : -margin;
       const double nll = z > 0 ? std::log1p(e) : -z + std::log1p(e);
-      row_loss_[r] = sample_weights_[r] * nll;
-      row_err_[r] = sample_weights_[r] * (p - y_[r]);
+      loss += sample_weights_[r] * nll;
+      const double err = sample_weights_[r] * (p - y_[r]);
+      for (size_t c = 0; c < d; ++c) g[c] += err * row[c];
+      g[d] += err;
+      if (!with_hessian) continue;
+      // p (1 - p) = e / (1 + e)^2 on both branches, without cancellation.
+      const double q = 1.0 / (1.0 + e);
+      const double curvature = sample_weights_[r] * (e * q * q);
+      double* h_row = h;
+      for (size_t i = 0; i < d; ++i) {
+        const double scaled = curvature * row[i];
+        for (size_t j = 0; j <= i; ++j) h_row[j] += scaled * row[j];
+        h_row += i + 1;
+      }
+      for (size_t j = 0; j < d; ++j) h_row[j] += curvature * row[j];
+      h_row[d] += curvature;
     }
+    record[0] = loss;
   });
 
-  // Phase 2, serial in row order: the sums see the same terms in the same
-  // order at any thread count, so every bit is independent of the pool.
-  grad->assign(d, 0.0);
-  double* g = grad->data();
-  double loss = 0.0;
-  double gb = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    loss += row_loss_[r];
-    const double err = row_err_[r];
-    const double* row = Z_.Row(r);
-    for (size_t c = 0; c < d; ++c) g[c] += err * row[c];
-    gb += err;
+  // Phase 2, serial in chunk order: the records and their order depend
+  // only on n, so every bit is independent of the pool.
+  double* total = partials_.data();
+  for (size_t chunk = 1; chunk < chunks; ++chunk) {
+    const double* record = total + chunk * stride;
+    for (size_t i = 0; i < stride; ++i) total[i] += record[i];
   }
+  grad->resize(d);
   double penalty = 0.0;
   for (size_t c = 0; c < d; ++c) {
-    g[c] = g[c] / total_weight_ + l2_ * w[c];
+    (*grad)[c] = total[1 + c] / total_weight_ + l2_ * w[c];
     penalty += w[c] * w[c];
   }
-  *grad_b = gb / total_weight_;
-  return loss / total_weight_ + 0.5 * l2_ * penalty;
+  *grad_b = total[1 + d] / total_weight_;
+  if (with_hessian) {
+    hessian->resize(k * k);
+    const double* h = total + 1 + k;
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        const double value = *h++ / total_weight_;
+        (*hessian)[i * k + j] = value;
+        (*hessian)[j * k + i] = value;
+      }
+      if (i < d) (*hessian)[i * k + i] += l2_;
+    }
+  }
+  return total[0] / total_weight_ + 0.5 * l2_ * penalty;
+}
+
+namespace {
+
+// Solves A x = rhs in place for the k x k symmetric positive definite A
+// (row-major; only its lower triangle is read, and it is overwritten by
+// the Cholesky factor). Returns false on a non-positive pivot.
+bool CholeskySolve(size_t k, std::vector<double>* a, std::vector<double>* x) {
+  double* m = a->data();
+  for (size_t j = 0; j < k; ++j) {
+    double pivot = m[j * k + j];
+    for (size_t p = 0; p < j; ++p) pivot -= m[j * k + p] * m[j * k + p];
+    if (!(pivot > 0.0)) return false;
+    const double diag = std::sqrt(pivot);
+    m[j * k + j] = diag;
+    for (size_t i = j + 1; i < k; ++i) {
+      double value = m[i * k + j];
+      for (size_t p = 0; p < j; ++p) value -= m[i * k + p] * m[j * k + p];
+      m[i * k + j] = value / diag;
+    }
+  }
+  double* v = x->data();
+  for (size_t i = 0; i < k; ++i) {  // L y = rhs.
+    for (size_t p = 0; p < i; ++p) v[i] -= m[i * k + p] * v[p];
+    v[i] /= m[i * k + i];
+  }
+  for (size_t i = k; i-- > 0;) {  // L^T x = y.
+    for (size_t p = i + 1; p < k; ++p) v[i] -= m[p * k + i] * v[p];
+    v[i] /= m[i * k + i];
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<LogisticNewtonStats> MinimizeLogisticObjective(
+    LogisticObjective& objective, const LogisticRegressionOptions& options,
+    ThreadPool& pool, std::vector<double>* w, double* b) {
+  if (!(options.l2 > 0.0) || !std::isfinite(options.l2)) {
+    return InvalidArgumentError(
+        "LogisticRegression: l2 must be positive and finite");
+  }
+  const size_t d = objective.num_weights();
+  const size_t k = d + 1;
+  w->assign(d, 0.0);
+  *b = 0.0;
+  std::vector<double> grad;
+  std::vector<double> hessian;
+  double grad_b = 0.0;
+  double loss = objective.Evaluate(*w, *b, pool, &grad, &grad_b, &hessian);
+  LogisticNewtonStats stats;
+  stats.passes = 1;
+
+  std::vector<double> delta(k);
+  std::vector<double> trial_w(d);
+  std::vector<double> trial_grad;
+  std::vector<double> trial_hessian;
+  double trial_grad_b = 0.0;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    double max_grad = std::abs(grad_b);
+    for (double g : grad) max_grad = std::max(max_grad, std::abs(g));
+    ++stats.iterations;
+    if (max_grad < options.gradient_tolerance) break;
+
+    // Newton direction: (H + mu e_b e_b^T) delta = gradient, where
+    // mu = l2 |grad_b| damps the unpenalized intercept. The weights'
+    // block already carries l2, so the system is positive definite
+    // whenever grad_b != 0, even if every probability saturates; and mu
+    // vanishes at the optimum, so convergence stays quadratic.
+    hessian[k * k - 1] += options.l2 * std::abs(grad_b);
+    std::copy(grad.begin(), grad.end(), delta.begin());
+    delta[d] = grad_b;
+    if (!CholeskySolve(k, &hessian, &delta)) {
+      return InternalError("LogisticRegression: Newton system is singular");
+    }
+    // Full step first, halved while the loss increases. The accepted
+    // trial's gradient and Hessian are the next iteration's, so a
+    // full-step iteration is one pass. If no step down to 1e-8 is
+    // accepted, the loss cannot move at this precision: stop.
+    bool accepted = false;
+    for (double step = 1.0; !accepted && step >= 1e-8; step *= 0.5) {
+      for (size_t c = 0; c < d; ++c) trial_w[c] = (*w)[c] - step * delta[c];
+      const double trial_b = *b - step * delta[d];
+      const double trial_loss = objective.Evaluate(
+          trial_w, trial_b, pool, &trial_grad, &trial_grad_b, &trial_hessian);
+      ++stats.passes;
+      if (trial_loss <= loss + 1e-12) {
+        accepted = true;
+        loss = trial_loss;
+        w->swap(trial_w);
+        *b = trial_b;
+        grad.swap(trial_grad);
+        grad_b = trial_grad_b;
+        hessian.swap(trial_hessian);
+      }
+    }
+    if (!accepted) break;
+  }
+  return stats;
 }
 
 }  // namespace internal
@@ -90,55 +217,16 @@ Status LogisticRegression::Fit(const Matrix& X, const std::vector<int>& y,
   if (!transformed.ok()) return transformed.status();
   const Matrix& Z = transformed.value();
 
-  const size_t n = Z.rows();
-  const size_t d = Z.cols();
-  std::vector<double> weights_per_sample(n, 1.0);
+  std::vector<double> weights_per_sample(Z.rows(), 1.0);
   if (sample_weights != nullptr) weights_per_sample = *sample_weights;
   internal::LogisticObjective objective(Z, y, weights_per_sample,
                                         options_.l2);
-  ThreadPool& pool = ThreadPool::Shared();
-
-  weights_.assign(d, 0.0);
-  intercept_ = 0.0;
-  double step = options_.learning_rate;
-  std::vector<double> grad;
-  double grad_b = 0.0;
-  double prev_loss =
-      objective.Evaluate(weights_, intercept_, pool, &grad, &grad_b);
-
-  std::vector<double> old_weights;
-  std::vector<double> trial_grad;
-  double trial_grad_b = 0.0;
-  last_fit_iterations_ = 0;
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    double max_grad = std::abs(grad_b);
-    for (double g : grad) max_grad = std::max(max_grad, std::abs(g));
-    ++last_fit_iterations_;
-    if (max_grad < options_.gradient_tolerance) break;
-
-    // Backtracking step: retry with halved step while the loss increases.
-    // The accepted point's gradient comes with its loss, and is exactly
-    // the one the next iteration needs.
-    old_weights = weights_;
-    const double old_intercept = intercept_;
-    while (true) {
-      for (size_t c = 0; c < d; ++c) {
-        weights_[c] = old_weights[c] - step * grad[c];
-      }
-      intercept_ = old_intercept - step * grad_b;
-      const double loss = objective.Evaluate(weights_, intercept_, pool,
-                                             &trial_grad, &trial_grad_b);
-      if (loss <= prev_loss + 1e-12 || step < 1e-8) {
-        prev_loss = loss;
-        grad.swap(trial_grad);
-        grad_b = trial_grad_b;
-        // Gentle step growth recovers speed after a backtrack.
-        step = std::min(step * 1.05, options_.learning_rate * 4.0);
-        break;
-      }
-      step *= 0.5;
-    }
-  }
+  FAIRIDX_ASSIGN_OR_RETURN(
+      const internal::LogisticNewtonStats stats,
+      internal::MinimizeLogisticObjective(objective, options_,
+                                          ThreadPool::Shared(), &weights_,
+                                          &intercept_));
+  last_fit_iterations_ = stats.iterations;
   fitted_ = true;
   return Status::Ok();
 }

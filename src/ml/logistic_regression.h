@@ -1,14 +1,14 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// L2-regularised logistic regression trained with full-batch gradient
-// descent on standardized features. The paper's primary classifier.
+// L2-regularised logistic regression trained with damped Newton (IRLS)
+// on standardized features. The paper's primary classifier.
 //
-// Each descent step is one pass over the rows that yields the loss and
-// the gradient together (internal::LogisticObjective). The per-row terms
-// run in fixed row chunks on ThreadPool::Shared(); the sums then run
-// serially in row order, so the fitted model is bit-identical at any
-// thread count.
+// Each Newton iteration is one pass over the rows that yields the loss,
+// the gradient and the Hessian together (internal::LogisticObjective).
+// Fixed 4096-row chunks run on ThreadPool::Shared(), each writing one
+// partial sum; the partials are then added serially in chunk order, so
+// the fitted model is bit-identical at any thread count.
 
 #ifndef FAIRIDX_ML_LOGISTIC_REGRESSION_H_
 #define FAIRIDX_ML_LOGISTIC_REGRESSION_H_
@@ -25,12 +25,13 @@ namespace fairidx {
 
 /// Hyper-parameters for LogisticRegression.
 struct LogisticRegressionOptions {
-  /// Initial step size; the optimiser halves it on loss increase.
-  double learning_rate = 0.5;
+  /// Cap on Newton iterations (each counts one gradient check).
   int max_iterations = 500;
   /// Stop when the max absolute gradient component falls below this.
   double gradient_tolerance = 1e-6;
-  /// L2 penalty on non-intercept weights (per-sample scale).
+  /// L2 penalty on non-intercept weights (per-sample scale). Must be
+  /// positive: it keeps the weights' block of every Newton system
+  /// positive definite.
   double l2 = 1e-3;
 };
 
@@ -60,7 +61,9 @@ class LogisticRegression : public Classifier {
   /// Fitted weights on the standardized scale (size = feature count).
   const std::vector<double>& weights() const { return weights_; }
   double intercept() const { return intercept_; }
-  /// Number of gradient-descent iterations the last Fit performed.
+  /// Newton iterations the last Fit performed, counting the final
+  /// converged gradient check (a fit that converges after k steps
+  /// reports k + 1).
   int last_fit_iterations() const { return last_fit_iterations_; }
 
  private:
@@ -79,13 +82,14 @@ class ThreadPool;
 
 namespace internal {
 
-/// Rows per task of LogisticObjective::Evaluate's parallel phase. It only
-/// balances load: no sum depends on it.
+/// Rows per partial sum of LogisticObjective::Evaluate. The partials are
+/// added in chunk order, so every sum depends on this constant and on the
+/// row count, never on the pool.
 inline constexpr size_t kLogisticRowChunk = 4096;
 
-/// The objective LogisticRegression::Fit descends: the sample-weighted
+/// The objective LogisticRegression::Fit minimises: the sample-weighted
 /// mean negative log-likelihood of sigmoid(Z w + b) plus 0.5 * l2 * |w|^2.
-/// Holds per-row scratch reused across evaluations; Z, y and
+/// Holds per-chunk scratch reused across evaluations; Z, y and
 /// `sample_weights` (one nonnegative weight per row, positive total) must
 /// outlive it.
 class LogisticObjective {
@@ -94,11 +98,18 @@ class LogisticObjective {
                     const std::vector<double>& sample_weights, double l2);
 
   /// Returns the objective at (w, b) and writes its gradient to `grad`
-  /// (resized to Z.cols()) and `grad_b`. The per-row terms run on `pool`
-  /// (inline on a pool with no workers); the sums run serially in row
-  /// order, so the result is bit-identical on any pool.
+  /// (resized to Z.cols()) and `grad_b`. A non-null `hessian` receives
+  /// the objective's Hessian over (w, b): (d+1) x (d+1), row-major and
+  /// symmetric, the intercept last. Each kLogisticRowChunk-row chunk runs
+  /// on `pool` (inline on a pool with no workers) and writes one partial
+  /// record; the records are added serially in chunk order, so the result
+  /// is bit-identical on any pool.
   double Evaluate(const std::vector<double>& w, double b, ThreadPool& pool,
-                  std::vector<double>* grad, double* grad_b);
+                  std::vector<double>* grad, double* grad_b,
+                  std::vector<double>* hessian = nullptr);
+
+  /// Number of weights, Z.cols(); the intercept comes on top.
+  size_t num_weights() const { return Z_.cols(); }
 
  private:
   const Matrix& Z_;
@@ -106,9 +117,28 @@ class LogisticObjective {
   const std::vector<double>& sample_weights_;
   double l2_;
   double total_weight_ = 0.0;
-  std::vector<double> row_loss_;  // sample_weights[r] * nll_r.
-  std::vector<double> row_err_;   // sample_weights[r] * (p_r - y_r).
+  // One record per chunk: the loss, d + 1 gradient terms (intercept
+  // last), then, with a Hessian, its (d+1)(d+2)/2 lower-triangle terms.
+  std::vector<double> partials_;
 };
+
+/// What one MinimizeLogisticObjective run did.
+struct LogisticNewtonStats {
+  /// Gradient checks, the final converged one included: what
+  /// LogisticRegression::last_fit_iterations() reports.
+  int iterations = 0;
+  /// Fused Evaluate passes: one per accepted full step, one more per
+  /// halving, plus the first.
+  int passes = 0;
+};
+
+/// Minimises `objective` by damped Newton from (0, 0), evaluating on
+/// `pool`: what LogisticRegression::Fit runs on ThreadPool::Shared().
+/// Writes the optimum to `w` and `b`. InvalidArgument when `options.l2`
+/// is not positive. Bit-identical on any pool.
+Result<LogisticNewtonStats> MinimizeLogisticObjective(
+    LogisticObjective& objective, const LogisticRegressionOptions& options,
+    ThreadPool& pool, std::vector<double>* w, double* b);
 
 }  // namespace internal
 

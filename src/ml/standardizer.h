@@ -3,8 +3,8 @@
 //
 // Per-feature z-score standardization, fitted on training data and applied
 // to both train and test matrices. Logistic regression uses this internally
-// so that gradient descent is well conditioned regardless of feature scales
-// (income in thousands next to percentages).
+// so that its fit is well conditioned regardless of feature scales (income
+// in thousands next to percentages).
 
 #ifndef FAIRIDX_ML_STANDARDIZER_H_
 #define FAIRIDX_ML_STANDARDIZER_H_

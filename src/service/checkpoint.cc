@@ -115,14 +115,13 @@ std::string SerializeFramed(const CheckpointData& data) {
   return FinishFrame(std::move(out), kCheckpointMagic, kCheckpointVersion);
 }
 
-// Reads a count of `entry_bytes`-sized entries and bounds it by the bytes
-// left, so a corrupt length fails as DataLoss before anything is reserved.
+// BinaryReader::ReadCount, with the file and the field in the error.
 Result<uint64_t> ReadCount(BinaryReader& in, size_t entry_bytes,
                            const std::string& path, const char* what) {
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t count, in.ReadU64());
-  if (count > in.remaining() / entry_bytes) {
-    return DataLossError("checkpoint " + path + ": " + what +
-                         " count exceeds the bytes left");
+  Result<uint64_t> count = in.ReadCount(entry_bytes);
+  if (!count.ok()) {
+    return DataLossError("checkpoint " + path + ": " + what + ": " +
+                         count.status().message());
   }
   return count;
 }

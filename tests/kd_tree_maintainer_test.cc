@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 
 namespace fairidx {
@@ -356,6 +358,60 @@ TEST(KdTreeMaintainerTest, RejectsBadInputs) {
   KdRefineOptions negative;
   negative.drift_bound = -1.0;
   EXPECT_FALSE(maintainer.Refine(aggregates, negative).ok());
+}
+
+uint64_t U64At(const std::string& blob, size_t offset) {
+  return BinaryReader(blob.data() + offset, 8).ReadU64().value();
+}
+
+std::string WithU64At(std::string blob, size_t offset, uint64_t value) {
+  BinaryWriter out;
+  out.PutU64(value);
+  return blob.replace(offset, 8, out.buffer());
+}
+
+// Every count in a blob is bounded by the bytes left before anything is
+// reserved, so a hostile blob fails with DataLoss instead of aborting on
+// a huge allocation.
+TEST(KdTreeMaintainerTest, RestoreRejectsCountsBeyondTheBlob) {
+  Rng rng(78);
+  const Grid grid = MakeGrid(8, 8);
+  const GridAggregates aggregates =
+      BuildAggregates(grid, MakeRecords(rng, grid, 100));
+  KdTreeOptions options;
+  options.height = 3;
+  const std::string blob =
+      KdTreeMaintainer::Build(grid, aggregates, options).value().Save();
+  ASSERT_TRUE(KdTreeMaintainer::Restore(grid, options, blob).ok());
+
+  // magic, version, split scans, then the node, leaf and region counts,
+  // each followed by its 68-, 4- and 16-byte entries.
+  constexpr size_t kNodesAt = 16;
+  const size_t leaves_at = kNodesAt + 8 + U64At(blob, kNodesAt) * 68;
+  const size_t regions_at = leaves_at + 8 + U64At(blob, leaves_at) * 4;
+  const struct {
+    size_t offset;
+    size_t entry_bytes;
+  } counts[] = {{kNodesAt, 68}, {leaves_at, 4}, {regions_at, 16}};
+  for (const auto& count : counts) {
+    const uint64_t one_too_many =
+        (blob.size() - count.offset - 8) / count.entry_bytes + 1;
+    for (const uint64_t value : {one_too_many, uint64_t{1} << 40,
+                                 ~uint64_t{0}}) {
+      SCOPED_TRACE(std::to_string(count.offset) + ": " +
+                   std::to_string(value));
+      const auto restored = KdTreeMaintainer::Restore(
+          grid, options, WithU64At(blob, count.offset, value));
+      ASSERT_FALSE(restored.ok());
+      EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+    }
+  }
+  // A 24-byte blob: a valid header claiming 2^63 nodes.
+  const auto tiny = KdTreeMaintainer::Restore(
+      grid, options,
+      WithU64At(blob.substr(0, 24), kNodesAt, uint64_t{1} << 63));
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "geo/delta_grid_aggregates.h"
 #include "index/partitioner.h"
@@ -348,6 +349,60 @@ TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
     }
     EXPECT_GT((*service)->total_resplits(), 0);
   }
+}
+
+uint64_t U64At(const std::string& blob, size_t offset) {
+  return BinaryReader(blob.data() + offset, 8).ReadU64().value();
+}
+
+std::string WithU64At(std::string blob, size_t offset, uint64_t value) {
+  BinaryWriter out;
+  out.PutU64(value);
+  return blob.replace(offset, 8, out.buffer());
+}
+
+// Every count in a blob is bounded by the bytes left before anything is
+// reserved, so a hostile blob fails with DataLoss instead of aborting on
+// a huge allocation.
+TEST(QuadTreeMaintainerTest, RestoreRejectsCountsBeyondTheBlob) {
+  const Grid grid = MakeGrid(8, 8);
+  Rng rng(4);
+  const GridAggregates aggregates =
+      BuildAggregates(grid, RandomRecords(rng, grid, 200));
+  FairQuadtreeOptions options;
+  options.target_regions = 8;
+  const std::string blob =
+      QuadTreeMaintainer::Build(grid, aggregates, options).value().Save();
+  ASSERT_TRUE(QuadTreeMaintainer::Restore(grid, options, blob).ok());
+
+  // magic, version, then the node, leaf and region counts, each followed
+  // by its 76-, 4- and 16-byte entries.
+  constexpr size_t kNodesAt = 8;
+  const size_t leaves_at = kNodesAt + 8 + U64At(blob, kNodesAt) * 76;
+  const size_t regions_at = leaves_at + 8 + U64At(blob, leaves_at) * 4;
+  const struct {
+    size_t offset;
+    size_t entry_bytes;
+  } counts[] = {{kNodesAt, 76}, {leaves_at, 4}, {regions_at, 16}};
+  for (const auto& count : counts) {
+    const uint64_t one_too_many =
+        (blob.size() - count.offset - 8) / count.entry_bytes + 1;
+    for (const uint64_t value : {one_too_many, uint64_t{1} << 40,
+                                 ~uint64_t{0}}) {
+      SCOPED_TRACE(std::to_string(count.offset) + ": " +
+                   std::to_string(value));
+      const auto restored = QuadTreeMaintainer::Restore(
+          grid, options, WithU64At(blob, count.offset, value));
+      ASSERT_FALSE(restored.ok());
+      EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+    }
+  }
+  // A 16-byte blob: a valid header claiming 2^63 nodes.
+  const auto tiny = QuadTreeMaintainer::Restore(
+      grid, options,
+      WithU64At(blob.substr(0, 16), kNodesAt, uint64_t{1} << 63));
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

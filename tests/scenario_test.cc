@@ -222,6 +222,53 @@ TEST(ScenarioParseTest, RejectsBadStreamKeys) {
                    .ok());
 }
 
+// The keys that size a run's tree, threads, shards and batches are
+// bounded above as well as below, by one table; the error is one line
+// that names the key, the value and the range.
+TEST(ScenarioParseTest, RejectsOutOfRangeSizes) {
+  const std::string tenant = "workload = multi_tenant\n"
+                             "maintain_policy = auto\n";
+  const struct {
+    std::string text;
+    const char* error;  // nullptr: accepted.
+  } cases[] = {
+      {"heights = 99999999\n",
+       "heights = 99999999 is out of range [0, 30]"},
+      {"heights = 0..99999999\n", "heights = 99999999 is out of range"},
+      {"heights = -1..3\n", "heights = -1 is out of range"},
+      {"heights = 30\n", nullptr},
+      {"threads = 1025\n", "threads = 1025 is out of range [1, 1024]"},
+      {"threads = 1024\n", nullptr},
+      {"serve_readers = 100000000\n",
+       "serve_readers = 100000000 is out of range [1, 1024]"},
+      {"serve_readers = 0\n", "serve_readers = 0 is out of range"},
+      {"serve_readers = 1024\n", nullptr},
+      {"stream_shards = 1025\n", "stream_shards = 1025 is out of range"},
+      {"stream_batch = 1048577\n",
+       "stream_batch = 1048577 is out of range [1, 1048576]"},
+      {"stream_batch = 1048576\n", nullptr},
+      {"serve_batch = 2000000\n", "serve_batch = 2000000 is out of range"},
+      {tenant + "tenant.a.height = 31\n",
+       "tenant.a.height = 31 is out of range [0, 30]"},
+      {tenant + "tenant.a.shards = 5000\n",
+       "tenant.a.shards = 5000 is out of range"},
+      {tenant + "tenant.a.batch = 0\n", "tenant.a.batch = 0 is out of range"},
+      {tenant + "tenant.a.batch = 64\n", nullptr},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const auto config = ParseScenarioText(c.text, "");
+    if (c.error == nullptr) {
+      EXPECT_TRUE(config.ok()) << config.status();
+      continue;
+    }
+    ASSERT_FALSE(config.ok());
+    const std::string message = config.status().ToString();
+    EXPECT_NE(message.find(c.error), std::string::npos) << message;
+    EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+  }
+}
+
 TEST(ScenarioParseTest, ParsesMaintenanceKeys) {
   const auto config = ParseScenarioText(
       "workload = stream\n"

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "core/scenario.h"
 #include "service/checkpoint.h"
@@ -290,12 +292,14 @@ TEST(TenantRegistryRecoveryTest, RecoverRebuildsEveryTenantBitIdentically) {
   }
 }
 
-// Fault isolation: scribbling over ONE tenant's checkpoints leaves that
-// tenant degraded (error surfaced, disk state untouched, Ingest/tenant()
-// refuse) while the other tenants recover bit-identically and the
-// shared scheduler keeps running for them.
-TEST(TenantRegistryRecoveryTest, CorruptOneTenantDegradesOnlyThatTenant) {
-  const std::string root = FreshDir("corrupt_one");
+// Fault isolation: runs the fixtures under a durable registry, lets
+// `corrupt` rewrite ONE tenant's directory, and recovers. That tenant
+// comes up degraded (error surfaced, disk state untouched, Ingest/tenant()
+// refuse) while the other tenants recover bit-identically and the shared
+// scheduler keeps running for them.
+void ExpectCorruptionDegradesOnlyThatTenant(
+    const std::string& root,
+    const std::function<void(const std::string& victim_dir)>& corrupt) {
   const std::vector<TenantFixture> fixtures = MakeFixtures(1, 901);
   TenantRegistryOptions options;
   options.wal_dir = root;
@@ -315,17 +319,8 @@ TEST(TenantRegistryRecoveryTest, CorruptOneTenantDegradesOnlyThatTenant) {
     }
   }
 
-  // Corrupt every checkpoint of the MIDDLE tenant in place (names kept,
-  // contents garbage): recovery must fail on it, not fall back to
-  // recreating it fresh.
   const std::string victim = fixtures[1].name;
-  auto checkpoints = ListCheckpoints(root + "/" + victim);
-  ASSERT_TRUE(checkpoints.ok()) << checkpoints.status();
-  ASSERT_FALSE(checkpoints->empty());
-  for (const CheckpointInfo& info : *checkpoints) {
-    std::ofstream out(info.path, std::ios::binary | std::ios::trunc);
-    out << "not a checkpoint";
-  }
+  corrupt(root + "/" + victim);
 
   auto recovered = TenantRegistry::Recover(MakeSpecs(fixtures), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
@@ -358,6 +353,57 @@ TEST(TenantRegistryRecoveryTest, CorruptOneTenantDegradesOnlyThatTenant) {
 
   // The degraded tenant's disk state was left for repair, not deleted.
   EXPECT_TRUE(std::filesystem::exists(root + "/" + victim));
+}
+
+// Every checkpoint of the victim is overwritten in place (names kept,
+// contents garbage): recovery must fail on it, not fall back to
+// recreating it fresh.
+TEST(TenantRegistryRecoveryTest, CorruptOneTenantDegradesOnlyThatTenant) {
+  ExpectCorruptionDegradesOnlyThatTenant(
+      FreshDir("corrupt_one"), [](const std::string& dir) {
+        auto checkpoints = ListCheckpoints(dir);
+        ASSERT_TRUE(checkpoints.ok()) << checkpoints.status();
+        ASSERT_FALSE(checkpoints->empty());
+        for (const CheckpointInfo& info : *checkpoints) {
+          std::ofstream out(info.path, std::ios::binary | std::ios::trunc);
+          out << "not a checkpoint";
+        }
+      });
+}
+
+// Every checkpoint of the victim, full and delta, is rewritten CRC-valid
+// but with a maintainer blob whose valid header claims 2^60 tree nodes in
+// 24 bytes. Restore must answer DataLoss (not abort on the allocation),
+// so only that tenant degrades.
+TEST(TenantRegistryRecoveryTest, HostileMaintainerBlobDegradesOnlyThatTenant) {
+  ExpectCorruptionDegradesOnlyThatTenant(
+      FreshDir("hostile_blob"), [](const std::string& dir) {
+        // Keeps the blob's magic, version and split-scan count.
+        const auto hostile = [](const std::string& blob) {
+          BinaryWriter count;
+          count.PutU64(uint64_t{1} << 60);
+          return blob.substr(0, 16) + count.buffer();
+        };
+        auto checkpoints = ListCheckpoints(dir);
+        ASSERT_TRUE(checkpoints.ok()) << checkpoints.status();
+        ASSERT_FALSE(checkpoints->empty());
+        for (const CheckpointInfo& info : *checkpoints) {
+          auto data = ReadCheckpoint(info.path);
+          ASSERT_TRUE(data.ok()) << data.status();
+          ASSERT_GE(data->maintained_blob.size(), 16u);
+          data->maintained_blob = hostile(data->maintained_blob);
+          ASSERT_TRUE(WriteCheckpoint(dir, *data).ok());
+        }
+        auto deltas = ListDeltaCheckpoints(dir);
+        ASSERT_TRUE(deltas.ok()) << deltas.status();
+        for (const CheckpointInfo& info : *deltas) {
+          auto delta = ReadDeltaCheckpoint(info.path);
+          ASSERT_TRUE(delta.ok()) << delta.status();
+          ASSERT_GE(delta->maintained_blob.size(), 16u);
+          delta->maintained_blob = hostile(delta->maintained_blob);
+          ASSERT_TRUE(WriteDeltaCheckpoint(dir, *delta).ok());
+        }
+      });
 }
 
 TEST(TenantRegistryTest, RejectsBadSpecs) {
