@@ -63,7 +63,7 @@
 //   retain_epochs = 0               serving: after each maintenance pass
 //                                   keep only the newest N sealed
 //                                   snapshots (+ reader-pinned ones);
-//                                   0 keeps the full history
+//                                   0 keeps the newest epoch
 //   serve_readers = 2               serve: concurrent worker threads
 //                                   issuing mixed lookup/ingest traffic
 //                                   against the live service
@@ -266,7 +266,7 @@ struct ScenarioConfig {
   /// WAL fsync mode: "none" | "batch" | "always".
   std::string fsync = "batch";
   /// Sealed-snapshot history bound applied after each maintenance pass
-  /// (0 disables retention).
+  /// (0 keeps the store's default: the newest epoch).
   int retain_epochs = 0;
   /// Lookup-traffic keys (serve and multi_tenant; stream workers never
   /// look up). Concurrent worker threads per tenant under serve.

@@ -35,6 +35,13 @@ Result<Partition> Partition::FromCellMapExact(
   if (num_regions < 1) {
     return InvalidArgumentError("Partition: num_regions must be >= 1");
   }
+  // Every region needs a cell, so a larger count is invalid; rejecting it
+  // here keeps a decoded count from sizing `seen` before any check.
+  if (static_cast<size_t>(num_regions) > cell_to_region.size()) {
+    return InvalidArgumentError(
+        "Partition: " + std::to_string(num_regions) + " regions exceed " +
+        std::to_string(cell_to_region.size()) + " cells");
+  }
   std::vector<char> seen(static_cast<size_t>(num_regions), 0);
   for (int region : cell_to_region) {
     if (region < 0 || region >= num_regions) {

@@ -234,10 +234,10 @@ class FairIndexService {
   /// be enabled), pruning old checkpoints and fully-covered WAL segments.
   Status Checkpoint();
 
-  /// Applies epoch retention to the store (keep the newest `keep_last`
-  /// sealed snapshots plus reader-pinned ones); returns entries dropped.
-  /// The background scheduler calls this when its policy sets
-  /// retain_epochs.
+  /// Sets the store's epoch retention (keep the newest `keep_last` sealed
+  /// snapshots plus reader-pinned ones; every later seal trims to it) and
+  /// returns the entries dropped since the previous call. The background
+  /// scheduler calls this when its policy sets retain_epochs.
   int ApplyRetention(int keep_last);
 
   /// Durability observability (null / 0 when durability is disabled).

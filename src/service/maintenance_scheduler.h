@@ -49,9 +49,8 @@ struct MaintenancePolicy {
   double poll_interval_seconds = 0.005;
   /// After each maintenance pass, drop sealed-snapshot history beyond the
   /// newest this many epochs (reader-pinned snapshots are always kept;
-  /// see ShardedDeltaStore::RetainEpochs). <= 0 disables retention — the
-  /// history then grows by one entry per capturing seal for the life of
-  /// the stream.
+  /// see ShardedDeltaStore::RetainEpochs). <= 0 leaves the store's
+  /// default bound: the newest epoch only.
   int retain_epochs = 0;
 };
 
@@ -74,8 +73,8 @@ struct MaintenanceStats {
   long long published_fallback = 0;
   /// Subtree re-splits across all published passes.
   long long resplits = 0;
-  /// Sealed-snapshot history entries dropped by retention (policy
-  /// retain_epochs > 0).
+  /// Sealed-snapshot history entries the store dropped, counted when the
+  /// policy sets retain_epochs > 0.
   long long epochs_retired = 0;
   /// Passes that failed (the service call returned an error).
   long long errors = 0;

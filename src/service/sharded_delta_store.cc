@@ -1,6 +1,7 @@
 #include "service/sharded_delta_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -31,6 +32,7 @@ std::shared_ptr<const GridAggregates> ShardedDeltaStore::MakeSnapshot(
 }
 
 ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
+                                     std::vector<PrefixEntry> cell_sums,
                                      const ShardedDeltaStoreOptions& options)
     : rows_(grid.rows()),
       cols_(grid.cols()),
@@ -38,7 +40,7 @@ ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
       fold_threads_(std::max(1, options.num_threads)),
       force_sharded_fold_(options.force_sharded_fold),
       wal_(options.wal),
-      cell_sums_(static_cast<size_t>(grid.num_cells())),
+      cell_sums_(std::move(cell_sums)),
       cell_dirty_epoch_(static_cast<size_t>(grid.num_cells()), -1) {}
 
 Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
@@ -57,11 +59,10 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
       GridAggregates::FromCellSums(grid.rows(), grid.cols(), cell_sums,
                                    std::max(1, options.num_threads)));
   std::unique_ptr<ShardedDeltaStore> store(
-      new ShardedDeltaStore(grid, options));
+      new ShardedDeltaStore(grid, std::move(cell_sums), options));
   for (int cell : warmup.cell_ids) {
     store->cell_dirty_epoch_[static_cast<size_t>(cell)] = 0;
   }
-  store->cell_sums_ = std::move(cell_sums);
   store->snapshot_ = MakeSnapshot(std::move(sealed));
   const long long n = static_cast<long long>(warmup.size());
   store->num_records_.store(n, std::memory_order_release);
@@ -88,8 +89,7 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Restore(
       GridAggregates::FromCellSums(grid.rows(), grid.cols(), cell_sums,
                                    std::max(1, options.num_threads)));
   std::unique_ptr<ShardedDeltaStore> store(
-      new ShardedDeltaStore(grid, options));
-  store->cell_sums_ = std::move(cell_sums);
+      new ShardedDeltaStore(grid, std::move(cell_sums), options));
   store->snapshot_ = MakeSnapshot(std::move(sealed));
   store->epoch_.store(epoch, std::memory_order_release);
   store->num_records_.store(sealed_records, std::memory_order_release);
@@ -244,7 +244,7 @@ Result<SealedEpoch> ShardedDeltaStore::Seal(
   // The fold's thread budget also drives the prefix integration: the
   // band pipeline is bit-identical at any thread count, so the sealed
   // snapshot stays byte-for-byte the serial-replay snapshot. It writes
-  // into the prefix array retention last recycled, when there is one.
+  // into the prefix array the last trim recycled, when there is one.
   std::vector<PrefixEntry> storage;
   {
     std::lock_guard<std::mutex> lock(history_mutex_);
@@ -263,8 +263,12 @@ Result<SealedEpoch> ShardedDeltaStore::Seal(
   sealed_records_.fetch_add(captured_records, std::memory_order_acq_rel);
   out.epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   {
+    // The previous epoch left snapshot_ above, so unless a reader or
+    // caller still pins it, this trim is its final release and its
+    // prefix array becomes the next seal's spare.
     std::lock_guard<std::mutex> lock(history_mutex_);
     history_.push_back(out);
+    TrimHistoryLocked();
   }
   return out;
 }
@@ -301,17 +305,21 @@ ShardedDeltaStore::DirtyCells ShardedDeltaStore::CaptureDirtySince(
 }
 
 int ShardedDeltaStore::RetainEpochs(int keep_last) {
-  const size_t keep = static_cast<size_t>(std::max(1, keep_last));
   std::lock_guard<std::mutex> lock(history_mutex_);
-  if (history_.size() <= keep) return 0;
+  keep_ = static_cast<size_t>(std::max(1, keep_last));
+  TrimHistoryLocked();
+  return static_cast<int>(std::min<long long>(
+      std::exchange(retired_, 0), std::numeric_limits<int>::max()));
+}
+
+void ShardedDeltaStore::TrimHistoryLocked() {
+  if (history_.size() <= keep_) return;
   // Drop from the front, sparing entries whose snapshot a reader still
   // pins (use_count above the history's own reference; snapshot() copies
   // taken by readers keep the aggregates alive regardless — retention
   // only bounds what the STORE keeps alive).
-  std::vector<SealedEpoch> kept;
-  kept.reserve(history_.size());
-  int dropped = 0;
-  const size_t boundary = history_.size() - keep;
+  const size_t boundary = history_.size() - keep_;
+  size_t kept = 0;
   for (size_t i = 0; i < history_.size(); ++i) {
     std::shared_ptr<const GridAggregates>& snapshot = history_[i].snapshot;
     if (i < boundary && snapshot.use_count() <= 1) {
@@ -323,13 +331,13 @@ int ShardedDeltaStore::RetainEpochs(int keep_last) {
         std::get_deleter<SnapshotDeleter>(snapshot)->recycle_into = &spare_;
       }
       snapshot.reset();
-      ++dropped;
+      ++retired_;
       continue;
     }
-    kept.push_back(std::move(history_[i]));
+    if (kept != i) history_[kept] = std::move(history_[i]);
+    ++kept;
   }
-  history_ = std::move(kept);
-  return dropped;
+  history_.resize(kept);
 }
 
 int ShardedDeltaStore::history_size() const {

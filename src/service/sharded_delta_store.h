@@ -20,7 +20,8 @@
 //                        batch boundary, fold them (per shard, in seq
 //                        order) into the cumulative per-cell sums,
 //                        integrate a new prefix snapshot (into the
-//                        buffer retention last recycled), epoch += 1
+//                        buffer the last trim recycled), epoch += 1,
+//                        then trim the history to the retention bound
 //     Query*()       ->  the last sealed snapshot only (never pending)
 //
 // Determinism: every cell belongs to exactly one shard and each shard
@@ -206,17 +207,19 @@ class ShardedDeltaStore {
   };
   DirtyCells CaptureDirtySince(long long since_epoch) const;
 
-  /// Epoch-retention: drops the oldest retained SealedEpoch entries,
-  /// keeping the newest `keep_last` plus any older entry whose snapshot
-  /// is still externally pinned (a reader holds the shared_ptr). Returns
-  /// the number of entries dropped. keep_last < 1 keeps the newest entry
-  /// only. The first dropped snapshot's prefix array is kept as the one
-  /// spare the next Seal integrates into, so a steady seal + retain loop
+  /// Epoch retention. The store keeps the newest `keep_last` sealed
+  /// epochs (keep_last < 1 keeps the newest only, which is also the
+  /// bound before any call) plus any older entry whose snapshot is still
+  /// externally pinned (a reader holds the shared_ptr). Sets that bound,
+  /// trims to it, and every later Seal trims to it too. Returns the
+  /// number of entries dropped since the previous call, Seal's trims
+  /// included. The first dropped snapshot's prefix array is kept as the
+  /// one spare the next Seal integrates into, so a steady seal loop
   /// allocates no fresh snapshot memory.
   int RetainEpochs(int keep_last);
 
-  /// Retained sealed epochs (monotone history kept for readers; bounded
-  /// by RetainEpochs).
+  /// Retained sealed epochs: the newest RetainEpochs bound (1 by
+  /// default) plus the older ones readers still pin.
   int history_size() const;
 
   /// The last sealed snapshot. Never null; stays valid (immutable) for as
@@ -256,12 +259,18 @@ class ShardedDeltaStore {
   };
 
   ShardedDeltaStore(const Grid& grid,
+                    std::vector<GridAggregates::PrefixEntry> cell_sums,
                     const ShardedDeltaStoreOptions& options);
 
+  /// Drops the oldest history entries beyond the newest keep_, sparing
+  /// reader-pinned ones, and adds the count to retired_. Requires
+  /// history_mutex_.
+  void TrimHistoryLocked();
+
   /// Deleter of every snapshot the store publishes: a plain delete,
-  /// unless RetainEpochs set `recycle_into` just before releasing the
-  /// last reference; the prefix array then moves there instead of being
-  /// freed. Moving it inside the deleter orders the move after every
+  /// unless TrimHistoryLocked set `recycle_into` just before releasing
+  /// the last reference; the prefix array then moves there instead of
+  /// being freed. Moving it inside the deleter orders the move after every
   /// reader's final release of the reference count.
   struct SnapshotDeleter {
     std::vector<GridAggregates::PrefixEntry>* recycle_into = nullptr;
@@ -315,12 +324,17 @@ class ShardedDeltaStore {
   std::atomic<long long> pending_records_{0};
 
   /// Retained sealed epochs, oldest first (epoch strictly increasing;
-  /// seeded with epoch 0 by Build/Restore). Seal appends, RetainEpochs
-  /// trims.
+  /// seeded with epoch 0 by Build/Restore). Seal appends, then Seal and
+  /// RetainEpochs trim to keep_.
   mutable std::mutex history_mutex_;
   std::vector<SealedEpoch> history_;
+  /// Newest epochs the history keeps (>= 1), guarded by history_mutex_.
+  size_t keep_ = 1;
+  /// Entries trimmed since RetainEpochs last reported, guarded by
+  /// history_mutex_ (64-bit: a store nobody asks can seal for years).
+  long long retired_ = 0;
   /// At most one recycled prefix array (empty = none), guarded by
-  /// history_mutex_: RetainEpochs fills it, the next Seal takes it.
+  /// history_mutex_: a trim fills it, the next Seal takes it.
   std::vector<GridAggregates::PrefixEntry> spare_;
 };
 

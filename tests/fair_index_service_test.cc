@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -161,6 +163,52 @@ TEST(FairIndexServiceTest, MatchesHandWiredSingleWriterLoop) {
       EXPECT_GT((*service)->total_resplits(), 0);
     }
   }
+}
+
+// A refine loop that never sets retention holds the newest sealed epoch
+// only, plus whatever a reader pins: the pinned snapshot stays in the
+// history and keeps its bits while dozens of seals recycle around it.
+TEST(FairIndexServiceTest, RefineLoopWithoutRetentionKeepsNewestEpoch) {
+  const Grid grid = MakeGrid(32, 32);
+  Rng rng(31);
+  const DriftStream stream = MakeDriftStream(rng, grid, 400, 30, 60);
+  auto service = FairIndexService::Create(
+      grid, stream.warmup, ServiceOptions("fair_kd_tree", 6, 2));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->store().history_size(), 1);
+
+  // Every prefix rectangle, so equal corners mean equal snapshots.
+  const auto corners = [&](const GridAggregates& snapshot) {
+    std::vector<RegionAggregate> out;
+    for (int r = 0; r <= grid.rows(); ++r) {
+      for (int c = 0; c <= grid.cols(); ++c) {
+        out.push_back(snapshot.Query(CellRect{0, r, 0, c}));
+      }
+    }
+    return out;
+  };
+  std::shared_ptr<const GridAggregates> pinned;
+  std::vector<RegionAggregate> pinned_corners;
+  for (int round = 1; round <= 30; ++round) {
+    SCOPED_TRACE(round);
+    ASSERT_TRUE((*service)->Ingest(stream.batches[round - 1]).ok());
+    ASSERT_TRUE((*service)->MaybeRefine().ok());
+    EXPECT_EQ((*service)->store().history_size(), pinned ? 2 : 1);
+    if (round == 3) {
+      pinned = (*service)->store().snapshot();
+      pinned_corners = corners(*pinned);
+    }
+    if (round == 25) {
+      const std::vector<RegionAggregate> now = corners(*pinned);
+      ASSERT_EQ(now.size(), pinned_corners.size());
+      EXPECT_EQ(std::memcmp(now.data(), pinned_corners.data(),
+                            now.size() * sizeof(RegionAggregate)),
+                0);
+      pinned.reset();
+    }
+  }
+  EXPECT_EQ((*service)->store().history_size(), 1);
+  EXPECT_EQ((*service)->store().epoch(), 30);
 }
 
 // Maintenance concurrent with ingest and queries: MaybeRefine keys off

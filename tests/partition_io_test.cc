@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "common/binary_io.h"
 #include "index/uniform_grid.h"
 
 namespace fairidx {
@@ -114,6 +119,23 @@ TEST(PartitionIoTest, BinaryParseRejectsBadInput) {
       ParsePartitionBinary(grid, bytes.substr(0, bytes.size() - 2)).ok());
   EXPECT_FALSE(ParsePartitionBinary(grid, bytes + "x").ok());
   EXPECT_FALSE(ParsePartitionBinary(grid, "").ok());
+}
+
+TEST(PartitionIoTest, BinaryParseRejectsMoreRegionsThanCells) {
+  // A 2x2 map claiming 2^31 - 1 regions: rejected on the counts alone,
+  // before anything is sized by the claimed region count.
+  const Grid grid = Grid::Create(2, 2, BoundingBox{0, 0, 2, 2}).value();
+  BinaryWriter out;
+  out.PutU64(4);
+  out.PutI32(std::numeric_limits<int32_t>::max());
+  for (int cell = 0; cell < 4; ++cell) out.PutI32(0);
+  const std::string bytes = out.Release();
+  ASSERT_EQ(bytes.size(), 28u);
+  const Result<Partition> parsed = ParsePartitionBinary(grid, bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parsed.status().message(),
+            "Partition: 2147483647 regions exceed 4 cells");
 }
 
 TEST(PartitionIoTest, FromCellMapExactValidatesTheMap) {

@@ -388,10 +388,15 @@ TEST(ShardedDeltaStoreTest, RetainEpochsKeepsNewestAndReaderPinned) {
     ASSERT_TRUE((*store)->Seal().ok());
     if (epoch == 2) pinned = (*store)->snapshot();
   }
-  EXPECT_EQ((*store)->history_size(), 6);
+  // The default bound: each seal kept only the newest epoch plus the
+  // reader-pinned epoch 2, dropping epochs 0, 1, 3 and 4.
+  EXPECT_EQ((*store)->history_size(), 2);
 
-  // keep_last = 2 keeps epochs 4 and 5 plus the reader-pinned epoch 2.
-  EXPECT_EQ((*store)->RetainEpochs(2), 3);
+  // The first call reports every entry the seals dropped; keep_last = 2
+  // then holds epochs 5 and 6 plus the reader-pinned epoch 2.
+  EXPECT_EQ((*store)->RetainEpochs(2), 4);
+  ASSERT_TRUE((*store)->Ingest(RandomBatch(rng, grid, 4)).ok());
+  ASSERT_TRUE((*store)->Seal().ok());
   EXPECT_EQ((*store)->history_size(), 3);
   // The pinned snapshot stays fully usable regardless of retention.
   EXPECT_GT(pinned->Total().count, 0.0);
@@ -449,27 +454,36 @@ TEST(ShardedDeltaStoreTest, NonFiniteRecordIsRejectedBeforeTheWal) {
   }
 }
 
-// Snapshot recycling: RetainEpochs hands a dropped snapshot's prefix array
-// to the next Seal. Every sealed snapshot must still equal a fresh
-// FromCellSums of the sealed sums, bit for bit.
+// Snapshot recycling: every trim, Seal's own and RetainEpochs', hands a
+// dropped snapshot's prefix array to the next Seal. Every sealed snapshot
+// must still equal a fresh FromCellSums of the sealed sums, bit for bit,
+// whether or not the caller ever sets a retention bound.
 TEST(ShardedDeltaStoreTest, RecycledSnapshotsMatchFreshIntegration) {
   const Grid grid = MakeGrid(12, 150);
-  Rng rng(15);
-  auto store = ShardedDeltaStore::Build(grid, RandomBatch(rng, grid, 400),
-                                        ShardedDeltaStoreOptions{3, 4});
-  ASSERT_TRUE(store.ok());
-  for (int epoch = 1; epoch <= 8; ++epoch) {
-    SCOPED_TRACE(epoch);
-    ASSERT_TRUE((*store)->Ingest(RandomBatch(rng, grid, 300)).ok());
-    ASSERT_TRUE((*store)->Seal().ok());
-    const ShardedDeltaStore::SealedState state =
-        (*store)->CaptureSealedState();
-    ExpectSnapshotBitEq(
-        *(*store)->snapshot(),
-        GridAggregates::FromCellSums(grid.rows(), grid.cols(),
-                                     state.cell_sums, 1)
-            .value());
-    (*store)->RetainEpochs(epoch % 2 + 1);
+  for (const bool retain : {true, false}) {
+    SCOPED_TRACE(retain);
+    Rng rng(15);
+    auto store = ShardedDeltaStore::Build(grid, RandomBatch(rng, grid, 400),
+                                          ShardedDeltaStoreOptions{3, 4});
+    ASSERT_TRUE(store.ok());
+    for (int epoch = 1; epoch <= 8; ++epoch) {
+      SCOPED_TRACE(epoch);
+      ASSERT_TRUE((*store)->Ingest(RandomBatch(rng, grid, 300)).ok());
+      ASSERT_TRUE((*store)->Seal().ok());
+      const ShardedDeltaStore::SealedState state =
+          (*store)->CaptureSealedState();
+      ExpectSnapshotBitEq(
+          *(*store)->snapshot(),
+          GridAggregates::FromCellSums(grid.rows(), grid.cols(),
+                                       state.cell_sums, 1)
+              .value());
+      if (retain) {
+        (*store)->RetainEpochs(epoch % 2 + 1);
+      } else {
+        // Never told a bound, the store keeps the newest epoch only.
+        EXPECT_EQ((*store)->history_size(), 1);
+      }
+    }
   }
 }
 

@@ -83,7 +83,7 @@ inline constexpr CliFlagSpec kCliFlags[] = {
     {"fsync", "stream", "none|batch|always",
      "stable-storage window for WAL appends (default batch)"},
     {"retain-epochs", "stream", "K",
-     "bound the sealed-snapshot history to K epochs (0 = keep all)"},
+     "bound the sealed-snapshot history to K epochs (0 = newest only)"},
     {"regions-out", "stream", "FILE",
      "write final region aggregates with full precision for exact diffing"},
     {"crash-after-batches", "stream", "N",
