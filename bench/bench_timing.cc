@@ -19,7 +19,6 @@
 #include <thread>
 
 #include "geo/aggregate_kernels.h"
-#include "geo/delta_grid_aggregates.h"
 #include "geo/grid_aggregates.h"
 #include "index/fair_kd_tree.h"
 #include "index/kd_tree_maintainer.h"
@@ -364,14 +363,13 @@ void BM_SplitSweepChildrenScalar(benchmark::State& state) {
 BENCHMARK(BM_SplitSweepChildrenScalar);
 
 // The O(UV) prefix integration every build, fold and seal pays, including
-// the fused copy into padded slots (what DeltaGridAggregates::Rebuild
-// executes; the serving store's Seal runs the same pass into a recycled
-// buffer). Args are {side, num_threads}: num_threads 1 is the serial
-// kernel, N > 1 the column-band pipeline with min(N, side / 64) bands, 0
-// auto. CI gates auto against serial at 1024 and 2048 (auto resolves to
-// serial on a 1-CPU runner, so the pair passes at parity there) and the
-// SIMD-vs-scalar pairs at num_threads 1; the explicit thread counts are
-// recorded for the trajectory only.
+// the fused copy into padded slots (the pass the serving store's Seal
+// runs into a recycled buffer). Args are {side, num_threads}: num_threads
+// 1 is the serial kernel, N > 1 the column-band pipeline with
+// min(N, side / 64) bands, 0 auto. CI gates auto against serial at 1024
+// and 2048 (auto resolves to serial on a 1-CPU runner, so the pair passes
+// at parity there) and the SIMD-vs-scalar pairs at num_threads 1; the
+// explicit thread counts are recorded for the trajectory only.
 const std::vector<GridAggregates::PrefixEntry>& BenchCellSums(int side) {
   static auto* cache =
       new std::map<int, std::vector<GridAggregates::PrefixEntry>>();
@@ -436,110 +434,10 @@ BENCHMARK(BM_FromCellSumsIntegrateScalar)
     ->Args({2048, 1})
     ->Unit(benchmark::kMillisecond);
 
-// --- Streaming inserts: delta overlay vs full prefix rebuild. ---
-// Streams the second half of the records in batches of 100, evaluating a
-// 64-region partition's ENCE after each batch — the online monitoring
-// loop the `fairidx_cli stream` demo runs. The 256x256 grid makes one
-// O(UV) prefix integration (the naive path's per-batch cost) ~2.6M-entry
-// work while the overlay touches only the dirty cells.
-struct StreamFixture {
-  Grid grid;
-  std::vector<int> cells;
-  std::vector<int> labels;
-  std::vector<double> scores;
-  std::vector<CellRect> regions;
-};
-
-const StreamFixture& BenchStream() {
-  static const StreamFixture* fixture = [] {
-    const int side = 256;
-    const Grid grid =
-        OrDie(Grid::Create(side, side, BoundingBox{0, 0, side, side}),
-              "Grid::Create");
-    Rng rng(11);
-    const int n = 4000;
-    auto* f = new StreamFixture{grid, {}, {}, {}, {}};
-    for (int i = 0; i < n; ++i) {
-      f->cells.push_back(static_cast<int>(rng.NextBounded(grid.num_cells())));
-      f->labels.push_back(rng.Bernoulli(0.5) ? 1 : 0);
-      f->scores.push_back(rng.NextDouble());
-    }
-    const int step = side / 8;
-    for (int r = 0; r < 8; ++r) {
-      for (int c = 0; c < 8; ++c) {
-        f->regions.push_back(CellRect{r * step, (r + 1) * step, c * step,
-                                      (c + 1) * step});
-      }
-    }
-    return f;
-  }();
-  return *fixture;
-}
-
-void BM_StreamingInsertsDeltaOverlay(benchmark::State& state) {
-  const StreamFixture& f = BenchStream();
-  const size_t warmup = f.cells.size() / 2;
-  for (auto _ : state) {
-    state.PauseTiming();  // Seeding the overlay is not the streaming path.
-    DeltaGridAggregates delta =
-        OrDie(DeltaGridAggregates::Build(
-                  f.grid,
-                  std::vector<int>(f.cells.begin(), f.cells.begin() + warmup),
-                  std::vector<int>(f.labels.begin(),
-                                   f.labels.begin() + warmup),
-                  std::vector<double>(f.scores.begin(),
-                                      f.scores.begin() + warmup)),
-              "DeltaGridAggregates::Build");
-    state.ResumeTiming();
-    double checksum = 0.0;
-    for (size_t i = warmup; i < f.cells.size(); ++i) {
-      if (!delta.Insert(f.cells[i], f.labels[i], f.scores[i]).ok()) {
-        std::abort();
-      }
-      if ((i - warmup) % 100 == 99) {
-        checksum += RegionEnce(delta.QueryMany(f.regions)).ence;
-      }
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_StreamingInsertsDeltaOverlay);
-
-// The naive path: a full O(UV) GridAggregates rebuild at every monitoring
-// point.
-void BM_StreamingInsertsFullRebuild(benchmark::State& state) {
-  const StreamFixture& f = BenchStream();
-  const size_t warmup = f.cells.size() / 2;
-  for (auto _ : state) {
-    double checksum = 0.0;
-    for (size_t i = warmup; i < f.cells.size(); ++i) {
-      if ((i - warmup) % 100 == 99) {
-        const GridAggregates aggregates =
-            OrDie(GridAggregates::Build(
-                      f.grid,
-                      std::vector<int>(f.cells.begin(),
-                                       f.cells.begin() + i + 1),
-                      std::vector<int>(f.labels.begin(),
-                                       f.labels.begin() + i + 1),
-                      std::vector<double>(f.scores.begin(),
-                                          f.scores.begin() + i + 1)),
-                  "GridAggregates::Build");
-        checksum += RegionEnce(aggregates.QueryMany(f.regions)).ence;
-      }
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-}
-BENCHMARK(BM_StreamingInsertsFullRebuild);
-
-// --- Concurrent serving: sharded multi-writer ingest vs the single-writer
-// overlay. ---
-// The serving layer's ingest claim: 4 writer threads appending batches to
-// a 4-shard ShardedDeltaStore (one epoch seal at the end) must move the
-// same record stream at least 2x faster than the serial single-writer
-// DeltaGridAggregates Insert loop (its final fold included). Both paths
-// end in the identical FromCellSums integration, so the pair isolates the
-// ingest path itself; CI gates the 2x with a require-faster pair.
+// --- Concurrent serving: sharded multi-writer ingest. ---
+// 4 writer threads append 240 batches to a ShardedDeltaStore with 1 or 4
+// shards, then one epoch seal folds them. The /4 point is the reference
+// side of the WAL and tenant require-faster pairs in CI.
 struct IngestFixture {
   Grid grid;
   AggregateBatch warmup;
@@ -572,33 +470,6 @@ const IngestFixture& BenchIngest() {
   }();
   return *fixture;
 }
-
-void BM_SingleWriterIngestThroughput(benchmark::State& state) {
-  const IngestFixture& f = BenchIngest();
-  int64_t records = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // Seeding is not the ingest path.
-    DeltaGridAggregates delta =
-        OrDie(DeltaGridAggregates::Build(f.grid, f.warmup.cell_ids,
-                                         f.warmup.labels, f.warmup.scores),
-              "DeltaGridAggregates::Build");
-    state.ResumeTiming();
-    for (const AggregateBatch& batch : f.batches) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!delta.Insert(batch.cell_ids[i], batch.labels[i],
-                          batch.scores[i])
-                 .ok()) {
-          std::abort();
-        }
-      }
-      records += static_cast<int64_t>(batch.size());
-    }
-    if (!delta.Rebuild().ok()) std::abort();
-    benchmark::DoNotOptimize(delta.base());
-  }
-  state.SetItemsProcessed(records);
-}
-BENCHMARK(BM_SingleWriterIngestThroughput);
 
 void BM_ShardedIngestThroughput(benchmark::State& state) {
   const IngestFixture& f = BenchIngest();

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <climits>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +64,9 @@ Result<double> ParseDouble(std::string_view input) {
   const double value = std::strtod(trimmed.c_str(), &end);
   if (end != trimmed.c_str() + trimmed.size()) {
     return InvalidArgumentError("malformed double: '" + trimmed + "'");
+  }
+  if (!std::isfinite(value)) {
+    return OutOfRangeError("double is not finite: '" + trimmed + "'");
   }
   return value;
 }

@@ -27,7 +27,9 @@ std::string Join(const std::vector<std::string>& parts,
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view input);
 
-/// Parses a double / int; returns InvalidArgument on malformed input.
+/// Parses a double / int; returns InvalidArgument on malformed input and
+/// OutOfRange on a value the type cannot hold (for doubles: nan, ±inf and
+/// overflow such as 1e999).
 Result<double> ParseDouble(std::string_view input);
 Result<int> ParseInt(std::string_view input);
 

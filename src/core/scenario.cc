@@ -75,6 +75,23 @@ constexpr IntBound kIntBounds[] = {
     {"serve_batch", nullptr, 1, kMaxBatch},
 };
 
+// The lookup points one serving point pre-generates before its clock
+// starts: 2^26 Points is 1 GiB. Bounded so an oversized count fails
+// `check` with one line instead of aborting the run on bad_alloc.
+constexpr long long kMaxLookupPoints = 1LL << 26;
+
+// Checks the `points` a serving point would pre-generate against
+// kMaxLookupPoints, naming `key` = `value` in the one-line error.
+Status CheckLookupPoints(const std::string& key, long long value,
+                         long long points) {
+  if (points <= kMaxLookupPoints) return Status::Ok();
+  return InvalidArgumentError(
+      "scenario: " + key + " = " + std::to_string(value) +
+      " is out of range: " + std::to_string(points) +
+      " pre-generated lookup points exceed " +
+      std::to_string(kMaxLookupPoints));
+}
+
 // Checks `value` against the bound whose key (or, with a `tenant` name,
 // tenant key) is `key`, and names the key in the one-line error.
 Status CheckBound(const std::string& key, long long value,
@@ -506,7 +523,7 @@ Status ValidateScenario(const ScenarioConfig& config) {
     FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", height));
   }
   FAIRIDX_RETURN_IF_ERROR(CheckBound("threads", config.threads));
-  if (config.test_fraction <= 0.0 || config.test_fraction >= 1.0) {
+  if (!(config.test_fraction > 0.0 && config.test_fraction < 1.0)) {
     return InvalidArgumentError(
         "scenario: test_fraction must be in (0, 1)");
   }
@@ -582,6 +599,12 @@ Status ValidateScenario(const ScenarioConfig& config) {
   if (config.serve_lookups < 1) {
     return InvalidArgumentError("scenario: serve_lookups must be >= 1");
   }
+  // Under serve every reader pre-generates serve_lookups points (both
+  // factors are bounded ints, so the product cannot overflow).
+  const long long readers =
+      config.workload == ScenarioWorkload::kServe ? config.serve_readers : 1;
+  FAIRIDX_RETURN_IF_ERROR(CheckLookupPoints(
+      "serve_lookups", config.serve_lookups, readers * config.serve_lookups));
   FAIRIDX_RETURN_IF_ERROR(CheckBound("serve_batch", config.serve_batch));
   if (config.serve_read_pct < 1 || config.serve_read_pct > 100) {
     return InvalidArgumentError(
@@ -625,6 +648,13 @@ Status ValidateScenario(const ScenarioConfig& config) {
     return InvalidArgumentError(
         "scenario: tenant.<name>.* keys require workload = multi_tenant");
   }
+  // Under multi_tenant each tenant's one worker pre-generates its lookups.
+  long long tenant_lookups = 0;
+  for (const ScenarioTenantConfig& tenant : config.tenants) {
+    tenant_lookups += tenant.lookups.value_or(config.serve_lookups);
+  }
+  FAIRIDX_RETURN_IF_ERROR(CheckLookupPoints(
+      "sum of tenant lookups", tenant_lookups, tenant_lookups));
   for (const ScenarioTenantConfig& tenant : config.tenants) {
     const std::string who = "scenario: tenant." + tenant.name + ".";
     if (tenant.height) {

@@ -7,7 +7,7 @@ namespace fairidx {
 Result<TrainTestSplit> MakeTrainTestSplit(size_t n, double test_fraction,
                                           Rng& rng) {
   if (n < 2) return InvalidArgumentError("split needs at least 2 records");
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {
     return InvalidArgumentError("test_fraction must be in (0, 1)");
   }
   size_t num_test = static_cast<size_t>(test_fraction * n);
@@ -30,7 +30,7 @@ Result<TrainTestSplit> MakeStratifiedSplit(const std::vector<int>& labels,
   if (labels.size() < 2) {
     return InvalidArgumentError("split needs at least 2 records");
   }
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {
     return InvalidArgumentError("test_fraction must be in (0, 1)");
   }
   std::vector<size_t> positives;

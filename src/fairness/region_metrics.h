@@ -6,8 +6,8 @@
 // partition's region rects with ONE batched QueryMany call, instead of the
 // per-record grouping passes in ence.h / disparity_report.h or one Query
 // per region. Every evaluator also has a Span<RegionAggregate> core so
-// streaming overlays (DeltaGridAggregates) can reuse the arithmetic on
-// aggregates they produced themselves.
+// the serving layer can reuse the arithmetic on the region aggregates it
+// queried off a sealed epoch.
 
 #ifndef FAIRIDX_FAIRNESS_REGION_METRICS_H_
 #define FAIRIDX_FAIRNESS_REGION_METRICS_H_

@@ -112,8 +112,8 @@ class GridAggregates {
   /// row-major, rows * cols entries; the cell_abs field of the input is
   /// ignored and recomputed as |labels - scores| per cell). Produces the
   /// exact structure Build() would for any record stream with the same
-  /// per-cell sums — DeltaGridAggregates uses this for its threshold
-  /// rebuilds, and the sharded serving store for its seal folds.
+  /// per-cell sums — the sharded serving store's seal folds use this, so
+  /// a sealed epoch is bit-identical to Build over the same records.
   ///
   /// One pass: each source row segment is copied into its padded slot
   /// just before it is integrated, while it is still cache-hot.
@@ -140,17 +140,17 @@ class GridAggregates {
   /// Validates `cell_ids`/`labels`/`scores`/`residuals` (the Build
   /// contract) and accumulates them into dense row-major per-cell sums in
   /// arrival order — the single definition of the accumulation step, so
-  /// Build() and the streaming overlay can never drift apart on
-  /// validation rules, residual defaulting or summation order.
+  /// Build() and FromCellSums(AccumulateCellSums(...)) can never drift
+  /// apart on validation rules, residual defaulting or summation order.
   static Result<std::vector<PrefixEntry>> AccumulateCellSums(
       const Grid& grid, const std::vector<int>& cell_ids,
       const std::vector<int>& labels, const std::vector<double>& scores,
       const std::vector<double>& residuals = {});
 
   /// The single definition of one record's contribution to a per-cell sum:
-  /// Build, the streaming overlay's Insert and the sharded serving store's
-  /// seal folds all add through this, so their per-slot floating-point
-  /// operation sequences can never drift apart. `residual` is the caller's
+  /// Build and the sharded serving store's seal folds both add through
+  /// this, so their per-slot floating-point operation sequences can never
+  /// drift apart. `residual` is the caller's
   /// explicit value (callers wanting the default pass score - label).
   static void AccumulateRecord(PrefixEntry* slot, int label, double score,
                                double residual) {
@@ -160,26 +160,8 @@ class GridAggregates {
     slot->residuals += residual;
   }
 
-  /// The per-record acceptance rule Build, the streaming overlay's Insert
-  /// and the sharded store's Ingest all enforce: in-grid cell id, a 0/1
-  /// label, and a finite score and residual (one NaN or inf would turn
-  /// every prefix entry downstream of its cell non-finite).
-  static Status ValidateRecord(int num_cells, int cell_id, int label,
-                               double score, double residual) {
-    if (cell_id < 0 || cell_id >= num_cells) {
-      return OutOfRangeError("GridAggregates: cell id out of range");
-    }
-    if (label != 0 && label != 1) {
-      return InvalidArgumentError("GridAggregates: labels must be 0 or 1");
-    }
-    if (!std::isfinite(score) || !std::isfinite(residual)) {
-      return InvalidArgumentError(
-          "GridAggregates: scores and residuals must be finite");
-    }
-    return Status::Ok();
-  }
-
-  /// The Build contract over a record set: parallel vectors of one length
+  /// The Build contract over a record set, which Build and the sharded
+  /// store's Ingest both enforce: parallel vectors of one length
   /// (`residuals` may be empty; each then defaults to score - label, finite
   /// exactly when the score is) and ValidateRecord for every record. One
   /// branch-free pass flags a bad set, so the ingest hot path pays a few
@@ -264,6 +246,24 @@ class GridAggregates {
   int cols() const { return cols_; }
 
  private:
+  /// The per-record acceptance rule: in-grid cell id, a 0/1 label, and a
+  /// finite score and residual (one NaN or inf would turn every prefix
+  /// entry downstream of its cell non-finite).
+  static Status ValidateRecord(int num_cells, int cell_id, int label,
+                               double score, double residual) {
+    if (cell_id < 0 || cell_id >= num_cells) {
+      return OutOfRangeError("GridAggregates: cell id out of range");
+    }
+    if (label != 0 && label != 1) {
+      return InvalidArgumentError("GridAggregates: labels must be 0 or 1");
+    }
+    if (!std::isfinite(score) || !std::isfinite(residual)) {
+      return InvalidArgumentError(
+          "GridAggregates: scores and residuals must be finite");
+    }
+    return Status::Ok();
+  }
+
   /// A (rows+1) x (cols+1) prefix array: `storage` when it already has
   /// that size (its contents are the caller's to overwrite), else zeros.
   GridAggregates(int rows, int cols, std::vector<PrefixEntry> storage = {});
@@ -273,8 +273,8 @@ class GridAggregates {
   /// order. Build writes straight into the padded prefix array (stride
   /// cols+1, offset 1 — no intermediate dense copy); AccumulateCellSums
   /// writes a dense row-major array (stride cols, offset 0). Identical
-  /// per-slot addition order either way, which is what keeps the
-  /// streaming overlay's rebuilds bit-identical to Build.
+  /// per-slot addition order either way, which is what keeps
+  /// FromCellSums(AccumulateCellSums(...)) bit-identical to Build.
   static Status AccumulateInto(const Grid& grid,
                                const std::vector<int>& cell_ids,
                                const std::vector<int>& labels,

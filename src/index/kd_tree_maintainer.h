@@ -84,18 +84,16 @@ class KdTreeMaintainer {
 
   /// Max calibration-gap drift over the leaves, given fresh per-leaf
   /// aggregates in leaf order (e.g. one QueryMany over tree().result
-  /// .regions against a streaming overlay). Pure observability — use
+  /// .regions against a sealed epoch). Pure observability — use
   /// WouldRefine as the maintenance trigger (leaf drift alone can be
   /// unactionable). Returns 0 on size mismatch.
   double MaxLeafDrift(Span<RegionAggregate> fresh_leaf_aggregates) const;
 
   /// True iff Refine at `options` would re-split at least one subtree,
   /// judged from fresh per-leaf aggregates (leaf order, e.g. from a
-  /// streaming overlay's QueryMany): the exact bottom-up drift
-  /// evaluation Refine runs, minus the grid queries. The stream loop
-  /// folds its overlay only when this fires, so a drifted-but-
-  /// unsplittable region can never trigger an endless fold + no-op
-  /// cycle. False on size mismatch.
+  /// sealed epoch's QueryMany): the exact bottom-up drift evaluation
+  /// Refine runs, minus the grid queries, so a drifted-but-unsplittable
+  /// region never triggers a no-op refine. False on size mismatch.
   bool WouldRefine(Span<RegionAggregate> fresh_leaf_aggregates,
                    const KdRefineOptions& options) const;
 

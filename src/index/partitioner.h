@@ -182,10 +182,10 @@ class Partitioner {
 
   /// Incremental maintenance: re-splits the subtrees whose region
   /// calibration gap drifted past options.drift_bound against `aggregates`
-  /// (typically a folded streaming overlay or a sealed serving-store
-  /// epoch). Only meaningful after a Build with enable_refine (or a
-  /// BuildFromAggregates) on a supports_refine partitioner; the base
-  /// implementation fails with FailedPrecondition.
+  /// (typically a sealed serving-store epoch). Only meaningful after a
+  /// Build with enable_refine (or a BuildFromAggregates) on a
+  /// supports_refine partitioner; the base implementation fails with
+  /// FailedPrecondition.
   virtual Result<KdRefineStats> Refine(const GridAggregates& aggregates,
                                        const KdRefineOptions& options);
 

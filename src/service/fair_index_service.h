@@ -37,11 +37,12 @@
 // surface, so hands-off operation is behaviorally identical to a caller
 // running the same cadence.
 //
-// Determinism: sealed epochs are bit-identical to a serial single-writer
-// replay (see sharded_delta_store.h), and every maintenance decision keys
-// off a sealed epoch, so a service driven by one thread reproduces the
-// hand-wired DeltaGridAggregates + KdTreeMaintainer loop exactly — the
-// single-writer overlay is the 1-shard specialization, not a fork.
+// Determinism: a sealed epoch is bit-identical to GridAggregates::Build
+// over the same records in batch-sequence order (see
+// sharded_delta_store.h), and every maintenance decision keys off a
+// sealed epoch, so a service driven by one thread reproduces the
+// hand-wired loop — Build over the accepted records, then the
+// maintainer's Refine — exactly, at any shard count.
 
 #ifndef FAIRIDX_SERVICE_FAIR_INDEX_SERVICE_H_
 #define FAIRIDX_SERVICE_FAIR_INDEX_SERVICE_H_

@@ -46,9 +46,8 @@ ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
 Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
     const Grid& grid, const AggregateBatch& warmup,
     const ShardedDeltaStoreOptions& options) {
-  // The warmup epoch goes through the same accumulate + FromCellSums pair
-  // as DeltaGridAggregates::Build, so epoch 0 is bit-identical to a
-  // from-scratch GridAggregates::Build over the warmup records.
+  // AccumulateCellSums + FromCellSums is Build split in two, so epoch 0
+  // is bit-identical to GridAggregates::Build over the warmup records.
   FAIRIDX_ASSIGN_OR_RETURN(
       std::vector<PrefixEntry> cell_sums,
       GridAggregates::AccumulateCellSums(grid, warmup.cell_ids,
@@ -183,9 +182,10 @@ Result<SealedEpoch> ShardedDeltaStore::Seal(
   // Fold. Sharded path: one task per shard, each walking the captured
   // batches in sequence order and accumulating ONLY its contiguous cell
   // range, so the dense cell_sums_ writes never overlap (or share cache
-  // lines) and each cell sees its records in exactly the serial-replay
-  // order. The range test is one compare pair per record — cheaper than
-  // writer-side slicing, and the scans run in parallel. When the fold
+  // lines) and each cell sees its records in exactly the order Build
+  // would over the sequence-ordered records. The range test is one
+  // compare pair per record — cheaper than writer-side slicing, and the
+  // scans run in parallel. When the fold
   // cannot actually run concurrently (one fold thread, one shard, or a
   // workerless pool on a single-core host), the duplicated range scans
   // are pure overhead, so the fold degenerates to ONE sequence-order
@@ -243,8 +243,8 @@ Result<SealedEpoch> ShardedDeltaStore::Seal(
 
   // The fold's thread budget also drives the prefix integration: the
   // band pipeline is bit-identical at any thread count, so the sealed
-  // snapshot stays byte-for-byte the serial-replay snapshot. It writes
-  // into the prefix array the last trim recycled, when there is one.
+  // snapshot stays byte-for-byte Build's. It writes into the prefix array
+  // the last trim recycled, when there is one.
   std::vector<PrefixEntry> storage;
   {
     std::lock_guard<std::mutex> lock(history_mutex_);

@@ -1,12 +1,12 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// ShardedDeltaStore: the concurrent serving-layer aggregate store. The
-// single-writer DeltaGridAggregates overlay cannot overlap ingest with
-// queries; this store can. Writers append seq-tagged batches to the
-// pending set, readers query the last SEALED immutable GridAggregates
-// snapshot, and Seal() advances the epoch by folding every pending batch
-// into a fresh snapshot on the shared ThreadPool — one task per shard.
+// ShardedDeltaStore: the concurrent serving-layer aggregate store, and
+// the only streaming path into GridAggregates. Writers append seq-tagged
+// batches to the pending set, readers query the last SEALED immutable
+// GridAggregates snapshot, and Seal() advances the epoch by folding every
+// pending batch into a fresh snapshot on the shared ThreadPool — one task
+// per shard.
 // Each shard owns a contiguous balanced range of cell ids; its dirty set
 // is the restriction of the pending batches to that range, materialized
 // by its fold task, so the parallel writes into the dense per-cell sums
@@ -24,16 +24,14 @@
 //                        then trim the history to the retention bound
 //     Query*()       ->  the last sealed snapshot only (never pending)
 //
-// Determinism: every cell belongs to exactly one shard and each shard
-// applies the captured batches in batch-sequence order (in-batch order
-// within a batch), so each cell's sums are accumulated in exactly the
-// order a serial single-writer replay of the same batch sequence would
-// use. Folds integrate through GridAggregates::FromCellSums — the same
-// path DeltaGridAggregates::Rebuild takes — so a sealed snapshot is
-// bit-identical to that serial replay at ANY shard count and ANY writer
-// interleaving. num_shards == 1 degenerates to the single-writer
-// overlay's fold (one shard, one arrival-order pass): the overlay is the
-// 1-shard specialization, not a separate code path.
+// Determinism: a sealed epoch is bit-identical to GridAggregates::Build
+// over the same records in batch-sequence order (in-batch order within a
+// batch), at ANY shard count and ANY writer interleaving. Every cell
+// belongs to exactly one shard and each shard applies the captured
+// batches in sequence order through GridAggregates::AccumulateRecord, so
+// each cell's sums see Build's exact addition sequence; folds integrate
+// through GridAggregates::FromCellSums, which shares Build's prefix
+// integration.
 //
 // Thread-safety: Ingest / Seal / Query* / stats may all be called
 // concurrently from any thread. Ingest blocks only while a Seal takes its

@@ -1,9 +1,9 @@
 // FairIndexService tests: the serving façade must reproduce the
-// hand-wired single-writer loop (DeltaGridAggregates + KdTreeMaintainer)
-// exactly — the 1-shard specialization claim, pinned here at SEVERAL
-// shard counts since sealed epochs are shard-count-invariant — and must
-// survive concurrent ingest + query + maintenance (the
-// refine-during-ingest stress test, a ThreadSanitizer target).
+// hand-wired loop (GridAggregates::Build over the accepted records +
+// KdTreeMaintainer) exactly — pinned here at SEVERAL shard counts since
+// sealed epochs are shard-count-invariant — and must survive concurrent
+// ingest + query + maintenance (the refine-during-ingest stress test, a
+// ThreadSanitizer target).
 
 #include "service/fair_index_service.h"
 
@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "fairness/region_metrics.h"
-#include "geo/delta_grid_aggregates.h"
 #include "index/kd_tree_maintainer.h"
 #include "index/partition.h"
 
@@ -30,6 +29,13 @@ Grid MakeGrid(int rows, int cols) {
                       BoundingBox{0, 0, static_cast<double>(cols),
                                   static_cast<double>(rows)})
       .value();
+}
+
+// Appends every record of `batch` to `accepted`.
+void AppendRecords(const AggregateBatch& batch, AggregateBatch* accepted) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    accepted->Append(batch.cell_ids[i], batch.labels[i], batch.scores[i]);
+  }
 }
 
 // A stream whose tail drifts: the second half's labels are biased high in
@@ -88,9 +94,9 @@ TEST(FairIndexServiceTest, RejectsUnknownAndNonRefinableAlgorithms) {
 }
 
 // The no-fork pin: a service driven by one thread — ingest batch, then
-// MaybeRefine — must match the hand-wired DeltaGridAggregates +
-// KdTreeMaintainer loop (fold every batch, Refine on the folded prefix)
-// region for region and bit for bit, at every batch, at any shard count.
+// MaybeRefine — must match the hand-wired loop (GridAggregates::Build over
+// every accepted record after each batch, Refine on that prefix) region
+// for region and bit for bit, at every batch, at any shard count.
 TEST(FairIndexServiceTest, MatchesHandWiredSingleWriterLoop) {
   const Grid grid = MakeGrid(32, 32);
   Rng rng(2025);
@@ -102,19 +108,18 @@ TEST(FairIndexServiceTest, MatchesHandWiredSingleWriterLoop) {
   for (const char* algorithm : {"fair_kd_tree", "median_kd_tree"}) {
     SCOPED_TRACE(algorithm);
     // Hand-wired oracle.
-    DeltaGridAggregates overlay =
-        DeltaGridAggregates::Build(grid, stream.warmup.cell_ids,
-                                   stream.warmup.labels,
-                                   stream.warmup.scores)
+    const GridAggregates warm_aggregates =
+        GridAggregates::Build(grid, stream.warmup.cell_ids,
+                              stream.warmup.labels, stream.warmup.scores)
             .value();
-    EXPECT_TRUE(overlay.Rebuild().ok());
     KdTreeOptions tree_options;
     tree_options.height = height;
     if (std::string(algorithm) == "median_kd_tree") {
       tree_options.objective.kind = SplitObjectiveKind::kMedianCount;
     }
     KdTreeMaintainer maintainer =
-        KdTreeMaintainer::Build(grid, overlay.base(), tree_options).value();
+        KdTreeMaintainer::Build(grid, warm_aggregates, tree_options)
+            .value();
 
     for (int shards : {1, 3}) {
       SCOPED_TRACE(shards);
@@ -128,19 +133,18 @@ TEST(FairIndexServiceTest, MatchesHandWiredSingleWriterLoop) {
       // Fresh oracle per shard count: maintenance state is replayed from
       // the warmup tree so both shard counts check the full loop.
       KdTreeMaintainer oracle = maintainer;  // Copy: fresh warmup tree.
-      DeltaGridAggregates oracle_overlay = overlay;
+      AggregateBatch accepted = stream.warmup;
       for (const AggregateBatch& batch : stream.batches) {
         ASSERT_TRUE((*service)->Ingest(batch).ok());
         auto refined = (*service)->MaybeRefine(refine_options);
         ASSERT_TRUE(refined.ok()) << refined.status().ToString();
 
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const Status inserted = oracle_overlay.Insert(
-              batch.cell_ids[i], batch.labels[i], batch.scores[i]);
-          ASSERT_TRUE(inserted.ok());
-        }
-        ASSERT_TRUE(oracle_overlay.Rebuild().ok());
-        auto stats = oracle.Refine(oracle_overlay.base(), refine_options);
+        AppendRecords(batch, &accepted);
+        const GridAggregates oracle_aggregates =
+            GridAggregates::Build(grid, accepted.cell_ids, accepted.labels,
+                                  accepted.scores)
+                .value();
+        auto stats = oracle.Refine(oracle_aggregates, refine_options);
         ASSERT_TRUE(stats.ok());
 
         EXPECT_EQ(refined->stats.subtrees_rebuilt,
@@ -148,16 +152,20 @@ TEST(FairIndexServiceTest, MatchesHandWiredSingleWriterLoop) {
         EXPECT_EQ(refined->stats.changed, stats->changed);
         ASSERT_EQ(*(*service)->regions(), oracle.tree().result.regions);
         // Region aggregates off the sealed epoch are bit-identical to
-        // the oracle's folded overlay.
+        // the oracle's Build.
         const std::vector<RegionAggregate> service_aggs =
             (*service)->QueryRegions();
         const std::vector<RegionAggregate> oracle_aggs =
-            oracle_overlay.QueryMany(oracle.tree().result.regions);
+            oracle_aggregates.QueryMany(oracle.tree().result.regions);
         ASSERT_EQ(service_aggs.size(), oracle_aggs.size());
         for (size_t i = 0; i < service_aggs.size(); ++i) {
           EXPECT_EQ(service_aggs[i].count, oracle_aggs[i].count);
           EXPECT_EQ(service_aggs[i].sum_labels, oracle_aggs[i].sum_labels);
           EXPECT_EQ(service_aggs[i].sum_scores, oracle_aggs[i].sum_scores);
+          EXPECT_EQ(service_aggs[i].sum_residuals,
+                    oracle_aggs[i].sum_residuals);
+          EXPECT_EQ(service_aggs[i].sum_cell_abs_miscalibration,
+                    oracle_aggs[i].sum_cell_abs_miscalibration);
         }
       }
       EXPECT_GT((*service)->total_resplits(), 0);

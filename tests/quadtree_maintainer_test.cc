@@ -15,7 +15,6 @@
 
 #include "common/binary_io.h"
 #include "common/rng.h"
-#include "geo/delta_grid_aggregates.h"
 #include "index/partitioner.h"
 #include "service/fair_index_service.h"
 
@@ -280,9 +279,9 @@ TEST(QuadTreeMaintainerTest, RegistryAdapterServesRefine) {
 }
 
 // The serving-layer pin, mirroring the KD no-fork test: a FairIndexService
-// on "fair_quadtree" driven serially must match the hand-wired
-// DeltaGridAggregates + QuadTreeMaintainer loop region for region, at any
-// shard count.
+// on "fair_quadtree" driven serially must match the hand-wired loop
+// (GridAggregates::Build over the accepted records + QuadTreeMaintainer)
+// region for region, at any shard count.
 TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
   const Grid grid = MakeGrid(32, 32);
   Rng rng(2026);
@@ -305,15 +304,16 @@ TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
   KdRefineOptions refine_options;
   refine_options.drift_bound = 0.05;
 
-  DeltaGridAggregates overlay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
-  ASSERT_TRUE(overlay.Rebuild().ok());
   FairQuadtreeOptions quad_options;
   quad_options.target_regions = 1 << height;
   const QuadTreeMaintainer warm_tree =
-      QuadTreeMaintainer::Build(grid, overlay.base(), quad_options).value();
+      QuadTreeMaintainer::Build(
+          grid,
+          GridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
+                                warmup.scores)
+              .value(),
+          quad_options)
+          .value();
 
   for (int shards : {1, 3}) {
     SCOPED_TRACE(shards);
@@ -328,24 +328,41 @@ TEST(QuadTreeMaintainerTest, ServiceMatchesHandWiredQuadtreeLoop) {
     EXPECT_EQ(*(*service)->regions(), warm_tree.partition().regions);
 
     QuadTreeMaintainer oracle = warm_tree;  // Copy: fresh warmup tree.
-    DeltaGridAggregates oracle_overlay = overlay;
+    AggregateBatch accepted = warmup;
     for (const AggregateBatch& batch : batches) {
       ASSERT_TRUE((*service)->Ingest(batch).ok());
       auto refined = (*service)->MaybeRefine(refine_options);
       ASSERT_TRUE(refined.ok()) << refined.status().ToString();
 
       for (size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_TRUE(oracle_overlay
-                        .Insert(batch.cell_ids[i], batch.labels[i],
-                                batch.scores[i])
-                        .ok());
+        accepted.Append(batch.cell_ids[i], batch.labels[i],
+                        batch.scores[i]);
       }
-      ASSERT_TRUE(oracle_overlay.Rebuild().ok());
-      auto stats = oracle.Refine(oracle_overlay.base(), refine_options);
+      const GridAggregates oracle_aggregates =
+          GridAggregates::Build(grid, accepted.cell_ids, accepted.labels,
+                                accepted.scores)
+              .value();
+      auto stats = oracle.Refine(oracle_aggregates, refine_options);
       ASSERT_TRUE(stats.ok());
       EXPECT_EQ(refined->stats.subtrees_rebuilt, stats->subtrees_rebuilt);
       EXPECT_EQ(refined->stats.changed, stats->changed);
       ASSERT_EQ(*(*service)->regions(), oracle.partition().regions);
+      // Region aggregates off the sealed epoch are bit-identical to the
+      // oracle's Build.
+      const std::vector<RegionAggregate> service_aggs =
+          (*service)->QueryRegions();
+      const std::vector<RegionAggregate> oracle_aggs =
+          oracle_aggregates.QueryMany(oracle.partition().regions);
+      ASSERT_EQ(service_aggs.size(), oracle_aggs.size());
+      for (size_t i = 0; i < service_aggs.size(); ++i) {
+        EXPECT_EQ(service_aggs[i].count, oracle_aggs[i].count);
+        EXPECT_EQ(service_aggs[i].sum_labels, oracle_aggs[i].sum_labels);
+        EXPECT_EQ(service_aggs[i].sum_scores, oracle_aggs[i].sum_scores);
+        EXPECT_EQ(service_aggs[i].sum_residuals,
+                  oracle_aggs[i].sum_residuals);
+        EXPECT_EQ(service_aggs[i].sum_cell_abs_miscalibration,
+                  oracle_aggs[i].sum_cell_abs_miscalibration);
+      }
     }
     EXPECT_GT((*service)->total_resplits(), 0);
   }

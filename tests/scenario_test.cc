@@ -87,6 +87,10 @@ TEST(ScenarioParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseScenarioText("seeds = 99999999999999999999999\n", "").ok());
   EXPECT_FALSE(ParseScenarioText("test_fraction = 1.5\n", "").ok());
+  EXPECT_FALSE(ParseScenarioText("test_fraction = nan\n", "").ok());
+  EXPECT_FALSE(ParseScenarioText("drift_bound = -inf\n", "").ok());
+  EXPECT_FALSE(
+      ParseScenarioText("min_region_population = 1e999\n", "").ok());
   EXPECT_FALSE(ParseScenarioText("threads = 0\n", "").ok());
   EXPECT_FALSE(ParseScenarioText("algorithms = \n", "").ok());
 }
@@ -254,6 +258,19 @@ TEST(ScenarioParseTest, RejectsOutOfRangeSizes) {
        "tenant.a.shards = 5000 is out of range"},
       {tenant + "tenant.a.batch = 0\n", "tenant.a.batch = 0 is out of range"},
       {tenant + "tenant.a.batch = 64\n", nullptr},
+      // Pre-generated lookup points are capped at 2^26 per serving point.
+      {"serve_lookups = 2000000000\n",
+       "serve_lookups = 2000000000 is out of range"},
+      {"workload = serve\nmaintain_policy = auto\nserve_readers = 64\n"
+       "serve_lookups = 1048577\n",
+       "serve_lookups = 1048577 is out of range"},
+      {"workload = serve\nmaintain_policy = auto\nserve_readers = 64\n"
+       "serve_lookups = 1048576\n",
+       nullptr},
+      {tenant + "tenant.a.lookups = 67108864\ntenant.b.lookups = 1\n",
+       "sum of tenant lookups = 67108865 is out of range"},
+      {tenant + "tenant.a.lookups = 67108864\ntenant.b.lookups = 0\n",
+       nullptr},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);

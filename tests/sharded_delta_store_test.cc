@@ -1,10 +1,9 @@
 // Equivalence and concurrency tests for the epoch-based ShardedDeltaStore:
-// a sealed snapshot must be BIT-identical to a serial single-writer replay
-// (DeltaGridAggregates, the 1-shard specialization) of the same batches in
-// sequence order — at any shard count, after any seal cadence, and under
-// concurrent multi-threaded ingest + query + seal interleavings (the
-// stress tests here are also the ThreadSanitizer targets for the serving
-// layer).
+// a sealed snapshot must be BIT-identical to GridAggregates::Build over
+// the same records in batch-sequence order — at any shard count, after
+// any seal cadence, and under concurrent multi-threaded ingest + query +
+// seal interleavings (the stress tests here are also the ThreadSanitizer
+// targets for the serving layer).
 
 #include "service/sharded_delta_store.h"
 
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geo/delta_grid_aggregates.h"
 #include "service/wal.h"
 
 namespace fairidx {
@@ -67,30 +65,32 @@ void ExpectSnapshotBitEq(const GridAggregates& sealed,
   }
 }
 
-#define EXPECT_OK(expr)                              \
-  do {                                               \
-    const Status _status = (expr);                   \
-    EXPECT_TRUE(_status.ok()) << _status.ToString(); \
-  } while (0)
+// Appends every record of `batch` to `accepted` (residuals too, so both
+// must carry them or neither).
+void AppendRecords(const AggregateBatch& batch, AggregateBatch* accepted) {
+  auto append = [](auto& to, const auto& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  append(accepted->cell_ids, batch.cell_ids);
+  append(accepted->labels, batch.labels);
+  append(accepted->scores, batch.scores);
+  append(accepted->residuals, batch.residuals);
+}
 
-// Serial single-writer oracle: the warmup plus every batch in `order`,
-// replayed record by record through DeltaGridAggregates and folded.
+GridAggregates BuildOver(const Grid& grid, const AggregateBatch& records) {
+  return GridAggregates::Build(grid, records.cell_ids, records.labels,
+                               records.scores, records.residuals)
+      .value();
+}
+
+// Serial oracle: GridAggregates::Build over the warmup plus every batch
+// in `order`, concatenated.
 GridAggregates SerialReplay(const Grid& grid, const AggregateBatch& warmup,
                             const std::vector<AggregateBatch>& batches,
                             const std::vector<size_t>& order) {
-  DeltaGridAggregates replay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
-  for (size_t index : order) {
-    const AggregateBatch& batch = batches[index];
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                              batch.scores[i]));
-    }
-  }
-  EXPECT_TRUE(replay.Rebuild().ok());
-  return replay.base();
+  AggregateBatch accepted = warmup;
+  for (size_t index : order) AppendRecords(batches[index], &accepted);
+  return BuildOver(grid, accepted);
 }
 
 TEST(ShardedDeltaStoreTest, SealedSnapshotMatchesSerialReplayAtAnyShardCount) {
@@ -157,16 +157,15 @@ TEST(ShardedDeltaStoreTest, ResidualsFollowTheOverlayContract) {
   ASSERT_TRUE((*store)->Ingest(batch).ok());
   ASSERT_TRUE((*store)->Seal().ok());
 
-  DeltaGridAggregates replay =
-      DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                 warmup.scores)
-          .value();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                                   batch.scores[i], batch.residuals[i]));
+  // The store defaulted the warmup's residuals to score - label; the
+  // oracle spells them out so the records can carry the batch's explicit
+  // ones.
+  AggregateBatch accepted = warmup;
+  for (size_t i = 0; i < warmup.size(); ++i) {
+    accepted.residuals.push_back(warmup.scores[i] - warmup.labels[i]);
   }
-  EXPECT_OK(replay.Rebuild());
-  ExpectSnapshotBitEq(*(*store)->snapshot(), replay.base());
+  AppendRecords(batch, &accepted);
+  ExpectSnapshotBitEq(*(*store)->snapshot(), BuildOver(grid, accepted));
 }
 
 TEST(ShardedDeltaStoreTest, RejectsBadBatchesAtomically) {
@@ -226,8 +225,8 @@ TEST(ShardedDeltaStoreTest, SnapshotsStayValidAcrossLaterEpochs) {
 
 // The concurrency pin: many writer threads ingesting interleaved with
 // seals and reader queries must produce sealed snapshots bit-identical to
-// the serial single-writer replay of the batches in the sequence order
-// the store actually assigned. Run under TSan in CI.
+// GridAggregates::Build over the batches in the sequence order the store
+// actually assigned. Run under TSan in CI.
 TEST(ShardedDeltaStoreTest, ConcurrentIngestSealQueryMatchesSerialReplay) {
   const Grid grid = MakeGrid(24, 18);
   Rng data_rng(4321);
@@ -303,19 +302,11 @@ TEST(ShardedDeltaStoreTest, ConcurrentIngestSealQueryMatchesSerialReplay) {
     EXPECT_EQ((*store)->pending_records(), 0);
 
     // Replay serially in assigned-sequence order and pin bit-identity.
-    DeltaGridAggregates replay =
-        DeltaGridAggregates::Build(grid, warmup.cell_ids, warmup.labels,
-                                   warmup.scores)
-            .value();
+    AggregateBatch accepted = warmup;
     for (const auto& [w, b] : by_seq) {
-      const AggregateBatch& batch = per_writer[w][b];
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_OK(replay.Insert(batch.cell_ids[i], batch.labels[i],
-                                       batch.scores[i]));
-      }
+      AppendRecords(per_writer[w][b], &accepted);
     }
-    EXPECT_OK(replay.Rebuild());
-    ExpectSnapshotBitEq(*(*store)->snapshot(), replay.base());
+    ExpectSnapshotBitEq(*(*store)->snapshot(), BuildOver(grid, accepted));
   }
 }
 

@@ -49,6 +49,13 @@ TEST(ParseDoubleTest, RejectsMalformedInputs) {
   EXPECT_FALSE(ParseDouble("1.2x").ok());
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("  ").ok());
+  // Non-finite values and overflow: strtod accepts all of these.
+  EXPECT_FALSE(ParseDouble("nan").ok());
+  EXPECT_FALSE(ParseDouble("NaN").ok());
+  EXPECT_FALSE(ParseDouble("inf").ok());
+  EXPECT_FALSE(ParseDouble("-infinity").ok());
+  EXPECT_FALSE(ParseDouble("1e999").ok());
+  EXPECT_FALSE(ParseDouble("-1e999").ok());
 }
 
 TEST(ParseIntTest, ParsesValidInputs) {

@@ -143,10 +143,8 @@ class Flags {
       arg = arg.substr(2);
       // Every accepted flag lives in the cli_spec.h table (which also
       // generates --help), so an unknown flag is an error instead of a
-      // silently-ignored no-op. `--threshold` passes through so
-      // CmdStream can explain what replaced it.
-      if (!CliCommandHasFlag(command, arg) &&
-          !(command == "stream" && arg == "threshold")) {
+      // silently-ignored no-op.
+      if (!CliCommandHasFlag(command, arg)) {
         std::fprintf(stderr, "unknown flag --%s for '%s' (try --help)\n",
                      arg.c_str(), command.c_str());
         ok_ = false;
@@ -507,14 +505,6 @@ int CmdStream(const Flags& flags) {
     return Fail(InvalidArgumentError(
         "--seal-interval needs --auto-maintain (the caller loop seals by "
         "--seal-records)"));
-  }
-  if (flags.Has("threshold")) {
-    // The overlay's dirty-cell fold threshold has no serving-layer
-    // equivalent; silently ignoring it would change fold behavior under
-    // the user's feet.
-    return Fail(InvalidArgumentError(
-        "--threshold was removed: stream now serves sealed epochs "
-        "(use --seal-records N to defer seals)"));
   }
 
   // One model fit scores every record; the stream then replays records in
