@@ -73,6 +73,8 @@ BENCHMARK(BM_FairKdTreePipelineVsRecords)
     ->Arg(1000)
     ->Arg(2000)
     ->Arg(4000)
+    ->Arg(16000)
+    ->Arg(64000)
     ->Complexity(benchmark::oN);
 
 // --- Theorem 3: index construction alone vs height (scores fixed). ---

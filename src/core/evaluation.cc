@@ -1,7 +1,8 @@
 #include "core/evaluation.h"
 
-#include <algorithm>
+#include <utility>
 
+#include "common/group_order.h"
 #include "fairness/calibration.h"
 #include "fairness/ence.h"
 #include "fairness/reweighting.h"
@@ -31,6 +32,14 @@ Result<TrainedEvaluation> TrainAndEvaluate(const Dataset& dataset,
   }
   if (split.train_indices.empty() || split.test_indices.empty()) {
     return InvalidArgumentError("TrainAndEvaluate: empty split side");
+  }
+  for (const std::vector<size_t>* side :
+       {&split.train_indices, &split.test_indices}) {
+    for (size_t i : *side) {
+      if (i >= dataset.num_records()) {
+        return OutOfRangeError("TrainAndEvaluate: split index out of range");
+      }
+    }
   }
 
   DesignMatrixOptions design_options;
@@ -92,11 +101,9 @@ Result<TrainedEvaluation> TrainAndEvaluate(const Dataset& dataset,
                  split.test_indices));
 
   // Count distinct neighborhoods actually populated by records.
-  std::vector<int> seen;
-  for (int n : dataset.neighborhoods()) seen.push_back(n);
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  eval.num_neighborhoods = static_cast<int>(seen.size());
+  const std::vector<int>& neighborhoods = dataset.neighborhoods();
+  ForEachGroup(neighborhoods, GroupOrder(neighborhoods),
+               [&eval](int, Span<size_t>) { ++eval.num_neighborhoods; });
 
   eval.feature_importances = model->FeatureImportances();
   eval.feature_names = std::move(column_names);

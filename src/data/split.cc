@@ -1,8 +1,25 @@
 #include "data/split.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace fairidx {
+namespace {
+
+// Emits both sides in ascending index order with one scan over the
+// test-row marks; `num_test` marks are set.
+TrainTestSplit FromTestMarks(const std::vector<uint8_t>& is_test,
+                             size_t num_test) {
+  TrainTestSplit split;
+  split.test_indices.reserve(num_test);
+  split.train_indices.reserve(is_test.size() - num_test);
+  for (size_t i = 0; i < is_test.size(); ++i) {
+    (is_test[i] ? split.test_indices : split.train_indices).push_back(i);
+  }
+  return split;
+}
+
+}  // namespace
 
 Result<TrainTestSplit> MakeTrainTestSplit(size_t n, double test_fraction,
                                           Rng& rng) {
@@ -17,12 +34,9 @@ Result<TrainTestSplit> MakeTrainTestSplit(size_t n, double test_fraction,
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(order);
 
-  TrainTestSplit split;
-  split.test_indices.assign(order.begin(), order.begin() + num_test);
-  split.train_indices.assign(order.begin() + num_test, order.end());
-  std::sort(split.test_indices.begin(), split.test_indices.end());
-  std::sort(split.train_indices.begin(), split.train_indices.end());
-  return split;
+  std::vector<uint8_t> is_test(n, 0);
+  for (size_t i = 0; i < num_test; ++i) is_test[order[i]] = 1;
+  return FromTestMarks(is_test, num_test);
 }
 
 Result<TrainTestSplit> MakeStratifiedSplit(const std::vector<int>& labels,
@@ -41,23 +55,19 @@ Result<TrainTestSplit> MakeStratifiedSplit(const std::vector<int>& labels,
   rng.Shuffle(positives);
   rng.Shuffle(negatives);
 
-  TrainTestSplit split;
-  auto take = [&](std::vector<size_t>& group) {
-    const size_t num_test = static_cast<size_t>(test_fraction * group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      (i < num_test ? split.test_indices : split.train_indices)
-          .push_back(group[i]);
-    }
-  };
-  take(positives);
-  take(negatives);
-  if (split.test_indices.empty() || split.train_indices.empty()) {
+  // The first test_fraction of each shuffled stratum goes to test.
+  std::vector<uint8_t> is_test(labels.size(), 0);
+  size_t num_test = 0;
+  for (const std::vector<size_t>* stratum : {&positives, &negatives}) {
+    const size_t take = static_cast<size_t>(test_fraction * stratum->size());
+    for (size_t i = 0; i < take; ++i) is_test[(*stratum)[i]] = 1;
+    num_test += take;
+  }
+  if (num_test == 0 || num_test == labels.size()) {
     // Degenerate strata (e.g. 3 records); fall back to a plain split.
     return MakeTrainTestSplit(labels.size(), test_fraction, rng);
   }
-  std::sort(split.test_indices.begin(), split.test_indices.end());
-  std::sort(split.train_indices.begin(), split.train_indices.end());
-  return split;
+  return FromTestMarks(is_test, num_test);
 }
 
 }  // namespace fairidx

@@ -2,9 +2,34 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
+
+#include "common/group_order.h"
 
 namespace fairidx {
+namespace {
+
+// Per-group calibration over `order`, a GroupOrder result over `groups`:
+// each group's sums add its rows in input order, and groups come out in
+// ascending id.
+std::vector<GroupCalibration> CalibrateGroups(
+    const std::vector<double>& scores, const std::vector<int>& labels,
+    const std::vector<int>& groups, const std::vector<size_t>& order) {
+  std::vector<GroupCalibration> out;
+  ForEachGroup(groups, order, [&](int group, Span<size_t> rows) {
+    CalibrationStats stats;
+    for (size_t i : rows) {
+      stats.count += 1.0;
+      stats.mean_score += scores[i];
+      stats.mean_label += labels[i];
+    }
+    stats.mean_score /= stats.count;
+    stats.mean_label /= stats.count;
+    out.push_back(GroupCalibration{group, stats});
+  });
+  return out;
+}
+
+}  // namespace
 
 double CalibrationStats::AbsMiscalibration() const {
   return std::abs(mean_score - mean_label);
@@ -60,21 +85,21 @@ Result<std::vector<GroupCalibration>> ComputeGroupCalibrations(
   if (scores.size() != labels.size() || scores.size() != groups.size()) {
     return InvalidArgumentError("calibration: input size mismatch");
   }
-  std::map<int, CalibrationStats> by_group;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    CalibrationStats& stats = by_group[groups[i]];
-    stats.count += 1.0;
-    stats.mean_score += scores[i];
-    stats.mean_label += labels[i];
+  return CalibrateGroups(scores, labels, groups, GroupOrder(groups));
+}
+
+Result<std::vector<GroupCalibration>> ComputeGroupCalibrationsSubset(
+    const std::vector<double>& scores, const std::vector<int>& labels,
+    const std::vector<int>& groups, const std::vector<size_t>& indices) {
+  if (scores.size() != labels.size() || scores.size() != groups.size()) {
+    return InvalidArgumentError("calibration: input size mismatch");
   }
-  std::vector<GroupCalibration> out;
-  out.reserve(by_group.size());
-  for (auto& [group, stats] : by_group) {
-    stats.mean_score /= stats.count;
-    stats.mean_label /= stats.count;
-    out.push_back(GroupCalibration{group, stats});
+  for (size_t i : indices) {
+    if (i >= scores.size()) {
+      return OutOfRangeError("calibration: subset index out of range");
+    }
   }
-  return out;
+  return CalibrateGroups(scores, labels, groups, GroupOrder(groups, indices));
 }
 
 }  // namespace fairidx

@@ -49,10 +49,18 @@ struct GroupCalibration {
 };
 
 /// Computes calibration within each distinct value of `groups` (same length
-/// as scores/labels). Output is sorted by group id.
+/// as scores/labels). Output is sorted by group id; each group's sums add
+/// its records in input order (common/group_order.h).
 Result<std::vector<GroupCalibration>> ComputeGroupCalibrations(
     const std::vector<double>& scores, const std::vector<int>& labels,
     const std::vector<int>& groups);
+
+/// Same, over the records at `indices` only, as if they were gathered into
+/// new vectors first: index order is kept and a repeated index counts
+/// twice.
+Result<std::vector<GroupCalibration>> ComputeGroupCalibrationsSubset(
+    const std::vector<double>& scores, const std::vector<int>& labels,
+    const std::vector<int>& groups, const std::vector<size_t>& indices);
 
 }  // namespace fairidx
 

@@ -1,19 +1,12 @@
 #include "fairness/ence.h"
 
 namespace fairidx {
+namespace {
 
-Result<std::vector<NeighborhoodCalibration>> EnceBreakdown(
-    const std::vector<double>& scores, const std::vector<int>& labels,
-    const std::vector<int>& neighborhoods) {
-  if (scores.size() != labels.size() ||
-      scores.size() != neighborhoods.size()) {
-    return InvalidArgumentError("ENCE: input size mismatch");
-  }
-  if (scores.empty()) return InvalidArgumentError("ENCE: empty input");
-  FAIRIDX_ASSIGN_OR_RETURN(
-      std::vector<GroupCalibration> groups,
-      ComputeGroupCalibrations(scores, labels, neighborhoods));
-  const double n = static_cast<double>(scores.size());
+// Definition 3's weights |N_i| / |D| over `num_records` records.
+std::vector<NeighborhoodCalibration> Weigh(
+    const std::vector<GroupCalibration>& groups, size_t num_records) {
+  const double n = static_cast<double>(num_records);
   std::vector<NeighborhoodCalibration> out;
   out.reserve(groups.size());
   for (const GroupCalibration& group : groups) {
@@ -26,11 +19,8 @@ Result<std::vector<NeighborhoodCalibration>> EnceBreakdown(
   return out;
 }
 
-Result<double> Ence(const std::vector<double>& scores,
-                    const std::vector<int>& labels,
-                    const std::vector<int>& neighborhoods) {
-  FAIRIDX_ASSIGN_OR_RETURN(std::vector<NeighborhoodCalibration> breakdown,
-                           EnceBreakdown(scores, labels, neighborhoods));
+// The weighted sum, in ascending neighborhood id.
+double SumEnce(const std::vector<NeighborhoodCalibration>& breakdown) {
   double ence = 0.0;
   for (const NeighborhoodCalibration& item : breakdown) {
     ence += item.weight * item.stats.AbsMiscalibration();
@@ -38,26 +28,40 @@ Result<double> Ence(const std::vector<double>& scores,
   return ence;
 }
 
+}  // namespace
+
+Result<std::vector<NeighborhoodCalibration>> EnceBreakdown(
+    const std::vector<double>& scores, const std::vector<int>& labels,
+    const std::vector<int>& neighborhoods) {
+  if (scores.size() != labels.size() ||
+      scores.size() != neighborhoods.size()) {
+    return InvalidArgumentError("ENCE: input size mismatch");
+  }
+  if (scores.empty()) return InvalidArgumentError("ENCE: empty input");
+  FAIRIDX_ASSIGN_OR_RETURN(
+      std::vector<GroupCalibration> groups,
+      ComputeGroupCalibrations(scores, labels, neighborhoods));
+  return Weigh(groups, scores.size());
+}
+
+Result<double> Ence(const std::vector<double>& scores,
+                    const std::vector<int>& labels,
+                    const std::vector<int>& neighborhoods) {
+  FAIRIDX_ASSIGN_OR_RETURN(std::vector<NeighborhoodCalibration> breakdown,
+                           EnceBreakdown(scores, labels, neighborhoods));
+  return SumEnce(breakdown);
+}
+
 Result<double> EnceSubset(const std::vector<double>& scores,
                           const std::vector<int>& labels,
                           const std::vector<int>& neighborhoods,
                           const std::vector<size_t>& indices) {
   if (indices.empty()) return InvalidArgumentError("ENCE: empty subset");
-  std::vector<double> subset_scores;
-  std::vector<int> subset_labels;
-  std::vector<int> subset_neighborhoods;
-  subset_scores.reserve(indices.size());
-  subset_labels.reserve(indices.size());
-  subset_neighborhoods.reserve(indices.size());
-  for (size_t i : indices) {
-    if (i >= scores.size()) {
-      return OutOfRangeError("ENCE: subset index out of range");
-    }
-    subset_scores.push_back(scores[i]);
-    subset_labels.push_back(labels[i]);
-    subset_neighborhoods.push_back(neighborhoods[i]);
-  }
-  return Ence(subset_scores, subset_labels, subset_neighborhoods);
+  // Rejects mismatched sizes and out-of-range indices.
+  FAIRIDX_ASSIGN_OR_RETURN(
+      std::vector<GroupCalibration> groups,
+      ComputeGroupCalibrationsSubset(scores, labels, neighborhoods, indices));
+  return SumEnce(Weigh(groups, indices.size()));
 }
 
 }  // namespace fairidx

@@ -33,7 +33,9 @@ Result<double> Ence(const std::vector<double>& scores,
                     const std::vector<int>& neighborhoods);
 
 /// ENCE restricted to `indices` (e.g. the test split); weights are relative
-/// to the subset size.
+/// to the subset size. Equal to Ence() over the gathered subset: index order
+/// is kept and a repeated index counts twice. All three vectors must have
+/// the same length.
 Result<double> EnceSubset(const std::vector<double>& scores,
                           const std::vector<int>& labels,
                           const std::vector<int>& neighborhoods,

@@ -1,6 +1,6 @@
 #include "fairness/reweighting.h"
 
-#include <map>
+#include "common/group_order.h"
 
 namespace fairidx {
 
@@ -21,9 +21,7 @@ Result<std::vector<double>> ComputeReweightingWeightsSubset(
     return InvalidArgumentError("reweighting: empty fit set");
   }
 
-  std::map<int, double> group_count;
   double label_count[2] = {0.0, 0.0};
-  std::map<std::pair<int, int>, double> joint_count;
   for (size_t i : fit_indices) {
     if (i >= groups.size()) {
       return OutOfRangeError("reweighting: fit index out of range");
@@ -31,20 +29,23 @@ Result<std::vector<double>> ComputeReweightingWeightsSubset(
     if (labels[i] != 0 && labels[i] != 1) {
       return InvalidArgumentError("reweighting: labels must be 0 or 1");
     }
-    group_count[groups[i]] += 1.0;
     label_count[labels[i]] += 1.0;
-    joint_count[{groups[i], labels[i]}] += 1.0;
   }
   const double n = static_cast<double>(fit_indices.size());
 
   std::vector<double> weights(groups.size(), 1.0);
-  for (size_t i : fit_indices) {
-    const double p_group = group_count[groups[i]] / n;
-    const double p_label = label_count[labels[i]] / n;
-    const double p_joint = joint_count[{groups[i], labels[i]}] / n;
-    // p_joint > 0 because record i itself is in the cell.
-    weights[i] = p_group * p_label / p_joint;
-  }
+  const std::vector<size_t> order = GroupOrder(groups, fit_indices);
+  ForEachGroup(groups, order, [&](int, Span<size_t> rows) {
+    double joint_count[2] = {0.0, 0.0};
+    for (size_t i : rows) joint_count[labels[i]] += 1.0;
+    const double p_group = static_cast<double>(rows.size()) / n;
+    for (size_t i : rows) {
+      const double p_label = label_count[labels[i]] / n;
+      const double p_joint = joint_count[labels[i]] / n;
+      // p_joint > 0 because record i itself is in the cell.
+      weights[i] = p_group * p_label / p_joint;
+    }
+  });
   return weights;
 }
 

@@ -80,6 +80,24 @@ TEST(EnceSubsetTest, RejectsBadIndices) {
   EXPECT_FALSE(EnceSubset({0.5}, {1}, {0}, {9}).ok());
 }
 
+TEST(EnceSubsetTest, RejectsSizeMismatch) {
+  // An index valid for `scores` must not reach past `labels` or
+  // `neighborhoods`.
+  const auto short_labels = EnceSubset({0.5, 0.5, 0.5}, {1}, {0}, {2});
+  ASSERT_FALSE(short_labels.ok());
+  EXPECT_EQ(short_labels.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(EnceSubset({0.5, 0.5}, {1, 0}, {0}, {1}).ok());
+  EXPECT_FALSE(EnceSubset({0.5}, {1, 0}, {0, 0}, {0}).ok());
+}
+
+TEST(EnceSubsetTest, RepeatedIndexCountsTwice) {
+  const std::vector<double> scores = {0.2, 0.9, 0.4};
+  const std::vector<int> labels = {0, 1, 1};
+  const std::vector<int> neighborhoods = {5, -5, 5};
+  EXPECT_EQ(EnceSubset(scores, labels, neighborhoods, {2, 0, 2, 1}).value(),
+            Ence({0.4, 0.2, 0.4, 0.9}, {1, 0, 1, 1}, {5, 5, 5, -5}).value());
+}
+
 TEST(EnceTest, InvariantToNeighborhoodRelabeling) {
   const std::vector<double> scores = {0.3, 0.9, 0.5, 0.1};
   const std::vector<int> labels = {0, 1, 1, 0};

@@ -112,6 +112,20 @@ TEST(TrainAndEvaluateTest, RejectsBadOptions) {
           .ok());
 }
 
+TEST(TrainAndEvaluateTest, RejectsOutOfRangeSplitIndices) {
+  Fixture f = MakeFixture();
+  LogisticRegression prototype;
+  for (bool train_side : {true, false}) {
+    TrainTestSplit split = f.split;
+    (train_side ? split.train_indices : split.test_indices)
+        .push_back(f.dataset.num_records());
+    const auto result =
+        TrainAndEvaluate(f.dataset, split, prototype, EvalOptions{});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
 TEST(TrainAndEvaluateTest, DeterministicForFixedInputs) {
   Fixture f = MakeFixture();
   LogisticRegression prototype;

@@ -176,6 +176,19 @@ TEST(PipelineTest, RejectsBadOptions) {
   EXPECT_FALSE(RunPipeline(dataset, *prototype, options).ok());
 }
 
+TEST(PipelineTest, TrainOnBaseGridRejectsOutOfRangeSplit) {
+  const Dataset dataset = MakeCity();
+  const auto prototype =
+      MakeClassifier(ClassifierKind::kLogisticRegression);
+  TrainTestSplit split;
+  split.train_indices = {0, 1, 2, 3};
+  split.test_indices = {4, dataset.num_records() + 10};
+  const auto result =
+      TrainOnBaseGrid(dataset, split, *prototype, EvalOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(PipelineTest, WorksWithAllClassifierKinds) {
   const Dataset dataset = MakeCity();
   for (ClassifierKind kind : AllClassifierKinds()) {
