@@ -4,8 +4,8 @@
 //      standing in for the analyst's real extract);
 //   2. auto-select the finest tree height within an ENCE budget;
 //   3. build the fair index, validate stability with cross-validation;
-//   4. persist the published district map (CSV + WKT) and serve spatial
-//      queries against it.
+//   4. persist the published district map (CSV + WKT) and look a point
+//      up in the reloaded map.
 
 #include <cstdio>
 #include <string>
@@ -17,7 +17,6 @@
 #include "data/csv_dataset.h"
 #include "data/edgap_synthetic.h"
 #include "index/partition_io.h"
-#include "index/region_index.h"
 
 using namespace fairidx;
 
@@ -100,20 +99,14 @@ int main() {
   }
   auto reloaded = LoadPartitionCsv(partition_path, dataset->grid());
   if (!reloaded.ok()) return 1;
-  auto index = RegionIndex::Create(dataset->grid(), *reloaded);
-  if (!index.ok()) return 1;
 
   const Point city_center{dataset->grid().extent().width() / 2.0,
                           dataset->grid().extent().height() / 2.0};
-  const int center_region = index->RegionOfPoint(city_center);
-  const auto window_regions = index->RegionsIntersecting(
-      BoundingBox{city_center.x - 5, city_center.y - 5, city_center.x + 5,
-                  city_center.y + 5});
+  const int center_region =
+      reloaded->RegionOfCell(dataset->grid().CellIdOf(city_center));
   std::printf(
-      "\npublished %d districts to %s; city center falls in district %d; "
-      "a 10x10 km window around it touches %zu districts\n",
-      index->num_regions(), partition_path.c_str(), center_region,
-      window_regions.size());
+      "\npublished %d districts to %s; city center falls in district %d\n",
+      reloaded->num_regions(), partition_path.c_str(), center_region);
 
   const std::string wkt =
       PartitionRectsToWkt(dataset->grid(), run->partition.regions);

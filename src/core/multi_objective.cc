@@ -31,6 +31,16 @@ Status ResolveTasksAndAlphas(const Dataset& dataset,
   if (alphas->size() != tasks->size()) {
     return InvalidArgumentError("multi-objective: alphas/tasks size mismatch");
   }
+  // v_tot = sum_i alpha_i (s_i - y_i) is bounded by sum_i |alpha_i|, and
+  // the aggregates accept no residual beyond kMaxAbsResidual. The negated
+  // compare also rejects a NaN alpha.
+  double abs_total = 0.0;
+  for (double a : *alphas) abs_total += std::abs(a);
+  if (!(abs_total <= GridAggregates::kMaxAbsResidual)) {
+    return InvalidArgumentError(
+        "multi-objective: sum of |alphas| exceeds 2 "
+        "(GridAggregates::kMaxAbsResidual)");
+  }
   double total = 0.0;
   for (double a : *alphas) {
     if (a < 0.0 || a > 1.0) {

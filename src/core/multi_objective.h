@@ -25,8 +25,10 @@ struct MultiObjectiveOptions {
   int height = 6;
   /// Task indices to balance; empty means all of the dataset's tasks.
   std::vector<int> tasks;
-  /// Task priorities; must match `tasks` in size and sum to 1. Empty means
-  /// equal weights (the paper's experiments use alpha = 0.5 for two tasks).
+  /// Task priorities; must match `tasks` in size, lie in [0, 1] and sum to
+  /// 1, and sum(|alpha_i|) may not exceed GridAggregates::kMaxAbsResidual,
+  /// the residual bound the aggregates enforce. Empty means equal weights
+  /// (the paper's experiments use alpha = 0.5 for two tasks).
   std::vector<double> alphas;
   NeighborhoodEncoding encoding = NeighborhoodEncoding::kNumericId;
   /// Eq. 13 as printed carries an extra |L| weighting relative to Eq. 9;

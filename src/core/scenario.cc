@@ -506,6 +506,8 @@ Status ValidateDriftKind(const std::string& key, const std::string& drift) {
                               "' (expected none|hotspot|flash_crowd)");
 }
 
+}  // namespace
+
 Status ValidateScenario(const ScenarioConfig& config) {
   if (config.algorithms.empty()) {
     return InvalidArgumentError("scenario: no algorithms");
@@ -709,8 +711,6 @@ Status ValidateScenario(const ScenarioConfig& config) {
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 std::vector<std::string> ScenarioKeyNames() {
   return std::vector<std::string>(std::begin(kScenarioKeys),
@@ -1065,12 +1065,14 @@ struct Worker {
 // seals (or refines) after an ingest once stream_seal_records are
 // pending.
 Status RunWorker(const ScenarioConfig& eff, const std::string& tenant,
-                 TenantRegistry& registry, Worker& me) {
+                 TenantRegistry& registry,
+                 const ScenarioIngestHook& after_ingest, Worker& me) {
   FAIRIDX_ASSIGN_OR_RETURN(FairIndexService* service,
                            registry.tenant(tenant));
   const auto ingest = [&](AggregateBatch batch) -> Status {
     FAIRIDX_RETURN_IF_ERROR(
         registry.Ingest(tenant, std::move(batch)).status());
+    if (after_ingest) after_ingest();
     if (eff.maintain_policy == ScenarioMaintainPolicy::kAuto ||
         service->store().pending_records() < eff.stream_seal_records) {
       return Status::Ok();
@@ -1126,7 +1128,8 @@ Status RunWorker(const ScenarioConfig& eff, const std::string& tenant,
 // back as a "degraded" row while the others keep serving.
 Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
     const ScenarioConfig& config, const Dataset& dataset,
-    const Classifier& prototype, const ScenarioRun& run) {
+    const Classifier& prototype, const ScenarioRun& run,
+    const ScenarioIngestHook& after_ingest) {
   const std::string point =
       std::string(PartitionAlgorithmName(run.algorithm)) + "-h" +
       std::to_string(run.height) + "-s" + std::to_string(run.seed);
@@ -1229,7 +1232,7 @@ Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
     threads.emplace_back([&, me = &worker] {
       const PointTenant& t = tenants[me->tenant];
       const auto t_begin = std::chrono::steady_clock::now();
-      me->status = RunWorker(t.eff, t.name, *registry, *me);
+      me->status = RunWorker(t.eff, t.name, *registry, after_ingest, *me);
       me->seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t_begin)
                         .count();
@@ -1265,9 +1268,8 @@ Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
     std::sort(latencies.begin(), latencies.end());
     FairIndexService* service = registry->tenant(row.tenant).value();
     FAIRIDX_RETURN_IF_ERROR(service->Seal().status());
-    const std::vector<RegionAggregate> final_regions =
-        service->QueryRegions();
-    row.regions = static_cast<int>(final_regions.size());
+    row.final_regions = service->QueryRegions();
+    row.regions = static_cast<int>(row.final_regions.size());
     row.records = service->store().num_records();
     row.epochs = service->store().epoch();
     row.resplits = service->total_resplits();
@@ -1282,7 +1284,7 @@ Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
     row.p99_us = PercentileUs(latencies, 99.0);
     row.publish_stall_us = service->max_publish_stall_us();
     row.checkpoint_stall_us = service->max_checkpoint_stall_us();
-    row.final_ence = RegionEnce(final_regions).ence;
+    row.final_ence = RegionEnce(row.final_regions).ence;
   }
   return rows;
 }
@@ -1314,7 +1316,8 @@ Result<std::vector<Row>> RunSweepPoints(const ScenarioConfig& config,
 }  // namespace
 
 Result<ScenarioReport> RunScenario(const ScenarioConfig& config,
-                                   const Dataset& dataset) {
+                                   const Dataset& dataset,
+                                   const ScenarioIngestHook& after_ingest) {
   FAIRIDX_RETURN_IF_ERROR(ValidateScenario(config));
   const std::unique_ptr<Classifier> prototype =
       MakeClassifier(config.classifier);
@@ -1336,7 +1339,8 @@ Result<ScenarioReport> RunScenario(const ScenarioConfig& config,
       std::vector<std::vector<ScenarioServingRow>> groups,
       (RunSweepPoints<std::vector<ScenarioServingRow>>(
           config, runs, [&](const ScenarioRun& run) {
-            return RunOneServingPoint(config, dataset, *prototype, run);
+            return RunOneServingPoint(config, dataset, *prototype, run,
+                                      after_ingest);
           })));
   for (std::vector<ScenarioServingRow>& group : groups) {
     for (ScenarioServingRow& row : group) {

@@ -140,6 +140,7 @@
 #define FAIRIDX_CORE_SCENARIO_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,6 +149,7 @@
 #include "core/experiment_config.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "geo/grid_aggregates.h"
 
 namespace fairidx {
 
@@ -336,6 +338,12 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text,
 /// Loads and parses a scenario file (includes resolve relative to it).
 Result<ScenarioConfig> LoadScenarioFile(const std::string& path);
 
+/// The one rule set every config passes before it runs: ranges, the
+/// kIntBounds table, and key combinations. ParseScenarioText,
+/// LoadScenarioFile and RunScenario all apply it; a config built in code
+/// (the CLI's flag forms) can apply it before loading any data.
+Status ValidateScenario(const ScenarioConfig& config);
+
 /// The cross product algorithms x heights x seeds, height-major.
 std::vector<ScenarioRun> ExpandScenario(const ScenarioConfig& config);
 
@@ -401,6 +409,9 @@ struct ScenarioServingRow {
   long long checkpoint_stall_us = 0;
   /// Region ENCE of the final partition on the final sealed epoch.
   double final_ence = 0.0;
+  /// The final partition's per-region aggregates on that epoch, in
+  /// region order (empty for a degraded tenant).
+  std::vector<RegionAggregate> final_regions;
   /// Wall-clock seconds of the tenant's traffic phase (its slowest
   /// worker; excludes the model fit, warmup build and pre-generation).
   double seconds = 0.0;
@@ -416,6 +427,12 @@ struct ScenarioReport {
   std::vector<ScenarioServingRow> serving_rows;
 };
 
+/// A test seam for the serving workloads: called on a worker's thread
+/// after each batch its tenant accepted, before any caller-policy seal,
+/// so a hook that kills the process leaves that batch logged but
+/// unsealed. Serve workers call it concurrently.
+using ScenarioIngestHook = std::function<void()>;
+
 /// Executes every expanded run against `dataset`, dispatching on
 /// config.workload. Runs that fail on a per-algorithm precondition the
 /// config could not know about (e.g. multi-objective on a 1-task CSV, a
@@ -423,8 +440,10 @@ struct ScenarioReport {
 /// scenario — list only applicable algorithms. Independent sweep points
 /// run on the shared ThreadPool, at most config.threads at once; the
 /// report's deterministic columns are identical at any thread count.
-Result<ScenarioReport> RunScenario(const ScenarioConfig& config,
-                                   const Dataset& dataset);
+/// `after_ingest`, when set, is the ScenarioIngestHook above.
+Result<ScenarioReport> RunScenario(
+    const ScenarioConfig& config, const Dataset& dataset,
+    const ScenarioIngestHook& after_ingest = nullptr);
 
 /// Convenience: LoadScenarioDataset + RunScenario.
 Result<ScenarioReport> RunScenario(const ScenarioConfig& config);

@@ -144,18 +144,26 @@ Status GridAggregates::ValidateRecords(int num_cells,
   }
   // Column by column, OR-ing flags instead of branching, which the
   // compiler vectorizes: an out-of-range cell or label wraps to a large
-  // unsigned value, and a non-finite double has an all-ones exponent, so
-  // adding one to the exponent alone carries into the sign bit.
-  const auto non_finite = [](const std::vector<double>& values) {
-    uint64_t carries = 0;
+  // unsigned value. Doubles without their sign bit order like their bit
+  // patterns, NaN and inf above every finite value, so `limit - |value|`
+  // borrows into the top bit exactly when |value| exceeds the limit or is
+  // NaN. A score also flags on its sign bit (-0.0 too, which
+  // ValidateRecord then accepts).
+  constexpr uint64_t kSignBit = 1ull << 63;
+  const auto exceeds = [](const std::vector<double>& values, double limit,
+                          uint64_t flag_sign) {
+    uint64_t limit_bits = 0;
+    std::memcpy(&limit_bits, &limit, sizeof limit_bits);
+    uint64_t flags = 0;
     for (const double value : values) {
       uint64_t bits = 0;
       std::memcpy(&bits, &value, sizeof bits);
-      carries |= (bits & 0x7FF0000000000000ull) + (1ull << 52);
+      flags |= (bits & flag_sign) | (limit_bits - (bits & ~kSignBit));
     }
-    return carries >> 63;
+    return flags >> 63;
   };
-  uint64_t flagged = non_finite(scores) | non_finite(residuals);
+  uint64_t flagged = exceeds(scores, 1.0, kSignBit) |
+                     exceeds(residuals, kMaxAbsResidual, 0);
   for (size_t i = 0; i < n; ++i) {
     flagged |= (static_cast<unsigned>(cell_ids[i]) >=
                 static_cast<unsigned>(num_cells)) |

@@ -94,6 +94,16 @@ class GridAggregates {
     double cell_abs = 0.0;
   };
 
+  /// The largest |residual| a record may carry. Scores are confidence
+  /// scores in [0, 1], so a default residual (score - label) lies in
+  /// [-1, 1]; a multi-objective v_tot = sum_i alpha_i (s_i - y_i) is
+  /// bounded by sum_i |alpha_i|, which MultiObjective checks against this
+  /// same constant (the headroom over 1 absorbs its alpha-sum tolerance).
+  /// With every record bounded, a sum over N records stays within 2N in
+  /// magnitude: no prefix sum can overflow to inf and poison its
+  /// neighbours with inf - inf = NaN.
+  static constexpr double kMaxAbsResidual = 2.0;
+
   /// Builds aggregates for records located at `cell_ids`, with true labels
   /// `labels` (0/1) and classifier scores `scores`. `residuals`, if
   /// non-empty, carries the multi-objective per-record value v_tot[u];
@@ -162,8 +172,8 @@ class GridAggregates {
 
   /// The Build contract over a record set, which Build and the sharded
   /// store's Ingest both enforce: parallel vectors of one length
-  /// (`residuals` may be empty; each then defaults to score - label, finite
-  /// exactly when the score is) and ValidateRecord for every record. One
+  /// (`residuals` may be empty; each then defaults to score - label, in
+  /// range whenever the score is) and ValidateRecord for every record. One
   /// branch-free pass flags a bad set, so the ingest hot path pays a few
   /// vector ops per record; only a flagged set is walked again through
   /// ValidateRecord for its first offender's status.
@@ -246,9 +256,10 @@ class GridAggregates {
   int cols() const { return cols_; }
 
  private:
-  /// The per-record acceptance rule: in-grid cell id, a 0/1 label, and a
-  /// finite score and residual (one NaN or inf would turn every prefix
-  /// entry downstream of its cell non-finite).
+  /// The per-record acceptance rule: in-grid cell id, a 0/1 label, a
+  /// score in [0, 1] and |residual| <= kMaxAbsResidual. NaN fails both
+  /// range checks. One NaN, inf or huge value would turn every prefix
+  /// entry downstream of its cell non-finite.
   static Status ValidateRecord(int num_cells, int cell_id, int label,
                                double score, double residual) {
     if (cell_id < 0 || cell_id >= num_cells) {
@@ -257,9 +268,14 @@ class GridAggregates {
     if (label != 0 && label != 1) {
       return InvalidArgumentError("GridAggregates: labels must be 0 or 1");
     }
-    if (!std::isfinite(score) || !std::isfinite(residual)) {
+    if (!(score >= 0.0 && score <= 1.0)) {
       return InvalidArgumentError(
-          "GridAggregates: scores and residuals must be finite");
+          "GridAggregates: scores must lie in [0, 1]");
+    }
+    if (!(std::abs(residual) <= kMaxAbsResidual)) {
+      return InvalidArgumentError(
+          "GridAggregates: residuals must lie in [-2, 2] "
+          "(kMaxAbsResidual)");
     }
     return Status::Ok();
   }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 
 namespace fairidx {
@@ -29,6 +32,38 @@ TEST(GridAggregatesTest, RejectsBadCellsAndLabels) {
   EXPECT_FALSE(GridAggregates::Build(grid, {4}, {1}, {0.5}).ok());
   EXPECT_FALSE(GridAggregates::Build(grid, {-1}, {1}, {0.5}).ok());
   EXPECT_FALSE(GridAggregates::Build(grid, {0}, {2}, {0.5}).ok());
+}
+
+// Finite but huge values used to pass: two scores of 1e308 overflow the
+// prefix sums to inf, and every inf - inf corner then reads NaN, even for
+// a query of an untouched cell. Scores must lie in [0, 1] and residuals
+// within kMaxAbsResidual, each rejected with one line.
+TEST(GridAggregatesTest, RejectsOutOfRangeScoresAndResiduals) {
+  const Grid grid = MakeGrid(4, 4);
+  const Status huge =
+      GridAggregates::Build(grid, {0, 0, 5}, {1, 0, 1}, {1e308, 1e308, 0.5})
+          .status();
+  EXPECT_EQ(huge.code(), StatusCode::kInvalidArgument) << huge;
+  EXPECT_EQ(huge.message().find('\n'), std::string::npos) << huge;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double score :
+       {-0.25, 1.0 + 1e-12, 1e308, -1e308, -1e-320, inf, std::nan("")}) {
+    EXPECT_FALSE(GridAggregates::Build(grid, {0}, {1}, {score}).ok())
+        << score;
+  }
+  for (const double residual : {2.0 + 1e-12, -3.0, 1e308, -inf,
+                                 std::nan("")}) {
+    EXPECT_FALSE(
+        GridAggregates::Build(grid, {0}, {1}, {0.5}, {residual}).ok())
+        << residual;
+  }
+  // The bounds themselves are accepted, and -0.0 is a score of zero.
+  EXPECT_TRUE(GridAggregates::Build(grid, {0, 1, 2, 3}, {0, 1, 0, 1},
+                                    {0.0, 1.0, -0.0, 1e-320},
+                                    {-GridAggregates::kMaxAbsResidual,
+                                     GridAggregates::kMaxAbsResidual, 0.0,
+                                     -1e-320})
+                  .ok());
 }
 
 TEST(GridAggregatesTest, TotalMatchesInputs) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "data/edgap_synthetic.h"
 #include "ml/logistic_regression.h"
 
@@ -137,6 +140,20 @@ TEST(MultiObjectiveTest, ValidatesAlphas) {
   EXPECT_FALSE(
       BuildMultiObjectiveFairKdTree(f.dataset, f.split, prototype, options)
           .ok());
+  // Sums to 1, but |v_tot| could reach 5, past what the aggregates accept.
+  options.alphas = {3.0, -2.0};
+  const Status status =
+      BuildMultiObjectiveFairKdTree(f.dataset, f.split, prototype, options)
+          .status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("|alphas|"), std::string::npos) << status;
+  options.alphas = {std::nan(""), 1.0};  // Passes every other check.
+  EXPECT_NE(
+      BuildMultiObjectiveFairKdTree(f.dataset, f.split, prototype, options)
+          .status()
+          .message()
+          .find("|alphas|"),
+      std::string::npos);
   options.alphas = {1.0};  // Size mismatch.
   EXPECT_FALSE(
       BuildMultiObjectiveFairKdTree(f.dataset, f.split, prototype, options)

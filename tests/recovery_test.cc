@@ -471,5 +471,59 @@ TEST(RecoveryTest, MidLogCorruptionFailsLoudly) {
       << status;
 }
 
+// Two records scoring 1e308 in cell 0 of a 4x4 grid: finite, but enough
+// to overflow the prefix sums and turn every region's aggregate to NaN.
+AggregateBatch HugeScoreBatch() {
+  AggregateBatch batch;
+  batch.Append(0, 1, 1e308);
+  batch.Append(0, 0, 1e308);
+  batch.Append(5, 1, 0.5);
+  return batch;
+}
+
+// The service refuses the batch with one line before it reaches the log.
+TEST(RecordBoundsTest, HugeScoreIsRejectedAtIngestBeforeTheWal) {
+  const Grid grid = MakeGrid(4, 4);
+  Rng rng(7);
+  const std::string dir = FreshDir("huge_ingest");
+  auto service = FairIndexService::Create(grid, RandomRecords(rng, grid, 60),
+                                          DurableOptions(dir, 2, 2));
+  ASSERT_TRUE(service.ok()) << service.status();
+  const long long wal_bytes = (*service)->wal()->bytes_appended();
+  const Status status = (*service)->Ingest(HugeScoreBatch()).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
+  EXPECT_EQ((*service)->wal()->bytes_appended(), wal_bytes);
+  EXPECT_EQ((*service)->store().pending_records(), 0);
+}
+
+// A log written before the bound existed (here: by the WAL writer
+// directly) replays through the same validation: Recover fails with one
+// line and seals nothing, so the epoch-0 checkpoint stays the only one.
+TEST(RecordBoundsTest, HugeScoreInALoggedSegmentFailsReplay) {
+  const Grid grid = MakeGrid(4, 4);
+  Rng rng(8);
+  const std::string dir = FreshDir("huge_replay");
+  const FairIndexServiceOptions options = DurableOptions(dir, 1, 2);
+  {
+    auto service = FairIndexService::Create(
+        grid, RandomRecords(rng, grid, 60), options);
+    ASSERT_TRUE(service.ok()) << service.status();
+  }
+  {
+    auto wal = WalWriter::Open(dir, /*generation=*/2, /*next_epoch=*/1,
+                               WalOptions{});
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->AppendBatch(/*seq=*/0, HugeScoreBatch()).ok());
+  }
+  const Status status = FairIndexService::Recover(grid, options).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
+  auto checkpoints = ListCheckpoints(dir);
+  ASSERT_TRUE(checkpoints.ok()) << checkpoints.status();
+  ASSERT_EQ(checkpoints->size(), 1u);
+  EXPECT_EQ(checkpoints->front().epoch, 0);
+}
+
 }  // namespace
 }  // namespace fairidx

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "data/edgap_synthetic.h"
+#include "fairness/region_metrics.h"
 #include "service/checkpoint.h"
 
 namespace fairidx {
@@ -465,6 +466,34 @@ TEST(ScenarioEngineTest, StreamWorkloadRunsAndIsShardInvariant) {
     EXPECT_EQ(sharded->serving_rows[i].final_ence,
               one_shard->serving_rows[i].final_ence);
   }
+}
+
+// A stream row carries the final per-region aggregates its final_ence
+// was computed from, and the ingest hook fires once per tail batch.
+TEST(ScenarioEngineTest, StreamRowCarriesFinalRegionsAndHookSeesBatches) {
+  ScenarioConfig config;
+  config.workload = ScenarioWorkload::kStream;
+  config.heights = {4};
+  config.seeds = {11};
+  config.stream_batch = 60;
+  CityConfig city;
+  city.num_records = 400;
+  const Dataset dataset = GenerateEdgapCity(city).value();
+  int batches = 0;
+  const auto report =
+      RunScenario(config, dataset, [&batches] { ++batches; });
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // 200 warmup records, then a 200-record tail in batches of 60.
+  EXPECT_EQ(batches, 4);
+  ASSERT_EQ(report->serving_rows.size(), 1u);
+  const ScenarioServingRow& row = report->serving_rows[0];
+  ASSERT_EQ(row.final_regions.size(), static_cast<size_t>(row.regions));
+  EXPECT_EQ(RegionEnce(row.final_regions).ence, row.final_ence);
+  double count = 0.0;
+  for (const RegionAggregate& region : row.final_regions) {
+    count += region.count;
+  }
+  EXPECT_EQ(count, static_cast<double>(row.records));
 }
 
 // Background maintenance end to end: a maintain_policy = auto stream

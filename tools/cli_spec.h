@@ -70,11 +70,11 @@ inline constexpr CliFlagSpec kCliFlags[] = {
      "auto-maintain wall-clock seal cadence in seconds"},
     // Durability.
     {"wal", "stream", "DIR",
-     "durable mode: WAL + checkpoints in DIR; recovers and resumes when "
-     "DIR already holds a checkpoint"},
+     "durable mode: WAL + checkpoints under DIR/<algorithm>-h<height>-"
+     "s<seed>; a rerun recovers and resumes what is there"},
     {"tenant", "stream", "NAME",
-     "tenant namespace: log and checkpoint under DIR/NAME (the "
-     "TenantRegistry on-disk layout; see docs/operations.md)"},
+     "tenant namespace: log and checkpoint under DIR/NAME/<algorithm>-"
+     "h<height>-s<seed> (wal_dir = DIR/NAME; see docs/operations.md)"},
     {"checkpoint-interval", "stream", "N",
      "checkpoint every N sealed epochs (default 8)"},
     {"full-snapshot-interval", "stream", "N",
@@ -87,8 +87,8 @@ inline constexpr CliFlagSpec kCliFlags[] = {
     {"regions-out", "stream", "FILE",
      "write final region aggregates with full precision for exact diffing"},
     {"crash-after-batches", "stream", "N",
-     "testing: raise SIGKILL after batch N (rerun with the same --wal "
-     "to recover)"},
+     "testing: raise SIGKILL after the Nth accepted batch, before its "
+     "seal (rerun with the same --wal to recover)"},
     {"help", "generate run sweep disparity export stream check", "",
      "print usage and exit"},
 };
