@@ -580,11 +580,12 @@ BENCHMARK(BM_LookupManyThroughput);
 
 // --- Multi-tenant indirection tax: TenantRegistry::Ingest vs the bare
 // service. Both benches push the SAME 240 batches into one identically
-// configured FairIndexService; the registry side adds its per-call name
-// lookup, the batch hand-off through the registry boundary and the
-// maintenance-condvar notification. The CI require-faster pair bounds
-// that overhead at 30% — a regression to per-call locking of the tenant
-// table or an accidental batch copy on the hot path blows the ceiling.
+// configured FairIndexService, whose Ingest checks for a scheduler to
+// wake either way; the registry side adds its per-call name lookup and
+// the batch hand-off through the registry boundary. The CI
+// require-faster pair bounds that overhead at 30% — a regression to
+// per-call locking of the tenant table or an accidental batch copy on
+// the hot path blows the ceiling.
 FairIndexServiceOptions TenantBenchOptions() {
   FairIndexServiceOptions options;
   options.algorithm = "fair_kd_tree";

@@ -134,27 +134,12 @@ Result<std::vector<int>> ParseHeights(const std::string& value) {
   return heights;
 }
 
-Result<uint64_t> ParseOneSeed(const std::string& item) {
-  // Digits only: strtoull would silently wrap a leading '-' and
-  // saturate on overflow, changing every split in the sweep.
-  if (item.find_first_not_of("0123456789") != std::string::npos) {
-    return InvalidArgumentError("bad seed '" + item + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long seed = std::strtoull(item.c_str(), &end, 10);
-  if (end == item.c_str() || *end != '\0' || errno == ERANGE) {
-    return InvalidArgumentError("bad seed '" + item + "'");
-  }
-  return static_cast<uint64_t>(seed);
-}
-
 Result<std::vector<uint64_t>> ParseSeeds(const std::string& value) {
   std::vector<uint64_t> seeds;
   FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
                            SplitList(value));
   for (const std::string& item : items) {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseOneSeed(item));
+    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseSeed(item));
     seeds.push_back(seed);
   }
   return seeds;
@@ -257,7 +242,7 @@ Status ParseTenantKey(const std::string& key, const std::string& value,
     FAIRIDX_ASSIGN_OR_RETURN(int height, ParseInt(value));
     tenant->height = height;
   } else if (sub == "seed") {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseOneSeed(value));
+    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseSeed(value));
     tenant->seed = seed;
   } else if (sub == "batch") {
     FAIRIDX_ASSIGN_OR_RETURN(int batch, ParseInt(value));
@@ -507,6 +492,21 @@ Status ValidateDriftKind(const std::string& key, const std::string& drift) {
 }
 
 }  // namespace
+
+Result<uint64_t> ParseSeed(const std::string& item) {
+  // Digits only: strtoull would silently wrap a leading '-' and
+  // saturate on overflow, changing every split in the sweep.
+  if (item.find_first_not_of("0123456789") != std::string::npos) {
+    return InvalidArgumentError("bad seed '" + item + "'");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long seed = std::strtoull(item.c_str(), &end, 10);
+  if (end == item.c_str() || *end != '\0' || errno == ERANGE) {
+    return InvalidArgumentError("bad seed '" + item + "'");
+  }
+  return static_cast<uint64_t>(seed);
+}
 
 Status ValidateScenario(const ScenarioConfig& config) {
   if (config.algorithms.empty()) {
@@ -931,7 +931,6 @@ Result<FairIndexServiceOptions> MakeServiceOptions(
           : (config.seal_interval > 0.0 ? 0 : 1);
   options.maintain.seal_interval_seconds = config.seal_interval;
   options.maintain.drift_bound = config.drift_bound;
-  options.maintain.poll_interval_seconds = 0.002;
   options.maintain.retain_epochs = config.retain_epochs;
   return options;
 }

@@ -338,6 +338,11 @@ Result<ScenarioConfig> ParseScenarioText(const std::string& text,
 /// Loads and parses a scenario file (includes resolve relative to it).
 Result<ScenarioConfig> LoadScenarioFile(const std::string& path);
 
+/// The one seed rule (the `seeds` key, `tenant.<name>.seed` and the
+/// CLI's --seed): decimal digits only, within uint64. A sign, a blank or
+/// an overflow is an error rather than a wrapped or saturated seed.
+Result<uint64_t> ParseSeed(const std::string& item);
+
 /// The one rule set every config passes before it runs: ranges, the
 /// kIntBounds table, and key combinations. ParseScenarioText,
 /// LoadScenarioFile and RunScenario all apply it; a config built in code

@@ -64,7 +64,7 @@ void IntegrateCellsSse2(double* entries, const double* north, size_t n) {
     const double* nw = nr - kE;
     // cell_abs derives from the RAW per-cell sums, before the adds below
     // overwrite lanes 1/2 with prefix values.
-    const double cell_abs = std::abs(e[1] - e[2]);
+    const double cell_abs = CellAbs(e[1], e[2]);
     w01 = _mm_add_pd(
         _mm_loadu_pd(e),
         _mm_sub_pd(_mm_add_pd(w01, _mm_loadu_pd(nr)), _mm_loadu_pd(nw)));
@@ -165,7 +165,7 @@ __attribute__((target("avx2"))) void IntegrateCellsAvx2(
   double w4 = e[-1];
   for (size_t i = 0; i < n; ++i, e += kE, nr += kE) {
     const double* nw = nr - kE;
-    const double cell_abs = std::abs(e[1] - e[2]);
+    const double cell_abs = CellAbs(e[1], e[2]);
     w = _mm256_add_pd(
         _mm256_loadu_pd(e),
         _mm256_sub_pd(_mm256_add_pd(w, _mm256_loadu_pd(nr)),

@@ -27,6 +27,7 @@
 #ifndef FAIRIDX_GEO_AGGREGATE_KERNELS_H_
 #define FAIRIDX_GEO_AGGREGATE_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
 
 namespace fairidx {
@@ -35,6 +36,19 @@ namespace internal {
 /// Doubles per aggregate entry (PrefixEntry / RegionAggregate; layout
 /// static_assert'd against both structs in geo/grid_aggregates.h).
 inline constexpr size_t kAggregateEntryDoubles = 5;
+
+/// A cell's |labels - scores|, the integrate's cell_abs term, in every
+/// kernel tier. A NaN difference is kept as it is: std::abs would clear
+/// its sign, and that second NaN bit pattern would meet the default NaN
+/// that inf - inf leaves in the prefix sums. When two different NaNs
+/// meet in an add, x86 keeps the first operand's, and which operand
+/// comes first is the compiler's choice (it differs between -O0 and
+/// -O2, and between SSE and VEX code). With one pattern in play, every
+/// operand order yields the same bits.
+inline double CellAbs(double labels, double scores) {
+  const double d = labels - scores;
+  return std::isnan(d) ? d : std::abs(d);
+}
 
 /// One table of kernel entry points. Every pointer parameter references
 /// 5-double entries laid out {count, labels, scores, residuals,

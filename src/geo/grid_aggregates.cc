@@ -36,7 +36,7 @@ void IntegrateCellsScalar(PrefixEntry* entries, const PrefixEntry* north,
     const PrefixEntry& nw = *(north + i - 1);
     // From the raw per-cell sums, BEFORE the folds below turn them into
     // prefix values (absolute values do not distribute over sums).
-    const double cell_abs = std::abs(e.labels - e.scores);
+    const double cell_abs = internal::CellAbs(e.labels, e.scores);
     e.count += (west.count + nn.count) - nw.count;
     e.labels += (west.labels + nn.labels) - nw.labels;
     e.scores += (west.scores + nn.scores) - nw.scores;

@@ -110,7 +110,7 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Create(
         service->WriteCheckpointNow(/*allow_delta=*/false));
   }
   if (options.auto_maintain) {
-    FAIRIDX_RETURN_IF_ERROR(service->StartMaintenance(options.maintain));
+    FAIRIDX_RETURN_IF_ERROR(service->StartAutoMaintenance());
   }
   return service;
 }
@@ -210,7 +210,7 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
     }
   }
   if (options.auto_maintain) {
-    FAIRIDX_RETURN_IF_ERROR(service->StartMaintenance(options.maintain));
+    FAIRIDX_RETURN_IF_ERROR(service->StartAutoMaintenance());
   }
   return service;
 }
@@ -269,12 +269,10 @@ Status FairIndexService::ReplayWalTail(
 Result<long long> FairIndexService::Ingest(AggregateBatch batch) {
   FAIRIDX_ASSIGN_OR_RETURN(const long long seq,
                            store_->Ingest(std::move(batch)));
-  // Wake the background scheduler (if any) so record-count cadences react
-  // to this batch now instead of at the next poll.
-  {
-    std::lock_guard<std::mutex> lock(scheduler_mutex_);
-    if (scheduler_) scheduler_->NotifyIngest();
-  }
+  // Wake the scheduler hosting this service (if any) so record-count
+  // cadences react to this batch now.
+  std::lock_guard<std::mutex> lock(host_mutex_);
+  if (host_ != nullptr) host_->NotifyIngest();
   return seq;
 }
 
@@ -392,39 +390,30 @@ long long FairIndexService::publications_fallback() const {
   return publications_fallback_;
 }
 
-Status FairIndexService::StartMaintenance(const MaintenancePolicy& policy) {
-  if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
-    return InvalidArgumentError(
-        "FairIndexService: maintenance policy would never act (enable "
-        "seal_records or seal_interval_seconds)");
-  }
-  if (!(policy.poll_interval_seconds > 0.0)) {
-    return InvalidArgumentError(
-        "FairIndexService: poll_interval_seconds must be > 0");
-  }
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  if (scheduler_ != nullptr && scheduler_->running()) {
-    return FailedPreconditionError(
-        "FairIndexService: maintenance is already running");
-  }
-  scheduler_ = std::make_unique<MaintenanceScheduler>(this, policy);
-  scheduler_->Start();
-  return Status::Ok();
+Status FairIndexService::StartAutoMaintenance() {
+  scheduler_ = std::make_unique<MaintenanceScheduler>(
+      std::vector<MaintenanceMember>{{this, options_.maintain}});
+  return scheduler_->Start();
+}
+
+bool FairIndexService::AttachHost(MaintenanceScheduler* host) {
+  std::lock_guard<std::mutex> lock(host_mutex_);
+  if (host_ != nullptr && host_ != host) return false;
+  host_ = host;
+  return true;
+}
+
+void FairIndexService::DetachHost(MaintenanceScheduler* host) {
+  std::lock_guard<std::mutex> lock(host_mutex_);
+  if (host_ == host) host_ = nullptr;
 }
 
 void FairIndexService::StopMaintenance() {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
   if (scheduler_ != nullptr) scheduler_->Stop();
 }
 
-bool FairIndexService::maintenance_running() const {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  return scheduler_ != nullptr && scheduler_->running();
-}
-
 MaintenanceStats FairIndexService::maintenance_stats() const {
-  std::lock_guard<std::mutex> lock(scheduler_mutex_);
-  return scheduler_ != nullptr ? scheduler_->stats() : MaintenanceStats{};
+  return scheduler_ != nullptr ? scheduler_->stats(this) : MaintenanceStats{};
 }
 
 Status FairIndexService::PublishMaintainedLocked(

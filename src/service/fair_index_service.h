@@ -32,10 +32,11 @@
 // MaybeRefine can be caller-driven, or owned by the service itself: a
 // MaintenancePolicy (service/maintenance_scheduler.h) seals by pending
 // record count or wall clock and refines on measured calibration drift
-// from a background thread, started via options.auto_maintain or
-// StartMaintenance(). The scheduler only calls the public thread-safe
-// surface, so hands-off operation is behaviorally identical to a caller
-// running the same cadence.
+// from a background thread — the service's own scheduler over a list of
+// one (options.auto_maintain), or a TenantRegistry's shared one. The
+// scheduler only calls the public thread-safe surface, so hands-off
+// operation is behaviorally identical to a caller running the same
+// cadence.
 //
 // Determinism: a sealed epoch is bit-identical to GridAggregates::Build
 // over the same records in batch-sequence order (see
@@ -108,12 +109,12 @@ struct FairIndexServiceOptions {
   ShardedDeltaStoreOptions store;
   /// Default drift bound for MaybeRefine().
   KdRefineOptions refine;
-  /// Start the background maintenance thread on Create (hands-off
-  /// serving: the service seals and refines per `maintain`, no caller
-  /// MaybeRefine needed).
+  /// Start the background maintenance thread on Create/Recover
+  /// (hands-off serving: the service seals and refines per `maintain`,
+  /// no caller MaybeRefine needed).
   bool auto_maintain = false;
-  /// Policy for the background thread (used only with auto_maintain or
-  /// an explicit StartMaintenance call).
+  /// Policy for the background thread (auto_maintain, or the
+  /// TenantRegistry's shared scheduler).
   MaintenancePolicy maintain;
   /// Write-ahead logging + checkpoints (disabled while wal_dir is empty).
   DurabilityOptions durability;
@@ -158,8 +159,9 @@ class FairIndexService {
   ~FairIndexService();
 
   /// Appends one batch to the store's pending set (visible to queries
-  /// after the next seal). Returns the batch's sequence number. By
-  /// value: temporaries move all the way into the store.
+  /// after the next seal) and wakes the scheduler hosting this service,
+  /// if any. Returns the batch's sequence number. By value: temporaries
+  /// move all the way into the store.
   Result<long long> Ingest(AggregateBatch batch);
 
   /// Seals the current epoch (folds pending batches into a fresh
@@ -217,18 +219,12 @@ class FairIndexService {
   /// Subtree re-splits published over the service's lifetime.
   long long total_resplits() const;
 
-  /// Starts service-owned background maintenance under `policy`
-  /// (validated: at least one cadence enabled, positive poll interval).
-  /// Fails when a scheduler is already running.
-  Status StartMaintenance(const MaintenancePolicy& policy);
-
-  /// Stops and joins the background maintenance thread. Idempotent.
+  /// Stops and joins the auto_maintain thread. Idempotent; a no-op
+  /// without auto_maintain.
   void StopMaintenance();
 
-  bool maintenance_running() const;
-
-  /// Counters of the current (or last stopped) scheduler; zeros when
-  /// maintenance never started.
+  /// Counters of the auto_maintain scheduler, running or stopped; zeros
+  /// without auto_maintain.
   MaintenanceStats maintenance_stats() const;
 
   /// Writes a checkpoint of the current sealed state now (durability must
@@ -265,6 +261,8 @@ class FairIndexService {
   long long publications_fallback() const;
 
  private:
+  friend class MaintenanceScheduler;
+
   FairIndexService(const Grid& grid, FairIndexServiceOptions options,
                    std::unique_ptr<WalWriter> wal,
                    std::unique_ptr<ShardedDeltaStore> store,
@@ -281,6 +279,15 @@ class FairIndexService {
   /// epoch-monotonic guard inside can never roll the lookup backwards.
   Status PublishMaintainedLocked(const GridAggregates& sealed_snapshot,
                                  long long epoch, bool partition_changed);
+
+  /// Creates and starts the auto_maintain scheduler over this service.
+  Status StartAutoMaintenance();
+
+  /// Called by MaintenanceScheduler::Start/Stop: a service has at most
+  /// one host, the scheduler its Ingest wakes. AttachHost returns false
+  /// when another scheduler already hosts it.
+  bool AttachHost(MaintenanceScheduler* host);
+  void DetachHost(MaintenanceScheduler* host);
 
   /// Checkpoint when the sealed epoch has advanced past the configured
   /// interval since the last one (no-op otherwise / without durability).
@@ -346,9 +353,15 @@ class FairIndexService {
   /// plain seals). Epoch-monotonic: only PublishMaintainedLocked swaps it.
   std::shared_ptr<const PointLookupIndex> lookup_;
 
-  /// Background maintenance (service-owned; optional). The scheduler only
-  /// calls public methods, so it layers strictly above the other state.
-  mutable std::mutex scheduler_mutex_;
+  /// The running scheduler that maintains this service (its own or a
+  /// registry's); null when none runs. Ingest wakes it under the mutex,
+  /// so a host cannot be torn down mid-notification.
+  std::mutex host_mutex_;
+  MaintenanceScheduler* host_ = nullptr;
+
+  /// The auto_maintain scheduler, a list of one (null without
+  /// auto_maintain; set before Create/Recover return). It only calls
+  /// public methods, so it layers strictly above the other state.
   std::unique_ptr<MaintenanceScheduler> scheduler_;
 };
 

@@ -6,25 +6,36 @@
 // hands-off serving system. A MaintenancePolicy names the cadence (seal
 // once N records are pending, or at least every T seconds while anything
 // is pending) and the action (drift-bounded MaybeRefine, or a plain Seal
-// when drift_bound < 0); a MaintenanceScheduler runs that policy on its
-// own thread against a service.
+// when drift_bound < 0).
 //
-// The scheduler only uses the service's public thread-safe surface —
-// store() counters to decide, MaybeRefine()/Seal() to act — so everything
-// it does is exactly what a caller-driven maintenance loop could have
-// done: epochs still seal at consistent batch boundaries, refines still
-// key off the epoch they seal, and readers keep serving the previously
-// published partition throughout. Ingest wakes the scheduler
-// (FairIndexService::Ingest calls NotifyIngest) so record-count cadences
-// react promptly; wall-clock cadences resolve at poll_interval_seconds.
+// A MaintenanceScheduler is the one maintenance thread host: it runs a
+// list of (service, policy) members on one background thread. A
+// FairIndexService with `auto_maintain` owns a scheduler over a list of
+// one; a TenantRegistry owns one over its serving tenants. Every pass is
+// a rotating claim-then-act TickNow() over the members, and it only uses
+// each service's public thread-safe surface — store() counters to
+// decide, MaybeRefine()/Seal() to act — so everything it does is exactly
+// what a caller-driven maintenance loop could have done: epochs still
+// seal at consistent batch boundaries, refines still key off the epoch
+// they seal, and readers keep serving the previously published partition
+// throughout.
+//
+// There is no poll. A started scheduler is its members' host, and
+// FairIndexService::Ingest wakes the host of its service whoever called
+// it, so record-count cadences react at once. Between ingests the thread
+// sleeps until the earliest clock deadline (last pass +
+// seal_interval_seconds) among members with pending records, or until
+// Stop(). A failed pass is retried at the next wakeup.
 
 #ifndef FAIRIDX_SERVICE_MAINTENANCE_SCHEDULER_H_
 #define FAIRIDX_SERVICE_MAINTENANCE_SCHEDULER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/result.h"
 
@@ -33,20 +44,18 @@ namespace fairidx {
 class FairIndexService;
 
 /// When and how background maintenance acts. At least one cadence must be
-/// enabled (StartMaintenance validates).
+/// enabled (ValidateMaintenancePolicy).
 struct MaintenancePolicy {
   /// Act once this many records are pending (<= 0 disables the
   /// record-count cadence).
   long long seal_records = 1;
   /// Act at least this often (wall clock) while records are pending
-  /// (<= 0 disables the clock cadence).
+  /// (<= 0 or NaN disables the clock cadence; intervals beyond a year
+  /// act yearly).
   double seal_interval_seconds = 0.0;
   /// MaybeRefine drift bound for each pass; < 0 seals without refining
   /// (the published partition stays fixed).
   double drift_bound = 0.02;
-  /// Scheduler wakeup cadence — the resolution of the clock cadence and
-  /// the fallback poll when no ingest notification arrives.
-  double poll_interval_seconds = 0.005;
   /// After each maintenance pass, drop sealed-snapshot history beyond the
   /// newest this many epochs (reader-pinned snapshots are always kept;
   /// see ShardedDeltaStore::RetainEpochs). <= 0 leaves the store's
@@ -54,11 +63,13 @@ struct MaintenancePolicy {
   int retain_epochs = 0;
 };
 
-/// Counters of everything a scheduler did (all monotone; readable while
-/// the thread runs).
+/// The one policy rule, checked for every member when a scheduler
+/// starts: a policy with neither cadence enabled would never act.
+Status ValidateMaintenancePolicy(const MaintenancePolicy& policy);
+
+/// Counters of everything a scheduler did for one member (all monotone;
+/// readable while the thread runs).
 struct MaintenanceStats {
-  /// Policy evaluations (wakeups that checked the cadences).
-  long long ticks = 0;
   /// Maintenance actions taken (seal-only passes + refine passes).
   long long passes = 0;
   /// Passes that ran MaybeRefine (drift_bound >= 0).
@@ -80,61 +91,85 @@ struct MaintenanceStats {
   long long errors = 0;
 };
 
-/// Runs one MaintenancePolicy against one service on a background thread.
-/// Create/Start via FairIndexService::StartMaintenance (which validates
-/// the policy and wires ingest notifications); Stop() joins and is
-/// idempotent. The referenced service must outlive the scheduler —
-/// FairIndexService guarantees this by stopping maintenance in its
-/// destructor before any member is torn down.
+/// One service a scheduler maintains, under its own policy.
+struct MaintenanceMember {
+  FairIndexService* service = nullptr;
+  MaintenancePolicy policy;
+};
+
+/// Runs each member's MaintenancePolicy against its service on one
+/// background thread. Start() validates every policy and makes the
+/// scheduler its members' host; Stop() joins and is idempotent. The
+/// member services must outlive the scheduler.
 class MaintenanceScheduler {
  public:
-  MaintenanceScheduler(FairIndexService* service, MaintenancePolicy policy);
+  explicit MaintenanceScheduler(std::vector<MaintenanceMember> members);
   ~MaintenanceScheduler();
 
   MaintenanceScheduler(const MaintenanceScheduler&) = delete;
   MaintenanceScheduler& operator=(const MaintenanceScheduler&) = delete;
 
-  /// Spawns the maintenance thread (no-op when already running).
-  void Start();
+  /// Validates every member's policy, becomes each member service's
+  /// host (its Ingest wakes this scheduler) and spawns the thread.
+  /// FailedPrecondition when already running or when a member service
+  /// is hosted by another running scheduler.
+  Status Start();
 
-  /// Signals the thread and joins it. Idempotent; safe without Start().
+  /// Signals the thread, joins it and releases the members. Idempotent;
+  /// safe without Start(). A stopped scheduler may be started again.
   void Stop();
 
   bool running() const;
 
-  /// Wakes the thread so a record-count cadence is evaluated now instead
-  /// of at the next poll.
+  /// Wakes the thread so the cadences are evaluated now.
   void NotifyIngest();
 
-  /// One synchronous policy evaluation — what the thread runs per wakeup.
-  /// Public so drivers and tests can tick deterministically; thread-safe
-  /// against the background thread (the service serializes maintenance).
-  /// Returns true when a maintenance pass ran.
+  /// One synchronous pass — what the thread runs per wakeup: every
+  /// member whose cadence is due acts, starting from a slot that rotates
+  /// per pass so no member is permanently first in line. Public so
+  /// drivers and tests can tick deterministically; thread-safe against
+  /// the background thread (each service serializes its maintenance).
+  /// Returns true when any member's pass ran.
   bool TickNow();
 
-  MaintenanceStats stats() const;
-  const MaintenancePolicy& policy() const { return policy_; }
+  /// Counters for `service` (zeros when it is not a member).
+  MaintenanceStats stats(const FairIndexService* service) const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  struct Member {
+    FairIndexService* service;
+    MaintenancePolicy policy;
+    Clock::time_point last_pass;  // Guarded by state_mutex_.
+    MaintenanceStats stats;       // Guarded by state_mutex_.
+  };
+
   void Run();
-  /// True when either cadence is due given the pending-record count.
-  bool Due(std::chrono::steady_clock::time_point now) const;
+  /// Claims and runs `member`'s pass when a cadence is due.
+  bool TickMember(Member& member);
+  /// The earliest clock deadline among members with pending records;
+  /// Clock::time_point::max() when none.
+  Clock::time_point NextDeadline() const;
 
-  FairIndexService* service_;
-  const MaintenancePolicy policy_;
+  std::vector<Member> members_;
+  /// Rotating start slot of TickNow.
+  std::atomic<size_t> next_start_{0};
 
-  mutable std::mutex mutex_;
+  /// Serializes Start/Stop; the thread is joinable exactly while the
+  /// scheduler runs.
+  mutable std::mutex lifecycle_mutex_;
+  std::thread thread_;
+
+  /// Wakeup state of the thread.
+  std::mutex mutex_;
   std::condition_variable wakeup_;
   bool stop_ = false;
   bool notified_ = false;
-  bool running_ = false;
-  std::thread thread_;
 
-  /// Guards last_pass_ and stats_ (ticks may come from the thread and
-  /// from TickNow callers concurrently).
+  /// Guards every member's last_pass and stats (ticks may come from the
+  /// thread and from TickNow callers concurrently).
   mutable std::mutex state_mutex_;
-  std::chrono::steady_clock::time_point last_pass_;
-  MaintenanceStats stats_;
 };
 
 }  // namespace fairidx

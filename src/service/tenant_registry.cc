@@ -1,30 +1,10 @@
 #include "service/tenant_registry.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "service/checkpoint.h"
 
 namespace fairidx {
-namespace {
-
-Status ValidateTenantPolicy(const std::string& name,
-                            const MaintenancePolicy& policy) {
-  if (policy.seal_records <= 0 && policy.seal_interval_seconds <= 0.0) {
-    return InvalidArgumentError(
-        "TenantRegistry: tenant '" + name +
-        "' maintenance policy would never act (enable seal_records or "
-        "seal_interval_seconds)");
-  }
-  if (!(policy.poll_interval_seconds > 0.0)) {
-    return InvalidArgumentError("TenantRegistry: tenant '" + name +
-                                "' poll_interval_seconds must be > 0");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status ValidateTenantName(const std::string& name) {
   if (name.empty()) {
@@ -69,6 +49,7 @@ Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Build(
   }
 
   std::unique_ptr<TenantRegistry> registry(new TenantRegistry());
+  std::vector<MaintenanceMember> members;
   Status first_error = Status::Ok();
   for (TenantSpec& spec : specs) {
     // The registry owns maintenance (one shared thread) and the WAL
@@ -95,8 +76,7 @@ Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Build(
             : FairIndexService::Create(spec.grid, spec.warmup, spec.options);
     if (service.ok()) {
       tenant->service = std::move(*service);
-      tenant->scheduler = std::make_unique<MaintenanceScheduler>(
-          tenant->service.get(), spec.options.maintain);
+      members.push_back({tenant->service.get(), spec.options.maintain});
       tenant->recovered = has_state;
     } else if (allow_recover) {
       // Fault isolation: one corrupt tenant must not take down the
@@ -113,10 +93,10 @@ Result<std::unique_ptr<TenantRegistry>> TenantRegistry::Build(
     // no one, so propagate the cause instead of a zombie process.
     return first_error;
   }
+  registry->scheduler_ =
+      std::make_unique<MaintenanceScheduler>(std::move(members));
   return registry;
 }
-
-TenantRegistry::~TenantRegistry() { StopMaintenance(); }
 
 const TenantRegistry::Tenant* TenantRegistry::Find(
     const std::string& name) const {
@@ -136,15 +116,7 @@ Result<long long> TenantRegistry::Ingest(const std::string& tenant,
     return FailedPreconditionError("TenantRegistry: tenant '" + tenant +
                                    "' is degraded: " + t->error.ToString());
   }
-  Result<long long> seq = t->service->Ingest(std::move(batch));
-  if (seq.ok()) {
-    std::lock_guard<std::mutex> lock(maint_mutex_);
-    if (maint_running_) {
-      maint_notified_ = true;
-      maint_wakeup_.notify_one();
-    }
-  }
-  return seq;
+  return t->service->Ingest(std::move(batch));
 }
 
 Result<FairIndexService*> TenantRegistry::tenant(
@@ -183,84 +155,21 @@ size_t TenantRegistry::num_serving() const {
   return serving;
 }
 
-Status TenantRegistry::StartMaintenance() {
-  double poll = 0.0;
-  for (const std::unique_ptr<Tenant>& tenant : tenants_) {
-    if (tenant->service == nullptr) continue;
-    const MaintenancePolicy& policy = tenant->scheduler->policy();
-    FAIRIDX_RETURN_IF_ERROR(ValidateTenantPolicy(tenant->name, policy));
-    poll = poll == 0.0 ? policy.poll_interval_seconds
-                       : std::min(poll, policy.poll_interval_seconds);
-  }
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  if (maint_running_) {
-    return FailedPreconditionError(
-        "TenantRegistry: maintenance is already running");
-  }
-  maint_stop_ = false;
-  maint_notified_ = false;
-  maint_running_ = true;
-  // The shared thread polls at the most demanding tenant's cadence, so
-  // every tenant's wall-clock policy resolves at least as often as its
-  // own dedicated thread would have.
-  maint_poll_seconds_ = poll > 0.0 ? poll : 0.005;
-  maint_thread_ = std::thread([this] { MaintenanceRun(); });
-  return Status::Ok();
-}
+Status TenantRegistry::StartMaintenance() { return scheduler_->Start(); }
 
-void TenantRegistry::StopMaintenance() {
-  {
-    std::lock_guard<std::mutex> lock(maint_mutex_);
-    if (!maint_running_) return;
-    maint_stop_ = true;
-    maint_wakeup_.notify_one();
-  }
-  maint_thread_.join();
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  maint_running_ = false;
-}
+void TenantRegistry::StopMaintenance() { scheduler_->Stop(); }
 
 bool TenantRegistry::maintenance_running() const {
-  std::lock_guard<std::mutex> lock(maint_mutex_);
-  return maint_running_;
+  return scheduler_->running();
 }
 
-bool TenantRegistry::TickMaintenanceNow() {
-  const size_t n = tenants_.size();
-  // Claim-then-act round robin: every pass starts one slot later, so
-  // over any window of passes each tenant is first in line equally
-  // often and a slow tenant's refine cannot starve the others of their
-  // turn position.
-  const size_t start =
-      next_tick_start_.fetch_add(1, std::memory_order_relaxed) % n;
-  bool any = false;
-  for (size_t i = 0; i < n; ++i) {
-    Tenant& tenant = *tenants_[(start + i) % n];
-    if (tenant.service == nullptr) continue;
-    if (tenant.scheduler->TickNow()) any = true;
-  }
-  return any;
-}
+bool TenantRegistry::TickMaintenanceNow() { return scheduler_->TickNow(); }
 
 MaintenanceStats TenantRegistry::maintenance_stats(
     const std::string& tenant) const {
   const Tenant* t = Find(tenant);
-  if (t == nullptr || t->scheduler == nullptr) return MaintenanceStats{};
-  return t->scheduler->stats();
-}
-
-void TenantRegistry::MaintenanceRun() {
-  std::unique_lock<std::mutex> lock(maint_mutex_);
-  while (!maint_stop_) {
-    maint_wakeup_.wait_for(
-        lock, std::chrono::duration<double>(maint_poll_seconds_),
-        [this] { return maint_stop_ || maint_notified_; });
-    maint_notified_ = false;
-    if (maint_stop_) break;
-    lock.unlock();
-    TickMaintenanceNow();
-    lock.lock();
-  }
+  if (t == nullptr) return MaintenanceStats{};
+  return scheduler_->stats(t->service.get());
 }
 
 }  // namespace fairidx

@@ -8,19 +8,19 @@
 // `<wal_dir>/<tenant>/` — while all tenants share the global ThreadPool
 // and ONE background maintenance thread owned by the registry.
 //
-// The shared thread round-robins claim-then-act ticks across tenants:
-// every wakeup it walks the tenant table from a rotating start slot and
-// runs each tenant's own MaintenanceScheduler::TickNow() — the same
-// synchronous policy evaluation the single-tenant background thread
-// runs, against that tenant's per-tenant MaintenancePolicy (seal
-// cadence, drift bound, retention). Because TickNow only uses the
-// tenant service's public thread-safe surface, everything the shared
-// thread does is exactly what N dedicated per-tenant threads could have
-// done; tenants never observe each other except through CPU time. That
-// is the isolation contract tests/tenant_registry_test.cc pins: a
-// tenant's sealed snapshots, published partitions and recovery output
-// are bit-identical to an isolated single-tenant run with the same
-// inputs, at any shard count, with the shared scheduler live.
+// That thread is a MaintenanceScheduler over the serving tenants, each
+// a member with its own MaintenancePolicy (seal cadence, drift bound,
+// retention) — the same host a single service runs with auto_maintain,
+// over a longer list. Any Ingest of a tenant wakes it, through the
+// registry or straight through the tenant's service. Because the
+// scheduler only uses each service's public thread-safe surface,
+// everything the shared thread does is exactly what N dedicated
+// per-tenant threads could have done; tenants never observe each other
+// except through CPU time. That is the isolation contract
+// tests/tenant_registry_test.cc pins: a tenant's sealed snapshots,
+// published partitions and recovery output are bit-identical to an
+// isolated single-tenant run with the same inputs, at any shard count,
+// with the shared scheduler live.
 //
 // Recovery is per-tenant and fault-isolated: TenantRegistry::Recover
 // rebuilds every tenant whose namespace holds a checkpoint via
@@ -35,12 +35,8 @@
 #ifndef FAIRIDX_SERVICE_TENANT_REGISTRY_H_
 #define FAIRIDX_SERVICE_TENANT_REGISTRY_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -133,12 +129,8 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Stops the shared maintenance thread before tearing down tenants.
-  ~TenantRegistry();
-
-  /// Appends one batch to `tenant`'s store and wakes the shared
-  /// scheduler (record-count cadences react promptly, exactly like the
-  /// single-tenant ingest notification). FailedPrecondition for a
+  /// Appends one batch to `tenant`'s service, which wakes the shared
+  /// scheduler (FairIndexService::Ingest). FailedPrecondition for a
   /// degraded tenant, NotFound for an unknown one.
   Result<long long> Ingest(const std::string& tenant, AggregateBatch batch);
 
@@ -155,10 +147,9 @@ class TenantRegistry {
   /// Tenants currently serving (num_tenants() minus degraded ones).
   size_t num_serving() const;
 
-  /// Starts the ONE shared maintenance thread (validates every serving
-  /// tenant's policy the way FairIndexService::StartMaintenance does:
-  /// at least one cadence enabled, positive poll interval). Fails when
-  /// already running.
+  /// Starts the ONE shared maintenance thread (MaintenanceScheduler::
+  /// Start: every serving tenant's policy must pass
+  /// ValidateMaintenancePolicy). Fails when already running.
   Status StartMaintenance();
 
   /// Stops and joins the shared thread. Idempotent.
@@ -166,12 +157,10 @@ class TenantRegistry {
 
   bool maintenance_running() const;
 
-  /// One synchronous round-robin maintenance pass: runs TickNow() on
-  /// every serving tenant's scheduler, starting from a rotating slot so
-  /// no tenant is permanently first in line. What the shared thread
+  /// One synchronous round-robin maintenance pass over the serving
+  /// tenants (MaintenanceScheduler::TickNow) — what the shared thread
   /// runs per wakeup; public so drivers and tests can tick
-  /// deterministically (the single-tenant TickNow contract, extended
-  /// across the fleet). Returns true when any tenant's pass ran.
+  /// deterministically. Returns true when any tenant's pass ran.
   bool TickMaintenanceNow();
 
   /// Maintenance counters for one tenant (zeros for unknown/degraded).
@@ -182,10 +171,6 @@ class TenantRegistry {
     std::string name;
     /// Null while degraded.
     std::unique_ptr<FairIndexService> service;
-    /// The per-tenant policy evaluator the shared thread ticks. Never
-    /// Start()ed — the registry thread IS its thread. Null while
-    /// degraded.
-    std::unique_ptr<MaintenanceScheduler> scheduler;
     Status error = Status::Ok();
     bool recovered = false;
   };
@@ -201,25 +186,13 @@ class TenantRegistry {
 
   const Tenant* Find(const std::string& name) const;
 
-  void MaintenanceRun();
-
   /// Spec order; immutable after Build (pointers handed out by
   /// tenant() stay valid for the registry's lifetime).
   std::vector<std::unique_ptr<Tenant>> tenants_;
 
-  /// Rotating start slot for the round-robin tick.
-  std::atomic<size_t> next_tick_start_{0};
-
-  /// Shared maintenance thread state (same shape as the single-tenant
-  /// scheduler's: condvar wakeups from Ingest, poll fallback at the
-  /// minimum serving-tenant poll interval).
-  mutable std::mutex maint_mutex_;
-  std::condition_variable maint_wakeup_;
-  bool maint_stop_ = false;
-  bool maint_notified_ = false;
-  bool maint_running_ = false;
-  double maint_poll_seconds_ = 0.005;
-  std::thread maint_thread_;
+  /// The shared scheduler over the serving tenants. Declared after
+  /// tenants_, so it stops before any tenant is torn down.
+  std::unique_ptr<MaintenanceScheduler> scheduler_;
 };
 
 }  // namespace fairidx

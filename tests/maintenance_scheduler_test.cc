@@ -75,12 +75,6 @@ TEST(MaintenanceSchedulerTest, RejectsPoliciesThatNeverAct) {
   never.seal_interval_seconds = 0.0;
   EXPECT_FALSE(
       FairIndexService::Create(grid, warmup, AutoOptions(4, 1, never)).ok());
-
-  MaintenancePolicy bad_poll;
-  bad_poll.poll_interval_seconds = 0.0;
-  EXPECT_FALSE(
-      FairIndexService::Create(grid, warmup, AutoOptions(4, 1, bad_poll))
-          .ok());
 }
 
 TEST(MaintenanceSchedulerTest, SealsByPendingRecordCountWithoutCaller) {
@@ -89,12 +83,13 @@ TEST(MaintenanceSchedulerTest, SealsByPendingRecordCountWithoutCaller) {
   const AggregateBatch warmup = RandomBatch(rng, grid, 300);
   MaintenancePolicy policy;
   policy.seal_records = 100;
+  // A clock cadence far beyond any run must never fire, however its
+  // deadline is represented.
+  policy.seal_interval_seconds = 1e300;
   policy.drift_bound = 0.05;
-  policy.poll_interval_seconds = 0.001;
   auto service =
       FairIndexService::Create(grid, warmup, AutoOptions(4, 2, policy));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_TRUE((*service)->maintenance_running());
   EXPECT_EQ((*service)->store().epoch(), 0);
 
   // Below the record cadence: nothing should seal.
@@ -112,7 +107,6 @@ TEST(MaintenanceSchedulerTest, SealsByPendingRecordCountWithoutCaller) {
   EXPECT_EQ((*service)->store().pending_records(), 0);
   EXPECT_GE((*service)->store().epoch(), 1);
   (*service)->StopMaintenance();
-  EXPECT_FALSE((*service)->maintenance_running());
 }
 
 TEST(MaintenanceSchedulerTest, SealsByWallClockWhileRecordsPend) {
@@ -123,7 +117,6 @@ TEST(MaintenanceSchedulerTest, SealsByWallClockWhileRecordsPend) {
   policy.seal_records = 0;  // Record cadence off: clock only.
   policy.seal_interval_seconds = 0.01;
   policy.drift_bound = -1.0;  // Seal-only maintenance.
-  policy.poll_interval_seconds = 0.002;
   auto service =
       FairIndexService::Create(grid, warmup, AutoOptions(4, 1, policy));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -144,7 +137,6 @@ TEST(MaintenanceSchedulerTest, ZeroDriftPassesNeverMutatePartition) {
   MaintenancePolicy policy;
   policy.seal_records = 100;
   policy.drift_bound = 0.01;
-  policy.poll_interval_seconds = 0.001;
   auto service =
       FairIndexService::Create(grid, warmup, AutoOptions(5, 2, policy));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -176,7 +168,6 @@ TEST(MaintenanceSchedulerTest, RefinesAndPublishesOnRealDrift) {
   MaintenancePolicy policy;
   policy.seal_records = 50;
   policy.drift_bound = 0.02;
-  policy.poll_interval_seconds = 0.001;
   auto service =
       FairIndexService::Create(grid, warmup, AutoOptions(5, 2, policy));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -207,24 +198,71 @@ TEST(MaintenanceSchedulerTest, StartStopLifecycle) {
   FairIndexServiceOptions options;
   options.algorithm = "median_kd_tree";
   options.build.height = 3;
-  auto service = FairIndexService::Create(grid, warmup, options);
-  ASSERT_TRUE(service.ok());
-  EXPECT_FALSE((*service)->maintenance_running());
-  EXPECT_EQ((*service)->maintenance_stats().passes, 0);
+  auto manual = FairIndexService::Create(grid, warmup, options);
+  ASSERT_TRUE(manual.ok());
+  // Without auto_maintain there is nothing to stop and nothing counted.
+  (*manual)->StopMaintenance();
+  EXPECT_EQ((*manual)->maintenance_stats().passes, 0);
 
   MaintenancePolicy policy;
   policy.seal_records = 10;
-  policy.poll_interval_seconds = 0.001;
-  ASSERT_TRUE((*service)->StartMaintenance(policy).ok());
-  EXPECT_TRUE((*service)->maintenance_running());
-  // A second start while running must refuse rather than fork a second
-  // maintenance thread.
-  EXPECT_FALSE((*service)->StartMaintenance(policy).ok());
+  policy.drift_bound = -1.0;
+  options.auto_maintain = true;
+  options.maintain = policy;
+  auto service = FairIndexService::Create(grid, warmup, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->maintenance_stats().passes, 0);
+  ASSERT_TRUE((*service)->Ingest(RandomBatch(rng, grid, 20)).ok());
+  EXPECT_TRUE(WaitFor(
+      [&] { return (*service)->maintenance_stats().passes >= 1; }));
   (*service)->StopMaintenance();
   (*service)->StopMaintenance();  // Idempotent.
-  EXPECT_FALSE((*service)->maintenance_running());
+  // Stopped: the counters stay readable and nothing seals any more.
+  const long long passes = (*service)->maintenance_stats().passes;
+  EXPECT_GE(passes, 1);
+  const long long epoch = (*service)->store().epoch();
+  ASSERT_TRUE((*service)->Ingest(RandomBatch(rng, grid, 20)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ((*service)->store().epoch(), epoch);
+  EXPECT_EQ((*service)->maintenance_stats().passes, passes);
+}
+
+// A scheduler refuses a second Start while it runs, and a service has at
+// most one running host: a second scheduler over a service the first
+// one maintains must not start (it would fork a second maintenance
+// thread). Stop releases the service, and a stopped scheduler restarts.
+TEST(MaintenanceSchedulerTest, OneRunningHostPerService) {
+  const Grid grid = MakeGrid(8, 8);
+  Rng rng(9);
+  const AggregateBatch warmup = RandomBatch(rng, grid, 100);
+  MaintenancePolicy policy;
+  policy.seal_records = 10;
+  FairIndexServiceOptions options = AutoOptions(3, 1, policy);
+  options.auto_maintain = false;
+  auto service = FairIndexService::Create(grid, warmup, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  MaintenanceScheduler first({{service->get(), policy}});
+  MaintenanceScheduler second({{service->get(), policy}});
+  ASSERT_TRUE(first.Start().ok());
+  EXPECT_TRUE(first.running());
+  EXPECT_FALSE(first.Start().ok());
+  EXPECT_FALSE(second.Start().ok());
+  EXPECT_FALSE(second.running());
+  first.Stop();
+  first.Stop();  // Idempotent.
+  EXPECT_FALSE(first.running());
+  ASSERT_TRUE(second.Start().ok());
+  second.Stop();
   // Restart after a stop is allowed; the destructor joins the thread.
-  ASSERT_TRUE((*service)->StartMaintenance(policy).ok());
+  ASSERT_TRUE(first.Start().ok());
+
+  // A service with auto_maintain is already hosted by its own scheduler.
+  auto automatic =
+      FairIndexService::Create(grid, warmup, AutoOptions(3, 1, policy));
+  ASSERT_TRUE(automatic.ok()) << automatic.status().ToString();
+  MaintenanceScheduler intruder({{automatic->get(), policy}});
+  EXPECT_FALSE(intruder.Start().ok());
 }
 
 // Multi-writer stress with the background scheduler and readers running —
@@ -239,7 +277,6 @@ TEST(MaintenanceSchedulerTest, MultiWriterStressUnderBackgroundScheduler) {
   policy.seal_records = 60;
   policy.seal_interval_seconds = 0.005;
   policy.drift_bound = 0.02;
-  policy.poll_interval_seconds = 0.001;
   auto service =
       FairIndexService::Create(grid, warmup, AutoOptions(5, 4, policy));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -310,14 +347,13 @@ TEST(MaintenanceSchedulerTest, LongStreamKeepsSnapshotHistoryBounded) {
   MaintenancePolicy policy;
   policy.seal_records = 1;    // Every tick with pending records seals.
   policy.drift_bound = -1.0;  // Seal-only: epochs advance fast.
-  policy.poll_interval_seconds = 0.001;
   policy.retain_epochs = 3;
   FairIndexServiceOptions options = AutoOptions(4, 2, policy);
   options.auto_maintain = false;  // Drive ticks deterministically.
   auto service = FairIndexService::Create(grid, warmup, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
-  MaintenanceScheduler scheduler(service->get(), policy);
+  MaintenanceScheduler scheduler({{service->get(), policy}});
   for (int b = 0; b < 20; ++b) {
     ASSERT_TRUE((*service)->Ingest(RandomBatch(rng, grid, 15)).ok());
     ASSERT_TRUE(scheduler.TickNow());
@@ -327,7 +363,7 @@ TEST(MaintenanceSchedulerTest, LongStreamKeepsSnapshotHistoryBounded) {
   }
   EXPECT_EQ((*service)->store().epoch(), 20);
   EXPECT_EQ((*service)->store().history_size(), 3);
-  EXPECT_EQ(scheduler.stats().epochs_retired,
+  EXPECT_EQ(scheduler.stats(service->get()).epochs_retired,
             (*service)->store().epoch() + 1 - 3);
 }
 

@@ -338,7 +338,6 @@ TEST(PointLookupServiceTest, ConcurrentLookupsUnderLiveMaintenance) {
     FairIndexServiceOptions options = ServiceOptions(6, shards);
     options.auto_maintain = true;
     options.maintain.seal_records = 100;
-    options.maintain.poll_interval_seconds = 0.0005;
 
     auto service = FairIndexService::Create(grid, stream.warmup, options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();

@@ -9,6 +9,7 @@
 // degrades only that tenant while the others recover byte-identically.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -43,6 +44,18 @@ AggregateBatch RandomRecords(Rng& rng, const Grid& grid, int n) {
                  rng.Bernoulli(0.5) ? 1 : 0, rng.NextDouble());
   }
   return batch;
+}
+
+// Polls `done` until it returns true or ~10s pass (generous: the TSan
+// lane runs these suites an order of magnitude slower).
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return done();
 }
 
 std::string FreshDir(const std::string& name) {
@@ -161,7 +174,7 @@ ServiceState RunIsolatedReference(const TenantFixture& fixture,
   auto service =
       FairIndexService::Create(fixture.grid, fixture.warmup, options);
   EXPECT_TRUE(service.ok()) << service.status();
-  MaintenanceScheduler scheduler((*service).get(), options.maintain);
+  MaintenanceScheduler scheduler({{service->get(), options.maintain}});
   for (const AggregateBatch& batch : fixture.batches) {
     EXPECT_TRUE((*service)->Ingest(batch).ok());
     scheduler.TickNow();
@@ -504,6 +517,33 @@ TEST(TenantRegistryTest, OneTickServesEveryTenant) {
   }
 }
 
+// The shared scheduler has no poll: with record-count cadences only, a
+// pass comes only because an ingest woke it. Ingesting straight through
+// a tenant's service, bypassing TenantRegistry::Ingest, must wake it
+// just the same.
+TEST(TenantRegistryTest, DirectTenantIngestWakesSharedScheduler) {
+  std::vector<TenantFixture> fixtures = MakeFixtures(1, 17);
+  for (TenantFixture& fixture : fixtures) {
+    fixture.options.maintain.seal_records = 1;
+    fixture.options.maintain.seal_interval_seconds = 0.0;
+    fixture.options.maintain.drift_bound = -1.0;
+  }
+  auto registry =
+      TenantRegistry::Create(MakeSpecs(fixtures), TenantRegistryOptions{});
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  ASSERT_TRUE((*registry)->StartMaintenance().ok());
+  for (const TenantFixture& fixture : fixtures) {
+    auto service = (*registry)->tenant(fixture.name);
+    ASSERT_TRUE(service.ok()) << service.status();
+    ASSERT_TRUE((*service)->Ingest(fixture.batches[0]).ok());
+    EXPECT_TRUE(WaitFor([&] {
+      return (*registry)->maintenance_stats(fixture.name).passes >= 1;
+    })) << fixture.name;
+    EXPECT_EQ((*service)->store().pending_records(), 0) << fixture.name;
+  }
+  (*registry)->StopMaintenance();
+}
+
 // TSan stress: per-tenant writers and readers racing the live shared
 // scheduler. Correctness here is "no data race, no lost records";
 // ordering is covered by the differentials above.
@@ -511,7 +551,6 @@ TEST(TenantRegistryStressTest, ConcurrentTenantsWithSharedScheduler) {
   std::vector<TenantFixture> fixtures = MakeFixtures(2, 4242);
   for (TenantFixture& fixture : fixtures) {
     fixture.options.maintain.seal_records = 5;
-    fixture.options.maintain.poll_interval_seconds = 0.001;
   }
   auto registry =
       TenantRegistry::Create(MakeSpecs(fixtures), TenantRegistryOptions{});

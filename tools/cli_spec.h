@@ -55,7 +55,7 @@ inline constexpr CliFlagSpec kCliFlags[] = {
     {"wkt", "export", "FILE", "also write region polygons as WKT"},
     {"top", "disparity", "K", "zip codes per table side (default 10)"},
     // Streaming / serving.
-    {"seed", "stream", "N", "train/test split seed (default 20240601)"},
+    {"seed", "stream", "SEED", "train/test split seed (default 20240601)"},
     {"batch", "stream", "N", "records per ingest batch (default 200)"},
     {"warmup-pct", "stream", "P",
      "warmup prefix percent that builds the initial partition (default 50)"},

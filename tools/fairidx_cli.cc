@@ -88,9 +88,10 @@ namespace {
 // ----- Flag parsing -------------------------------------------------
 
 // Numeric flags are typed by their cli_spec.h value hint (N, K and P
-// take an integer, B and S a real number) and parsed with the scenario
-// parser's ParseInt/ParseDouble, so `--height banana` or `--batch 2x`
-// fails instead of silently becoming 0 or 2.
+// take an integer, B and S a real number, SEED a seed) and parsed with
+// the scenario parser's ParseInt/ParseDouble/ParseSeed, so `--height
+// banana`, `--batch 2x` or `--seed -1` fails instead of silently becoming
+// 0, 2 or a wrapped seed.
 Status CheckFlagValue(const std::string& name, const std::string& value) {
   for (const CliFlagSpec& spec : kCliFlags) {
     if (name != spec.name) continue;
@@ -100,6 +101,8 @@ Status CheckFlagValue(const std::string& name, const std::string& value) {
       status = ParseInt(value).status();
     } else if (hint == "B" || hint == "S") {
       status = ParseDouble(value).status();
+    } else if (hint == "SEED") {
+      status = ParseSeed(value).status();
     }
     if (!status.ok()) {
       return InvalidArgumentError("--" + name + ": " + status.message());
@@ -200,7 +203,7 @@ Result<ScenarioConfig> FlagScenario(const Flags& flags,
     config.algorithms = {algorithm};
   }
   config.heights = {flags.GetInt("height", 6)};
-  config.seeds = {static_cast<uint64_t>(flags.GetInt("seed", 20240601))};
+  config.seeds = {ParseSeed(flags.Get("seed", "20240601")).value()};
   config.task = flags.GetInt("task", 0);
   config.threads = flags.GetInt("threads", 1);
   config.stream_batch = flags.GetInt("batch", 200);
