@@ -20,7 +20,7 @@
 
 #include "geo/aggregate_kernels.h"
 #include "geo/grid_aggregates.h"
-#include "index/fair_kd_tree.h"
+#include "index/kd_tree.h"
 #include "index/kd_tree_maintainer.h"
 #include "index/partition.h"
 #include "index/quadtree_maintainer.h"
@@ -110,13 +110,13 @@ void FairKdTreeBuildVsHeight(benchmark::State& state,
                              SplitScanEngine engine) {
   const Dataset& city = BenchCity();
   const GridAggregates& aggregates = BenchCityAggregates();
-  FairKdTreeOptions options;
+  KdTreeOptions options;
   options.height = static_cast<int>(state.range(0));
   options.scan_engine = engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        OrDie(BuildFairKdTree(city.grid(), aggregates, options),
-              "BuildFairKdTree"));
+        OrDie(BuildKdTreePartition(city.grid(), aggregates, options),
+              "BuildKdTreePartition"));
   }
 }
 
@@ -237,21 +237,6 @@ BENCHMARK(BM_SplitScanVsGridSizeNaive)
     ->Arg(128)
     ->Arg(256)
     ->Complexity(benchmark::oN);
-
-// --- Pooled subtree-parallel construction (shared ThreadPool). ---
-void BM_FairKdTreeBuildThreads(benchmark::State& state) {
-  const Dataset& city = BenchCity();
-  const GridAggregates& aggregates = BenchCityAggregates();
-  FairKdTreeOptions options;
-  options.height = 10;
-  options.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        OrDie(BuildFairKdTree(city.grid(), aggregates, options),
-              "BuildFairKdTree"));
-  }
-}
-BENCHMARK(BM_FairKdTreeBuildThreads)->Arg(1)->Arg(2)->Arg(4);
 
 // --- Batched aggregate queries: region-fleet evaluation. ---
 // A fleet of random region rects on a production-scale grid (the prefix

@@ -2,17 +2,18 @@
 //
 //   1. ingest an EdGap-style CSV (here: a synthetic city exported to CSV,
 //      standing in for the analyst's real extract);
-//   2. auto-select the finest tree height within an ENCE budget;
-//   3. build the fair index, validate stability with cross-validation;
+//   2. sweep tree heights with RunPipeline and keep the finest one whose
+//      train ENCE stays within a budget;
+//   3. keep that height's fair index and report its held-out quality;
 //   4. persist the published district map (CSV + WKT) and look a point
 //      up in the reloaded map.
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 
-#include "core/cross_validation.h"
 #include "core/experiment_config.h"
-#include "core/height_selection.h"
 #include "core/pipeline.h"
 #include "data/csv_dataset.h"
 #include "data/edgap_synthetic.h"
@@ -59,36 +60,37 @@ int main() {
               dataset->has_zip_codes() ? "yes" : "no");
 
   // --- 2. Pick the finest height within an ENCE budget. -------------
+  // Each height is one RunPipeline; the last one within budget wins (ENCE
+  // falls with height in expectation, not monotonically).
   auto model = MakeClassifier(ClassifierKind::kLogisticRegression);
-  HeightSelectionOptions selection;
-  selection.max_height = 8;
-  selection.ence_budget = 0.05;
-  selection.pipeline.algorithm = PartitionAlgorithm::kFairKdTree;
-  auto selected = SelectHeight(*dataset, *model, selection);
-  if (!selected.ok()) return 1;
-  std::printf("\nheight sweep (budget: train ENCE <= %.2f):\n",
-              selection.ence_budget);
-  for (const HeightSweepPoint& point : selected->sweep) {
+  const double ence_budget = 0.05;
+  PipelineOptions options;
+  options.algorithm = PartitionAlgorithm::kFairKdTree;
+  std::optional<PipelineRunResult> run;
+  std::printf("\nheight sweep (budget: train ENCE <= %.2f):\n", ence_budget);
+  for (int height = 0; height <= 8; ++height) {
+    PipelineOptions point = options;
+    point.height = height;
+    auto result = RunPipeline(*dataset, *model, point);
+    if (!result.ok()) return 1;
+    const EvaluationResult& eval = result->final_model.eval;
+    const bool within = eval.train_ence <= ence_budget;
     std::printf("  h=%d regions=%3d train_ence=%.4f test_acc=%.3f%s\n",
-                point.height, point.num_regions, point.train_ence,
-                point.test_accuracy,
-                point.height == selected->selected_height ? "  <= selected"
-                                                          : "");
+                height, eval.num_neighborhoods, eval.train_ence,
+                eval.test_accuracy, within ? "  within budget" : "");
+    // Height 0 is the fallback when no height meets the budget.
+    if (within || height == 0) {
+      options.height = height;
+      run = std::move(*result);
+    }
   }
 
-  // --- 3. Build at the selected height; check stability. ------------
-  PipelineOptions options = selection.pipeline;
-  options.height = selected->selected_height;
-  auto run = RunPipeline(*dataset, *model, options);
-  if (!run.ok()) return 1;
-  auto cv = CrossValidatePipeline(*dataset, *model, options, 5);
-  if (!cv.ok()) return 1;
+  // --- 3. The fair index at the selected height. ---------------------
+  const EvaluationResult& eval = run->final_model.eval;
   std::printf(
-      "\nfair index at height %d: train ENCE %.4f; 5-fold test ENCE "
-      "%.4f +/- %.4f, test accuracy %.3f +/- %.3f\n",
-      options.height, run->final_model.eval.train_ence, cv->test_ence.mean,
-      cv->test_ence.stddev, cv->test_accuracy.mean,
-      cv->test_accuracy.stddev);
+      "\nfair index at height %d: train ENCE %.4f, test ENCE %.4f, "
+      "test accuracy %.3f\n",
+      options.height, eval.train_ence, eval.test_ence, eval.test_accuracy);
 
   // --- 4. Persist and query the published district map. -------------
   const std::string partition_path = "/tmp/fairidx_districts.csv";

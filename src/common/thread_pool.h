@@ -3,11 +3,13 @@
 //
 // A reusable fixed-size thread pool with structured fork-join groups.
 //
-// The sweep drivers (cross-validation, height selection) and the KD-tree
-// builders used to spawn std::async tasks per build; a height sweep at
-// num_threads=4 paid hundreds of thread create/join cycles per run. The
-// pool's workers are created once (see ThreadPool::Shared) and every
-// build, fold and sweep point submits into the same queue.
+// Spawning std::async tasks per call paid a thread create/join cycle for
+// every parallel step. The pool's workers are created once (see
+// ThreadPool::Shared), and every parallel path submits into the same queue:
+// the Iterative Fair KD-tree's per-level SplitAllRegions, the
+// multi-objective per-task fits, the logistic Newton pass, the aggregate
+// integrate kernels, the sharded store's seal folds and the scenario
+// runner's sweep points. Tree builds and Partition::FromRects are serial.
 //
 // Deadlock safety ("work-stealing-lite"): TaskGroup::Wait does not merely
 // block — while its own tasks are still queued it pops and executes them

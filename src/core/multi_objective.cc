@@ -150,7 +150,6 @@ Result<MultiObjectiveResult> BuildMultiObjectiveFairKdTree(
 
   KdTreeOptions tree_options;
   tree_options.height = options.height;
-  tree_options.num_threads = options.num_threads;
   tree_options.objective.kind =
       options.use_eq9_weighting ? SplitObjectiveKind::kResidualBalanceEq9
                                 : SplitObjectiveKind::kResidualBalanceEq13;

@@ -83,11 +83,12 @@ struct PipelineOptions {
   /// holds at least this many records (adjacent-region merging; see
   /// index/region_merging.h). Merging never increases ENCE (Theorem 2).
   double min_region_population = 0.0;
-  /// Threads for the partition-construction stage (task-parallel subtree
-  /// builds for the KD trees, chunked region splits for the iterative
-  /// tree); <= 1 builds sequentially. Model fits do not read it: a
-  /// logistic-regression fit always runs its per-row terms on the shared
-  /// pool. Every result is identical at any thread count.
+  /// Threads for the partition-construction stage (chunked region splits
+  /// for the iterative tree, per-task fits for the multi-objective tree);
+  /// the KD and quadtree builds are serial. The pipeline's own model fits
+  /// do not read it: a logistic-regression fit always runs its per-row
+  /// terms on the shared pool. Every result is identical at any thread
+  /// count.
   int num_threads = 1;
 };
 

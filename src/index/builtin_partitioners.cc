@@ -14,9 +14,7 @@
 #include <memory>
 #include <utility>
 
-#include "index/fair_kd_tree.h"
 #include "index/kd_tree_maintainer.h"
-#include "index/median_kd_tree.h"
 #include "index/partitioner.h"
 #include "index/quadtree.h"
 #include "index/quadtree_maintainer.h"
@@ -27,7 +25,7 @@ namespace fairidx {
 namespace {
 
 // Shared base for the two KD-tree adapters: translates the build options,
-// runs the (fast, task-parallel) unrecorded build — or the recorded one
+// runs the plain build — or the maintainer's, which keeps the split tree,
 // when refine is requested — and keeps the maintainer for Refine.
 class KdTreeAdapterBase : public Partitioner {
  public:
@@ -125,12 +123,11 @@ class MedianKdTreePartitioner : public KdTreeAdapterBase {
   }
   KdTreeOptions TreeOptions(
       const PartitionerBuildOptions& options) const override {
-    // Mirrors BuildMedianKdTree: count-balancing objective, defaults
+    // The paper's median baseline: count-balancing objective, defaults
     // elsewhere.
     KdTreeOptions tree_options;
     tree_options.height = options.height;
     tree_options.objective.kind = SplitObjectiveKind::kMedianCount;
-    tree_options.num_threads = options.num_threads;
     return tree_options;
   }
 };
@@ -152,14 +149,12 @@ class FairKdTreePartitioner : public KdTreeAdapterBase {
   }
   KdTreeOptions TreeOptions(
       const PartitionerBuildOptions& options) const override {
-    // Mirrors BuildFairKdTree's FairKdTreeOptions -> KdTreeOptions map.
     KdTreeOptions tree_options;
     tree_options.height = options.height;
     tree_options.objective = options.split_objective;
     tree_options.axis_policy = options.axis_policy;
     tree_options.early_stop_weighted_miscalibration =
         options.split_early_stop;
-    tree_options.num_threads = options.num_threads;
     return tree_options;
   }
 };
@@ -216,7 +211,6 @@ class FairQuadtreePartitioner : public Partitioner {
                              context.ScoredAggregates());
     FairQuadtreeOptions quad_options;
     quad_options.target_regions = context.target_regions();
-    quad_options.num_threads = context.options().num_threads;
     PartitionerOutput out;
     if (context.options().enable_refine) {
       FAIRIDX_ASSIGN_OR_RETURN(
@@ -248,7 +242,6 @@ class FairQuadtreePartitioner : public Partitioner {
     }
     FairQuadtreeOptions quad_options;
     quad_options.target_regions = 1 << std::min(options.height, 30);
-    quad_options.num_threads = options.num_threads;
     FAIRIDX_ASSIGN_OR_RETURN(
         QuadTreeMaintainer maintainer,
         QuadTreeMaintainer::Build(grid, aggregates, quad_options));
@@ -283,7 +276,6 @@ class FairQuadtreePartitioner : public Partitioner {
     }
     FairQuadtreeOptions quad_options;
     quad_options.target_regions = 1 << std::min(options.height, 30);
-    quad_options.num_threads = options.num_threads;
     FAIRIDX_ASSIGN_OR_RETURN(
         QuadTreeMaintainer maintainer,
         QuadTreeMaintainer::Restore(grid, quad_options, blob));

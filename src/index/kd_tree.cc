@@ -241,8 +241,9 @@ KdSplit FindBestSplitAnyAxis(const GridAggregates& aggregates,
 namespace {
 
 // Decides whether the node `rect` with `remaining_height` splits (filling
-// `*split`) or becomes a leaf. Shared by the sequential and task-parallel
-// recursions so both take byte-identical decisions.
+// `*split`) or becomes a leaf. The one home of the split rule: the full
+// build, the maintainer's subtree re-splits and hence every KD partition
+// go through it.
 bool SplitNode(const GridAggregates& aggregates, const CellRect& rect,
                int remaining_height, const KdTreeOptions& options,
                KdSplit* split, long long* num_scans) {
@@ -263,81 +264,10 @@ bool SplitNode(const GridAggregates& aggregates, const CellRect& rect,
   return split->valid;
 }
 
-// DFS recursion of Algorithm 1. `remaining_height` is th; under the
-// alternating policy, axis = th mod 2.
-void BuildSequential(const GridAggregates& aggregates, const CellRect& rect,
-                     int remaining_height, const KdTreeOptions& options,
-                     std::vector<CellRect>* leaves, long long* num_scans) {
-  KdSplit split;
-  if (!SplitNode(aggregates, rect, remaining_height, options, &split,
-                 num_scans)) {
-    leaves->push_back(rect);
-    return;
-  }
-  BuildSequential(aggregates, split.left, remaining_height - 1, options,
-                  leaves, num_scans);
-  BuildSequential(aggregates, split.right, remaining_height - 1, options,
-                  leaves, num_scans);
-}
-
-struct SubtreeBuild {
-  std::vector<CellRect> leaves;
-  long long num_scans = 0;
-};
-
-// Task-parallel variant: the top `spawn_levels` levels hand their right
-// subtree to the shared pool and build the left inline. Leaves concatenate
-// left-before-right at every node, so the final order — and therefore the
-// partition — matches the sequential DFS exactly. TaskGroup::Wait helps
-// execute queued subtree tasks, so nested waits cannot starve even when
-// every pool worker is busy.
-SubtreeBuild BuildParallel(const GridAggregates& aggregates,
-                           const CellRect& rect, int remaining_height,
-                           int spawn_levels, const KdTreeOptions& options) {
-  SubtreeBuild out;
-  if (spawn_levels <= 0) {
-    BuildSequential(aggregates, rect, remaining_height, options, &out.leaves,
-                    &out.num_scans);
-    return out;
-  }
-  KdSplit split;
-  if (!SplitNode(aggregates, rect, remaining_height, options, &split,
-                 &out.num_scans)) {
-    out.leaves.push_back(rect);
-    return out;
-  }
-  SubtreeBuild right;
-  ThreadPool::TaskGroup group(&ThreadPool::Shared());
-  group.Spawn([&aggregates, &options, &split, &right, remaining_height,
-               spawn_levels] {
-    right = BuildParallel(aggregates, split.right, remaining_height - 1,
-                          spawn_levels - 1, options);
-  });
-  SubtreeBuild left = BuildParallel(aggregates, split.left,
-                                    remaining_height - 1, spawn_levels - 1,
-                                    options);
-  group.Wait();
-  out.leaves = std::move(left.leaves);
-  out.leaves.insert(out.leaves.end(), right.leaves.begin(),
-                    right.leaves.end());
-  out.num_scans += left.num_scans + right.num_scans;
-  return out;
-}
-
-// Number of levels that spawn a task. Rounding DOWN keeps the concurrent
-// subtree count (2^levels) within the num_threads budget rather than
-// oversubscribing non-power-of-two requests.
-int SpawnLevels(int num_threads, int height) {
-  if (num_threads <= 1) return 0;
-  int levels = 0;
-  // Cap below 30 so the shift can never overflow int for huge requests.
-  while (levels < 30 && (1 << (levels + 1)) <= num_threads) ++levels;
-  return levels < height ? levels : height;
-}
-
-// Recording variant of BuildSequential: identical SplitNode decisions,
-// plus a preorder KdTreeNode trail. Children are appended directly after
-// their parent (left subtree first), matching the DFS leaf order.
+// DFS recursion of Algorithm 1, recording a preorder KdTreeNode trail.
+// `remaining_height` is th; under the alternating policy, axis = th mod 2.
+// Children are appended directly after their parent (left subtree first),
+// matching the DFS leaf order.
 void BuildRecorded(const GridAggregates& aggregates, const CellRect& rect,
                    int remaining_height, const KdTreeOptions& options,
                    KdSubtreeRecording* out) {
@@ -366,16 +296,15 @@ Result<KdTreeResult> BuildKdTreePartition(const Grid& grid,
   if (aggregates.rows() != grid.rows() || aggregates.cols() != grid.cols()) {
     return InvalidArgumentError("KD tree: aggregates/grid shape mismatch");
   }
+  KdSubtreeRecording recording;
+  BuildRecorded(aggregates, grid.FullRect(), options.height, options,
+                &recording);
   KdTreeResult out;
-  SubtreeBuild build =
-      BuildParallel(aggregates, grid.FullRect(), options.height,
-                    SpawnLevels(options.num_threads, options.height),
-                    options);
-  out.num_split_scans = build.num_scans;
+  out.num_split_scans = recording.num_split_scans;
   FAIRIDX_ASSIGN_OR_RETURN(Partition partition,
-                           Partition::FromRects(grid, build.leaves));
+                           Partition::FromRects(grid, recording.leaves));
   out.result.partition = std::move(partition);
-  out.result.regions = std::move(build.leaves);
+  out.result.regions = std::move(recording.leaves);
   return out;
 }
 
@@ -391,26 +320,6 @@ Result<KdSubtreeRecording> BuildRecordedKdSubtree(
   }
   KdSubtreeRecording out;
   BuildRecorded(aggregates, rect, remaining_height, options, &out);
-  return out;
-}
-
-Result<KdTreeResult> BuildKdTreePartitionRecorded(
-    const Grid& grid, const GridAggregates& aggregates,
-    const KdTreeOptions& options, std::vector<KdTreeNode>* nodes) {
-  if (aggregates.rows() != grid.rows() || aggregates.cols() != grid.cols()) {
-    return InvalidArgumentError("KD tree: aggregates/grid shape mismatch");
-  }
-  FAIRIDX_ASSIGN_OR_RETURN(
-      KdSubtreeRecording recording,
-      BuildRecordedKdSubtree(aggregates, grid.FullRect(), options.height,
-                             options));
-  KdTreeResult out;
-  out.num_split_scans = recording.num_split_scans;
-  FAIRIDX_ASSIGN_OR_RETURN(Partition partition,
-                           Partition::FromRects(grid, recording.leaves));
-  out.result.partition = std::move(partition);
-  out.result.regions = std::move(recording.leaves);
-  if (nodes != nullptr) *nodes = std::move(recording.nodes);
   return out;
 }
 

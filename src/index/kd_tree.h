@@ -1,11 +1,20 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
+// The paper's primary contribution: the Fair KD-tree (Algorithm 1). Given
+// confidence scores from an initial classifier run over the base grid, the
+// tree recursively splits the map minimising the fairness objective (Eq. 9),
+// so the resulting neighborhoods balance miscalibration. The same recursion
+// with the kMedianCount objective is the paper's Median KD-tree baseline
+// (each node split at the data median). This module is the
+// index-construction half; the end-to-end pipeline (initial training,
+// re-districting, retraining) lives in core/pipeline.h.
+//
 // Shared KD machinery over the base grid: the SplitNeighborhood candidate
-// scan (Algorithm 2) and the DFS tree recursion used by both the median
-// baseline and the Fair KD-tree (Algorithm 1). Axis convention: axis 0
-// splits rows (a horizontal cut, grouping rows), axis 1 splits columns
-// (a vertical cut) — Algorithm 2's "transpose" case.
+// scan (Algorithm 2) and the one serial DFS recursion (Algorithm 1) behind
+// every KD build. Axis convention: axis 0 splits rows (a horizontal cut,
+// grouping rows), axis 1 splits columns (a vertical cut) — Algorithm 2's
+// "transpose" case.
 //
 // The split scan is implemented twice: the fused incremental sweep (the
 // default hot path, built on GridAggregates::SplitSweep with per-objective
@@ -91,6 +100,8 @@ enum class SplitScanEngine {
 struct KdTreeOptions {
   /// Tree height th: up to 2^th leaves.
   int height = 6;
+  /// Eq. 9 by default (the Fair KD-tree); kMedianCount gives the median
+  /// baseline, and the other kinds drive the ablation study.
   SplitObjectiveOptions objective;
   AxisPolicy axis_policy = AxisPolicy::kAlternate;
   /// If >= 0, a node whose summed per-cell |miscalibration| (see
@@ -103,13 +114,6 @@ struct KdTreeOptions {
   double early_stop_weighted_miscalibration = -1.0;
   /// Split-scan implementation; leave at kFused outside tests/benches.
   SplitScanEngine scan_engine = SplitScanEngine::kFused;
-  /// Subtree-parallel construction: the top floor(log2(num_threads)) levels
-  /// build their right child on the shared thread pool
-  /// (common/thread_pool.h). <= 1 is fully sequential.
-  /// The leaf order (and hence the partition) is identical at any thread
-  /// count: each node concatenates its left subtree's leaves before its
-  /// right subtree's, exactly like the sequential DFS.
-  int num_threads = 1;
 };
 
 /// A built KD partition: leaves in DFS order plus the induced Partition.
@@ -146,30 +150,21 @@ struct KdSubtreeRecording {
 /// Algorithm 1's recursion: DFS-splits the full grid to `options.height`
 /// levels. The axis at a node with remaining height th is th mod 2. Nodes
 /// that cannot be split on either axis become leaves early, so the leaf
-/// count is min(2^height, what the grid permits).
+/// count is min(2^height, what the grid permits). Serial: a build takes
+/// milliseconds, far less than the model fits around it.
 Result<KdTreeResult> BuildKdTreePartition(const Grid& grid,
                                           const GridAggregates& aggregates,
                                           const KdTreeOptions& options);
 
-/// Sequential recorded build of the subtree rooted at `rect` with
-/// `remaining_height` levels. Split decisions are shared with
-/// BuildKdTreePartition, so the leaf list is bit-identical to what the
-/// (sequential or task-parallel) unrecorded build produces for the same
-/// rect; additionally the full split tree comes back in preorder, which is
-/// what incremental maintenance (index/kd_tree_maintainer.h) walks.
-/// `options.height` is ignored in favour of `remaining_height`;
-/// `options.num_threads` is ignored (the recording recursion is
-/// sequential — the partition does not depend on thread count).
+/// Recorded build of the subtree rooted at `rect` with `remaining_height`
+/// levels. It runs the same recursion as BuildKdTreePartition, so from
+/// grid.FullRect() the leaf list is bit-identical to that build's regions;
+/// additionally the full split tree comes back in preorder, which is what
+/// incremental maintenance (index/kd_tree_maintainer.h) walks.
+/// `options.height` is ignored in favour of `remaining_height`.
 Result<KdSubtreeRecording> BuildRecordedKdSubtree(
     const GridAggregates& aggregates, const CellRect& rect,
     int remaining_height, const KdTreeOptions& options);
-
-/// BuildKdTreePartition plus the recorded split tree (preorder into
-/// `*nodes`). The partition is bit-identical to BuildKdTreePartition at
-/// any `options.num_threads`.
-Result<KdTreeResult> BuildKdTreePartitionRecorded(
-    const Grid& grid, const GridAggregates& aggregates,
-    const KdTreeOptions& options, std::vector<KdTreeNode>* nodes);
 
 /// One BFS level expansion used by the Iterative Fair KD-tree (Algorithm 3):
 /// splits every region in `regions` along `axis`, returning the refined

@@ -39,8 +39,7 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Build(
   out.tree_.num_split_scans = recording.num_split_scans;
   FAIRIDX_ASSIGN_OR_RETURN(
       Partition partition,
-      Partition::FromRects(grid, out.tree_.result.regions,
-                           std::max(1, options.num_threads)));
+      Partition::FromRects(grid, out.tree_.result.regions));
   out.tree_.result.partition = std::move(partition);
   return out;
 }
@@ -482,8 +481,7 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
     // saved map bit for bit (and validates coverage in the process).
     FAIRIDX_ASSIGN_OR_RETURN(
         maintainer.tree_.result.partition,
-        Partition::FromRects(grid, maintainer.tree_.result.regions,
-                             std::max(1, options.num_threads)));
+        Partition::FromRects(grid, maintainer.tree_.result.regions));
   } else {
     FAIRIDX_ASSIGN_OR_RETURN(const std::string partition_bytes,
                              in.ReadString());

@@ -1,10 +1,7 @@
 #include "index/partition.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-
-#include "common/thread_pool.h"
 
 namespace fairidx {
 
@@ -62,11 +59,9 @@ Result<Partition> Partition::FromCellMapExact(
 }
 
 Result<Partition> Partition::FromRects(const Grid& grid,
-                                       const std::vector<CellRect>& rects,
-                                       int num_threads) {
+                                       const std::vector<CellRect>& rects) {
   if (rects.empty()) return InvalidArgumentError("Partition: no rects");
-  // Out-of-grid rects fail before any memory is touched, in rect order, so
-  // the diagnostic names the same rect at every thread count.
+  // Out-of-grid rects fail before any memory is touched, in rect order.
   for (const CellRect& rect : rects) {
     if (rect.row_begin < 0 || rect.col_begin < 0 ||
         rect.row_end > grid.rows() || rect.col_end > grid.cols()) {
@@ -75,72 +70,27 @@ Result<Partition> Partition::FromRects(const Grid& grid,
     }
   }
 
-  int threads = num_threads;
-  if (threads == 0) {
-    // Auto: same heuristic as internal::IntegratePrefix — engage the
-    // shared pool only when it has workers and the grid is big enough for
-    // the fill to dominate the task bookkeeping.
-    ThreadPool& pool = ThreadPool::Shared();
-    const bool big =
-        static_cast<long long>(grid.num_cells()) >= 256LL * 256LL;
-    threads = (pool.num_workers() > 0 && big) ? pool.num_workers() + 1 : 1;
-  }
-
   // Hot path: blind row-segment fills plus area accounting. A fill may
   // silently overwrite an overlap, but then the areas cannot add up to a
   // gap-free grid: total area = coverage + double-writes, so (area ==
   // num_cells && no -1 left) implies a true partition. Anything else drops
   // to the diagnostic re-scan below.
-  //
-  // The parallel fill cuts the grid into horizontal row bands; every band
-  // task walks the full rect list and fills only its band's intersection.
-  // Writes are band-disjoint by construction (even on invalid overlapping
-  // input, so no data race precedes the cold-path rejection), within a
-  // band the rect order matches the serial loop, and the per-band filled
-  // areas sum to the serial total — so the hot path's accept/reject
-  // decision and the accepted cell map are bit-identical at any thread
-  // count.
   std::vector<int> cell_to_region(static_cast<size_t>(grid.num_cells()), -1);
-  const int bands =
-      std::max(1, std::min(threads, grid.rows()));
-  std::atomic<long long> filled_area{0};
-  std::atomic<bool> has_gap{false};
-  ThreadPool::Shared().ParallelFor(
-      static_cast<size_t>(bands), bands, [&](size_t b) {
-        const int band_begin =
-            static_cast<int>(static_cast<long long>(grid.rows()) * b / bands);
-        const int band_end = static_cast<int>(
-            static_cast<long long>(grid.rows()) * (b + 1) / bands);
-        long long band_area = 0;
-        for (size_t i = 0; i < rects.size(); ++i) {
-          const CellRect& rect = rects[i];
-          // Empty/inverted rects must not reach std::fill (first > last is
-          // UB); they contribute no area, so the gap diagnostics below
-          // still fire.
-          if (rect.empty()) continue;
-          const int row_lo = std::max(rect.row_begin, band_begin);
-          const int row_hi = std::min(rect.row_end, band_end);
-          for (int r = row_lo; r < row_hi; ++r) {
-            int* row_begin =
-                cell_to_region.data() + grid.CellId(r, rect.col_begin);
-            std::fill(row_begin, row_begin + rect.num_cols(),
-                      static_cast<int>(i));
-          }
-          if (row_hi > row_lo) {
-            band_area +=
-                static_cast<long long>(row_hi - row_lo) * rect.num_cols();
-          }
-        }
-        filled_area.fetch_add(band_area, std::memory_order_relaxed);
-        const int* begin =
-            cell_to_region.data() + grid.CellId(band_begin, 0);
-        const int* end = cell_to_region.data() + grid.CellId(band_end, 0);
-        if (std::find(begin, end, -1) != end) {
-          has_gap.store(true, std::memory_order_relaxed);
-        }
-      });
-  if (filled_area.load(std::memory_order_relaxed) == grid.num_cells() &&
-      !has_gap.load(std::memory_order_relaxed)) {
+  long long filled_area = 0;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    const CellRect& rect = rects[i];
+    // Empty/inverted rects must not reach std::fill (first > last is UB);
+    // they contribute no area, so the gap diagnostics below still fire.
+    if (rect.empty()) continue;
+    for (int r = rect.row_begin; r < rect.row_end; ++r) {
+      int* row_begin = cell_to_region.data() + grid.CellId(r, rect.col_begin);
+      std::fill(row_begin, row_begin + rect.num_cols(), static_cast<int>(i));
+    }
+    filled_area += rect.num_cells();
+  }
+  if (filled_area == grid.num_cells() &&
+      std::find(cell_to_region.begin(), cell_to_region.end(), -1) ==
+          cell_to_region.end()) {
     return Partition(std::move(cell_to_region),
                      static_cast<int>(rects.size()));
   }

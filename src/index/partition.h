@@ -37,16 +37,8 @@ class Partition {
   /// Builds from disjoint rectangles that exactly cover `grid`. Region i is
   /// rects[i]. Fails on overlap or gaps, with a one-line diagnostic naming
   /// the first offending cell (or the out-of-grid rect).
-  ///
-  /// `num_threads` parallelizes the cell-map fill across horizontal row
-  /// bands on the shared ThreadPool (0 = auto: engage the pool when it has
-  /// workers and the grid is >= 256x256 cells; 1 = serial; N = that many
-  /// lanes). Band writes are disjoint by construction — even on invalid
-  /// overlapping input — and the output is bit-identical to the serial
-  /// fill at any thread count.
   static Result<Partition> FromRects(const Grid& grid,
-                                     const std::vector<CellRect>& rects,
-                                     int num_threads = 1);
+                                     const std::vector<CellRect>& rects);
 
   /// One entry of a cell-map patch: every cell of `rect` becomes `region`.
   struct RectAssignment {

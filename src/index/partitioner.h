@@ -76,10 +76,14 @@ struct PartitionerBuildOptions {
   /// Multi-objective settings (used only by that partitioner).
   std::vector<double> multi_objective_alphas;
   bool multi_objective_eq9_weighting = false;
+  /// Caps the shared-pool parallelism of the model-training partitioners:
+  /// the Iterative Fair KD-tree's SplitAllRegions and the multi-objective
+  /// per-task fits. Tree builds are serial; every partition is identical
+  /// at any value.
   int num_threads = 1;
   /// Record the split tree during Build so Refine works afterwards. Off by
-  /// default: recording forces the sequential build path for the tree
-  /// partitioners (the partition itself is identical either way).
+  /// default: when on, the tree partitioners also keep a maintainer (the
+  /// partition itself is identical either way).
   bool enable_refine = false;
 };
 

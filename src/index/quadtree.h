@@ -32,11 +32,6 @@ struct FairQuadtreeOptions {
   int target_regions = 64;
   /// Regions with fewer records than this are not refined further.
   double min_region_count = 1.0;
-  /// Parallelism for the cell-map fill when a build (or maintainer
-  /// restore) materializes the Partition from the finished leaves — see
-  /// Partition::FromRects. The greedy growth itself is sequential and the
-  /// partition is bit-identical at any value. <= 1 is serial.
-  int num_threads = 1;
 };
 
 /// One node of a recorded quadtree growth, stored in creation (frontier

@@ -77,8 +77,7 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Build(
   out.leaf_nodes_ = AppendRecording(recording, aggregates, &out.nodes_);
   FAIRIDX_ASSIGN_OR_RETURN(
       Partition partition,
-      Partition::FromRects(grid, recording.leaves,
-                           std::max(1, options.num_threads)));
+      Partition::FromRects(grid, recording.leaves));
   out.partition_.partition = std::move(partition);
   out.partition_.regions = std::move(recording.leaves);
   return out;
@@ -505,8 +504,7 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
     // bit for bit, validating coverage in the process.
     FAIRIDX_ASSIGN_OR_RETURN(
         maintainer.partition_.partition,
-        Partition::FromRects(grid, maintainer.partition_.regions,
-                             std::max(1, options.num_threads)));
+        Partition::FromRects(grid, maintainer.partition_.regions));
   } else {
     FAIRIDX_ASSIGN_OR_RETURN(const std::string partition_bytes,
                              in.ReadString());

@@ -1,15 +1,13 @@
 // Tests for the Fair KD-tree (Algorithm 1) and the median baseline,
 // including the fairness-balancing behaviour of Eq. 9.
 
-#include "index/fair_kd_tree.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
 #include "fairness/ence.h"
-#include "index/median_kd_tree.h"
+#include "index/kd_tree.h"
 
 namespace fairidx {
 namespace {
@@ -46,13 +44,28 @@ CornerBias MakeCornerBias(const Grid& grid, int per_cell = 2) {
   return data;
 }
 
+GridAggregates MakeAggregates(const Grid& grid, const CornerBias& data) {
+  return GridAggregates::Build(grid, data.cells, data.labels, data.scores)
+      .value();
+}
+
+// The paper's median baseline: the KD recursion with the count objective.
+Result<KdTreeResult> BuildMedian(const Grid& grid,
+                                 const GridAggregates& aggregates,
+                                 int height) {
+  KdTreeOptions options;
+  options.height = height;
+  options.objective.kind = SplitObjectiveKind::kMedianCount;
+  return BuildKdTreePartition(grid, aggregates, options);
+}
+
 TEST(FairKdTreeTest, BuildsRequestedLeafCount) {
   const Grid grid = MakeGrid(16, 16);
   const CornerBias data = MakeCornerBias(grid);
-  FairKdTreeOptions options;
+  KdTreeOptions options;
   options.height = 4;
   const auto tree =
-      BuildFairKdTree(grid, data.cells, data.labels, data.scores, options);
+      BuildKdTreePartition(grid, MakeAggregates(grid, data), options);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->result.partition.num_regions(), 16);
 }
@@ -84,11 +97,11 @@ TEST(FairKdTreeTest, LowersEnceVersusMedianOnBiasedData) {
       GridAggregates::Build(grid, data.cells, data.labels, data.scores)
           .value();
 
-  FairKdTreeOptions fair_options;
+  KdTreeOptions fair_options;
   fair_options.height = 3;
-  const auto fair = BuildFairKdTree(grid, agg, fair_options);
+  const auto fair = BuildKdTreePartition(grid, agg, fair_options);
   ASSERT_TRUE(fair.ok());
-  const auto median = BuildMedianKdTree(grid, agg, 3);
+  const auto median = BuildMedian(grid, agg, 3);
   ASSERT_TRUE(median.ok());
 
   auto ence_of = [&](const Partition& partition) {
@@ -102,21 +115,21 @@ TEST(FairKdTreeTest, LowersEnceVersusMedianOnBiasedData) {
             ence_of(median->result.partition) + 1e-12);
 }
 
-TEST(FairKdTreeTest, ConvenienceOverloadMatchesAggregatesPath) {
+TEST(FairKdTreeTest, DefaultOptionsBuildTheEq9Tree) {
+  // Default KdTreeOptions are the Fair KD-tree: Eq. 9, no compactness term.
   const Grid grid = MakeGrid(8, 8);
-  const CornerBias data = MakeCornerBias(grid);
-  FairKdTreeOptions options;
-  options.height = 3;
-  const auto direct =
-      BuildFairKdTree(grid, data.cells, data.labels, data.scores, options);
-  const GridAggregates agg =
-      GridAggregates::Build(grid, data.cells, data.labels, data.scores)
-          .value();
-  const auto via_agg = BuildFairKdTree(grid, agg, options);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_agg.ok());
-  EXPECT_EQ(direct->result.partition.cell_to_region(),
-            via_agg->result.partition.cell_to_region());
+  const GridAggregates agg = MakeAggregates(grid, MakeCornerBias(grid));
+  KdTreeOptions defaults;
+  defaults.height = 3;
+  KdTreeOptions eq9 = defaults;
+  eq9.objective = SplitObjectiveOptions{SplitObjectiveKind::kPaperEq9, 0.0};
+  const auto by_default = BuildKdTreePartition(grid, agg, defaults);
+  const auto explicit_eq9 = BuildKdTreePartition(grid, agg, eq9);
+  ASSERT_TRUE(by_default.ok());
+  ASSERT_TRUE(explicit_eq9.ok());
+  EXPECT_EQ(by_default->result.regions, explicit_eq9->result.regions);
+  EXPECT_EQ(by_default->result.partition.cell_to_region(),
+            explicit_eq9->result.partition.cell_to_region());
 }
 
 TEST(MedianKdTreeTest, SplitsBalanceRecordCounts) {
@@ -139,7 +152,7 @@ TEST(MedianKdTreeTest, SplitsBalanceRecordCounts) {
   }
   const GridAggregates agg =
       GridAggregates::Build(grid, cells, labels, scores).value();
-  const auto tree = BuildMedianKdTree(grid, agg, 1);
+  const auto tree = BuildMedian(grid, agg, 1);
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ(tree->result.regions.size(), 2u);
   // Count records per leaf.
@@ -158,7 +171,7 @@ TEST(MedianKdTreeTest, FullHeightLeafCount) {
   const GridAggregates agg =
       GridAggregates::Build(grid, data.cells, data.labels, data.scores)
           .value();
-  const auto tree = BuildMedianKdTree(grid, agg, 4);
+  const auto tree = BuildMedian(grid, agg, 4);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->result.partition.num_regions(), 16);
 }

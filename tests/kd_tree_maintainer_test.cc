@@ -52,25 +52,19 @@ TEST(RecordedKdBuildTest, MatchesUnrecordedBuildAcrossConfigs) {
   for (int height : {0, 1, 4, 7}) {
     for (AxisPolicy policy :
          {AxisPolicy::kAlternate, AxisPolicy::kBestObjective}) {
-      for (int threads : {1, 4}) {
-        KdTreeOptions options;
-        options.height = height;
-        options.axis_policy = policy;
-        options.num_threads = threads;
-        const KdTreeResult plain =
-            BuildKdTreePartition(grid, aggregates, options).value();
-        std::vector<KdTreeNode> nodes;
-        const KdTreeResult recorded =
-            BuildKdTreePartitionRecorded(grid, aggregates, options, &nodes)
-                .value();
-        EXPECT_EQ(plain.result.regions, recorded.result.regions)
-            << "height " << height << " threads " << threads;
-        EXPECT_EQ(plain.result.partition.cell_to_region(),
-                  recorded.result.partition.cell_to_region());
-        EXPECT_EQ(plain.num_split_scans, recorded.num_split_scans);
-        ASSERT_FALSE(nodes.empty());
-        EXPECT_EQ(nodes[0].rect, grid.FullRect());
-      }
+      KdTreeOptions options;
+      options.height = height;
+      options.axis_policy = policy;
+      const KdTreeResult plain =
+          BuildKdTreePartition(grid, aggregates, options).value();
+      const KdSubtreeRecording recorded =
+          BuildRecordedKdSubtree(aggregates, grid.FullRect(), height, options)
+              .value();
+      EXPECT_EQ(plain.result.regions, recorded.leaves)
+          << "height " << height;
+      EXPECT_EQ(plain.num_split_scans, recorded.num_split_scans);
+      ASSERT_FALSE(recorded.nodes.empty());
+      EXPECT_EQ(recorded.nodes[0].rect, grid.FullRect());
     }
   }
 }
@@ -82,10 +76,11 @@ TEST(RecordedKdBuildTest, RecordedTreeIsStructurallySound) {
       BuildAggregates(grid, MakeRecords(rng, grid, 400));
   KdTreeOptions options;
   options.height = 5;
-  std::vector<KdTreeNode> nodes;
-  const KdTreeResult tree =
-      BuildKdTreePartitionRecorded(grid, aggregates, options, &nodes)
+  const KdSubtreeRecording recording =
+      BuildRecordedKdSubtree(aggregates, grid.FullRect(), options.height,
+                             options)
           .value();
+  const std::vector<KdTreeNode>& nodes = recording.nodes;
 
   std::vector<CellRect> leaves_in_preorder;
   int internal = 0;
@@ -109,9 +104,14 @@ TEST(RecordedKdBuildTest, RecordedTreeIsStructurallySound) {
     EXPECT_EQ(nodes[node.right].remaining_height,
               node.remaining_height - 1);
   }
-  // Preorder visits leaves in DFS order: identical to the result regions.
-  EXPECT_EQ(leaves_in_preorder, tree.result.regions);
-  EXPECT_EQ(internal + 1, static_cast<int>(tree.result.regions.size()));
+  // Preorder visits leaves in DFS order: identical to the leaf list, and
+  // to the plain build's regions.
+  EXPECT_EQ(leaves_in_preorder, recording.leaves);
+  EXPECT_EQ(recording.leaves,
+            BuildKdTreePartition(grid, aggregates, options)
+                .value()
+                .result.regions);
+  EXPECT_EQ(internal + 1, static_cast<int>(recording.leaves.size()));
 }
 
 TEST(KdTreeMaintainerTest, RefineOnUnchangedAggregatesIsNoOp) {

@@ -160,39 +160,49 @@ std::vector<CellRect> RandomTiling(Rng& rng, const Grid& grid, int target) {
   return rects;
 }
 
+// Independent oracle for a valid tiling: each cell's region is the index
+// of the rect that contains it.
+std::vector<int> ContainingRectOracle(const Grid& grid,
+                                      const std::vector<CellRect>& rects) {
+  std::vector<int> oracle(static_cast<size_t>(grid.num_cells()), -1);
+  for (int r = 0; r < grid.rows(); ++r) {
+    for (int c = 0; c < grid.cols(); ++c) {
+      for (size_t i = 0; i < rects.size(); ++i) {
+        if (rects[i].Contains(r, c)) {
+          oracle[static_cast<size_t>(grid.CellId(r, c))] =
+              static_cast<int>(i);
+          break;
+        }
+      }
+    }
+  }
+  return oracle;
+}
+
 TEST(PartitionTest, ParallelFromRectsIsBitIdenticalToSerial) {
-  // 300 rows exceeds any thread count here, so every band boundary shape
-  // (thin bands, rects spanning several bands) is exercised; the
-  // 256x256-cell auto threshold is also crossed (300x220 cells).
+  // A 300x220 random 512-rect tiling: rects of every shape, many spanning
+  // hundreds of rows. The row-segment fill must match the per-cell oracle.
   Rng rng(517);
   const Grid grid = MakeGrid(300, 220);
   const std::vector<CellRect> rects = RandomTiling(rng, grid, 512);
-  const Partition serial = Partition::FromRects(grid, rects, 1).value();
-  for (int threads : {0, 2, 3, 8}) {
-    const Partition parallel =
-        Partition::FromRects(grid, rects, threads).value();
-    EXPECT_EQ(parallel.cell_to_region(), serial.cell_to_region())
-        << "threads " << threads;
-    EXPECT_EQ(parallel.num_regions(), serial.num_regions());
-  }
+  const Partition partition = Partition::FromRects(grid, rects).value();
+  EXPECT_EQ(partition.cell_to_region(), ContainingRectOracle(grid, rects));
+  EXPECT_EQ(partition.num_regions(), 512);
 }
 
 TEST(PartitionTest, ParallelFromRectsRejectsSameInvalidInputs) {
-  // The hot path's accept/reject decision must not depend on the band
-  // count: overlaps and gaps are rejected at every thread count with the
-  // serial diagnostics.
+  // The hot path's area accounting must not accept an overlap or a gap;
+  // the cold path names the first offending cell.
   const Grid grid = MakeGrid(4, 4);
-  for (int threads : {0, 2, 8}) {
-    const auto overlap = Partition::FromRects(
-        grid, {CellRect{0, 4, 0, 3}, CellRect{0, 4, 2, 4}}, threads);
-    ASSERT_FALSE(overlap.ok()) << "threads " << threads;
-    EXPECT_EQ(overlap.status().message(),
-              "Partition: overlapping rects at cell 2");
-    const auto gap = Partition::FromRects(
-        grid, {CellRect{0, 4, 0, 2}, CellRect{0, 3, 2, 4}}, threads);
-    ASSERT_FALSE(gap.ok()) << "threads " << threads;
-    EXPECT_EQ(gap.status().message(), "Partition: uncovered cell 14");
-  }
+  const auto overlap = Partition::FromRects(
+      grid, {CellRect{0, 4, 0, 3}, CellRect{0, 4, 2, 4}});
+  ASSERT_FALSE(overlap.ok());
+  EXPECT_EQ(overlap.status().message(),
+            "Partition: overlapping rects at cell 2");
+  const auto gap = Partition::FromRects(
+      grid, {CellRect{0, 4, 0, 2}, CellRect{0, 3, 2, 4}});
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.status().message(), "Partition: uncovered cell 14");
 }
 
 TEST(PartitionTest, DiffRectsSkipsOnlyUnchangedPositions) {

@@ -10,8 +10,7 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "index/fair_kd_tree.h"
-#include "index/median_kd_tree.h"
+#include "index/kd_tree.h"
 #include "index/quadtree.h"
 #include "index/str_partition.h"
 #include "index/uniform_grid.h"
@@ -71,18 +70,16 @@ Instance MakeInstance(int rows, int cols, uint64_t seed) {
 Result<PartitionResult> Build(Partitioner partitioner,
                               const Instance& instance, int height) {
   switch (partitioner) {
-    case Partitioner::kMedianKd: {
-      FAIRIDX_ASSIGN_OR_RETURN(
-          KdTreeResult tree,
-          BuildMedianKdTree(instance.grid, instance.aggregates, height));
-      return std::move(tree.result);
-    }
+    case Partitioner::kMedianKd:
     case Partitioner::kFairKd: {
-      FairKdTreeOptions options;
+      KdTreeOptions options;
       options.height = height;
+      if (partitioner == Partitioner::kMedianKd) {
+        options.objective.kind = SplitObjectiveKind::kMedianCount;
+      }
       FAIRIDX_ASSIGN_OR_RETURN(
           KdTreeResult tree,
-          BuildFairKdTree(instance.grid, instance.aggregates, options));
+          BuildKdTreePartition(instance.grid, instance.aggregates, options));
       return std::move(tree.result);
     }
     case Partitioner::kUniformGrid:

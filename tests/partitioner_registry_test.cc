@@ -19,8 +19,7 @@
 #include "core/multi_objective.h"
 #include "core/pipeline.h"
 #include "data/edgap_synthetic.h"
-#include "index/fair_kd_tree.h"
-#include "index/median_kd_tree.h"
+#include "index/kd_tree.h"
 #include "index/quadtree.h"
 #include "index/str_partition.h"
 #include "index/uniform_grid.h"
@@ -142,9 +141,11 @@ TEST_P(RegistryEquivalenceTest, MedianKdTree) {
   const Fixture f = MakeFixture();
   const GridAggregates aggregates = DirectAggregates(
       f, std::vector<double>(f.dataset.num_records(), 0.0));
+  KdTreeOptions options;
+  options.height = height;
+  options.objective.kind = SplitObjectiveKind::kMedianCount;
   const KdTreeResult direct =
-      BuildMedianKdTree(f.dataset.grid(), aggregates, height, threads)
-          .value();
+      BuildKdTreePartition(f.dataset.grid(), aggregates, options).value();
   const PartitionerOutput via_registry =
       RegistryBuild(f, "median_kd_tree", height, threads);
   EXPECT_EQ(direct.result.partition.cell_to_region(),
@@ -156,11 +157,10 @@ TEST_P(RegistryEquivalenceTest, FairKdTree) {
   const auto [height, threads] = GetParam();
   const Fixture f = MakeFixture();
   const GridAggregates aggregates = DirectAggregates(f, InitialScores(f));
-  FairKdTreeOptions options;
+  KdTreeOptions options;
   options.height = height;
-  options.num_threads = threads;
   const KdTreeResult direct =
-      BuildFairKdTree(f.dataset.grid(), aggregates, options).value();
+      BuildKdTreePartition(f.dataset.grid(), aggregates, options).value();
   const PartitionerOutput via_registry =
       RegistryBuild(f, "fair_kd_tree", height, threads);
   EXPECT_EQ(direct.result.partition.cell_to_region(),
@@ -169,8 +169,8 @@ TEST_P(RegistryEquivalenceTest, FairKdTree) {
 }
 
 TEST_P(RegistryEquivalenceTest, FairKdTreeWithRefineEnabled) {
-  // The recorded (refine-capable) build must emit the same partition as
-  // the fast unrecorded path.
+  // The maintainer-backed (refine-capable) build must emit the same
+  // partition as the plain build.
   const auto [height, threads] = GetParam();
   const Fixture f = MakeFixture();
   const PartitionerOutput fast =

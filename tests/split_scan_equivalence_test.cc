@@ -1,8 +1,8 @@
 // Differential tests for the fused split-scan engine: the incremental
 // sweep (GridAggregates::SplitSweep + field masks) must be bit-identical
 // to the retained naive reference on every grid, rect, axis and objective,
-// and the task-parallel tree build must be bit-identical to the sequential
-// one at every thread count.
+// and the chunked SplitAllRegions must be bit-identical to the sequential
+// scan at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -197,32 +197,6 @@ TEST(SplitScanEquivalenceTest, TreeBuildMatchesNaiveEngine) {
       EXPECT_EQ(a->result.regions, b->result.regions);
       EXPECT_EQ(a->result.partition.cell_to_region(),
                 b->result.partition.cell_to_region());
-    }
-  }
-}
-
-TEST(SplitScanEquivalenceTest, ParallelBuildIsDeterministic) {
-  Rng rng(55);
-  for (int trial = 0; trial < 6; ++trial) {
-    const RandomInstance instance = MakeRandomInstance(rng, /*max_side=*/24);
-    KdTreeOptions sequential;
-    sequential.height = 7;
-    const auto base = BuildKdTreePartition(instance.grid,
-                                           instance.aggregates, sequential);
-    ASSERT_TRUE(base.ok());
-    for (int threads : {2, 3, 4, 8}) {
-      KdTreeOptions parallel = sequential;
-      parallel.num_threads = threads;
-      const auto run = BuildKdTreePartition(instance.grid,
-                                            instance.aggregates, parallel);
-      ASSERT_TRUE(run.ok());
-      EXPECT_EQ(run->num_split_scans, base->num_split_scans)
-          << "threads=" << threads;
-      EXPECT_EQ(run->result.regions, base->result.regions)
-          << "threads=" << threads;
-      EXPECT_EQ(run->result.partition.cell_to_region(),
-                base->result.partition.cell_to_region())
-          << "threads=" << threads;
     }
   }
 }

@@ -9,8 +9,7 @@
 #include "common/rng.h"
 #include "fairness/calibration.h"
 #include "fairness/ence.h"
-#include "index/fair_kd_tree.h"
-#include "index/median_kd_tree.h"
+#include "index/kd_tree.h"
 #include "index/uniform_grid.h"
 
 namespace fairidx {
@@ -73,12 +72,17 @@ TEST_P(TheoremPropertyTest, Theorem1EnceLowerBoundedByOverall) {
   partitions.push_back(Partition::Single(grid.num_cells()));
   partitions.push_back(
       BuildUniformGridPartition(grid, 3).value().partition);
-  partitions.push_back(BuildMedianKdTree(grid, agg, 4).value()
+  KdTreeOptions median_options;
+  median_options.height = 4;
+  median_options.objective.kind = SplitObjectiveKind::kMedianCount;
+  partitions.push_back(BuildKdTreePartition(grid, agg, median_options)
+                           .value()
                            .result.partition);
-  FairKdTreeOptions fair_options;
+  KdTreeOptions fair_options;
   fair_options.height = 4;
-  partitions.push_back(
-      BuildFairKdTree(grid, agg, fair_options).value().result.partition);
+  partitions.push_back(BuildKdTreePartition(grid, agg, fair_options)
+                           .value()
+                           .result.partition);
 
   for (const Partition& partition : partitions) {
     const double ence =
