@@ -982,17 +982,18 @@ void BM_SplicePublishFromRectsFallback(benchmark::State& state) {
 }
 BENCHMARK(BM_SplicePublishFromRectsFallback);
 
-// --- Checkpoint cost: delta vs full snapshot at 5% dirty. ---
-// The durable serving loop's steady state: a 512x512 grid where one
-// sealed epoch dirtied 5% of the cells. The full snapshot serializes all
-// 262144 cell sums (~10 MB) to the real filesystem; the delta writes
-// only the 13108 dirty cells plus the chain header — both through the
-// identical tmp + fsync + rename installation. The ratio is the
+// --- Checkpoint cost: link vs base record at 5% dirty. ---
+// The durable serving loop's steady state: a 512x512 grid where every
+// cell holds records and one sealed epoch dirtied 5% of them. The base
+// (BM_FullCheckpointWrite) lists all 262144 cells (~11.5 MB) to the real
+// filesystem; the link (BM_DeltaCheckpointWrite) lists only the 13108
+// dirty cells plus its predecessor — both through the one WriteCheckpoint
+// and its tmp + fsync + rename installation. The ratio is the
 // full_snapshot_interval knob's payoff, CI-gated at >= 3x.
 struct CheckpointWriteFixture {
   std::string dir;
-  CheckpointData full;
-  CheckpointDelta delta;
+  CheckpointData base;
+  CheckpointData link;
 };
 
 const CheckpointWriteFixture& BenchCheckpointWrite() {
@@ -1003,34 +1004,28 @@ const CheckpointWriteFixture& BenchCheckpointWrite() {
              "/fairidx_bench_ckpt";
     std::filesystem::remove_all(f->dir);
     std::filesystem::create_directories(f->dir);
-    f->full.rows = side;
-    f->full.cols = side;
-    f->full.epoch = 7;
-    f->full.sealed_records = 1000000;
-    f->full.wal_generation = 3;
-    f->full.total_resplits = 5;
-    f->full.algorithm = "fair_kd_tree";
-    f->full.cell_sums = BenchCellSums(side);
-    for (int r = 0; r < side; r += 8) {
-      f->full.regions.push_back(CellRect{r, r + 8, 0, side});
+    f->base.rows = side;
+    f->base.cols = side;
+    f->base.epoch = 7;
+    f->base.sealed_records = 1000000;
+    f->base.wal_generation = 3;
+    f->base.total_resplits = 5;
+    f->base.algorithm = "fair_kd_tree";
+    f->base.sums = BenchCellSums(side);
+    for (int cell = 0; cell < side * side; ++cell) {
+      f->base.cells.push_back(cell);
     }
-    f->full.maintained_blob = std::string(4096, 'm');
-    f->delta.rows = side;
-    f->delta.cols = side;
-    f->delta.epoch = 8;
-    f->delta.sealed_records = 1010000;
-    f->delta.wal_generation = 3;
-    f->delta.total_resplits = 5;
-    f->delta.algorithm = f->full.algorithm;
-    f->delta.prev_epoch = 7;
-    f->delta.prev_generation = 1;
+    f->base.maintained_blob = std::string(4096, 'm');
+    f->link = f->base;
+    f->link.epoch = 8;
+    f->link.sealed_records = 1010000;
+    f->link.prev = CheckpointLink{7, 3};
+    f->link.cells.clear();
+    f->link.sums.clear();
     for (int cell = 0; cell < side * side; cell += 20) {
-      f->delta.cells.push_back(cell);
-      f->delta.sums.push_back(
-          f->full.cell_sums[static_cast<size_t>(cell)]);
+      f->link.cells.push_back(cell);
+      f->link.sums.push_back(f->base.sums[static_cast<size_t>(cell)]);
     }
-    f->delta.regions = f->full.regions;
-    f->delta.maintained_blob = f->full.maintained_blob;
     return f;
   }();
   return *fixture;
@@ -1039,20 +1034,20 @@ const CheckpointWriteFixture& BenchCheckpointWrite() {
 void BM_DeltaCheckpointWrite(benchmark::State& state) {
   const CheckpointWriteFixture& f = BenchCheckpointWrite();
   for (auto _ : state) {
-    if (!WriteDeltaCheckpoint(f.dir, f.delta).ok()) std::abort();
+    if (!WriteCheckpoint(f.dir, f.link).ok()) std::abort();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.delta.cells.size()));
+                          static_cast<int64_t>(f.link.cells.size()));
 }
 BENCHMARK(BM_DeltaCheckpointWrite)->Unit(benchmark::kMillisecond);
 
 void BM_FullCheckpointWrite(benchmark::State& state) {
   const CheckpointWriteFixture& f = BenchCheckpointWrite();
   for (auto _ : state) {
-    if (!WriteCheckpoint(f.dir, f.full).ok()) std::abort();
+    if (!WriteCheckpoint(f.dir, f.base).ok()) std::abort();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.full.cell_sums.size()));
+                          static_cast<int64_t>(f.base.cells.size()));
 }
 BENCHMARK(BM_FullCheckpointWrite)->Unit(benchmark::kMillisecond);
 

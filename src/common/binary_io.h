@@ -2,8 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Little-endian binary encoding helpers plus CRC-32, shared by the
-// durability layer (service/wal.h, service/checkpoint.h) and the binary
-// partition format (index/partition_io.h). Doubles are serialized as their
+// durability layer (service/wal.h, service/checkpoint.h) and the tree
+// maintainers' state blobs. Doubles are serialized as their
 // raw IEEE-754 bit pattern, so a round trip is bit-exact — the property the
 // recovery differential suite pins. Encoding is explicit byte shifts (not
 // memcpy of host integers), so the format is identical on any host.

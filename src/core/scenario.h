@@ -53,10 +53,10 @@
 //   checkpoint_interval = 8         wal: checkpoint every N sealed
 //                                   epochs (<= 0: only the initial one)
 //   full_snapshot_interval = 1      wal: every Nth checkpoint is a
-//                                   full snapshot; the rest are delta
-//                                   checkpoints carrying only the cells
-//                                   dirtied since the previous one
-//                                   (<= 1: every checkpoint is full)
+//                                   base; the rest are links carrying
+//                                   only the cells sealed since the
+//                                   previous one
+//                                   (<= 1: every checkpoint is a base)
 //   fsync = batch                   wal: none | batch | always
 //                                   (see service/wal.h for the window
 //                                   each mode leaves open)
@@ -262,8 +262,8 @@ struct ScenarioConfig {
   std::string wal_dir;
   /// Checkpoint every this many sealed epochs (<= 0: only at create).
   long long checkpoint_interval = 8;
-  /// Every Nth checkpoint is a full snapshot, the rest are delta
-  /// checkpoints (<= 1: all full; see DurabilityOptions).
+  /// Every Nth checkpoint is a base, the rest are links (<= 1: all
+  /// bases; see DurabilityOptions).
   long long full_snapshot_interval = 1;
   /// WAL fsync mode: "none" | "batch" | "always".
   std::string fsync = "batch";

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "index/partition_io.h"
 
 namespace fairidx {
 
@@ -356,10 +355,10 @@ Result<KdRefineStats> KdTreeMaintainer::Refine(
 namespace {
 
 constexpr uint32_t kKdMaintainerMagic = 0x46584B4Du;  // "FXKM"
-// v2 drops the trailing serialized partition: the maintainer invariant is
-// cell map == FromRects(regions), so Restore rebuilds it from the region
-// rects — blobs shrink from O(grid) to O(tree), which is what keeps delta
-// checkpoints O(changed). v1 blobs (embedded partition) still restore.
+// The blob carries no partition: the maintainer invariant is cell map ==
+// FromRects(regions), so Restore rebuilds it from the region rects. Blobs
+// are O(tree), not O(grid), which is what keeps link checkpoints
+// O(changed). Version-1 blobs, which embedded the partition, are refused.
 constexpr uint32_t kKdMaintainerVersion = 2;
 // Serialized entry sizes, which bound the untrusted counts in a blob.
 constexpr size_t kRectBytes = 4 * sizeof(int32_t);
@@ -429,8 +428,7 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
   BinaryReader in(blob);
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t magic, in.ReadU32());
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t version, in.ReadU32());
-  if (magic != kKdMaintainerMagic || version < 1 ||
-      version > kKdMaintainerVersion) {
+  if (magic != kKdMaintainerMagic || version != kKdMaintainerVersion) {
     return DataLossError("KdTreeMaintainer: bad magic or version");
   }
   KdTreeMaintainer maintainer(grid, options);
@@ -475,19 +473,12 @@ Result<KdTreeMaintainer> KdTreeMaintainer::Restore(
     FAIRIDX_ASSIGN_OR_RETURN(const CellRect rect, ReadRect(&in));
     maintainer.tree_.result.regions.push_back(rect);
   }
-  if (version >= 2) {
-    // v2 carries no partition bytes: rebuild the cell map from the leaf
-    // rects, which the maintainer invariant guarantees reproduces the
-    // saved map bit for bit (and validates coverage in the process).
-    FAIRIDX_ASSIGN_OR_RETURN(
-        maintainer.tree_.result.partition,
-        Partition::FromRects(grid, maintainer.tree_.result.regions));
-  } else {
-    FAIRIDX_ASSIGN_OR_RETURN(const std::string partition_bytes,
-                             in.ReadString());
-    FAIRIDX_ASSIGN_OR_RETURN(maintainer.tree_.result.partition,
-                             ParsePartitionBinary(grid, partition_bytes));
-  }
+  // Rebuild the cell map from the leaf rects, which the maintainer
+  // invariant guarantees reproduces the saved map bit for bit (and
+  // validates coverage in the process).
+  FAIRIDX_ASSIGN_OR_RETURN(
+      maintainer.tree_.result.partition,
+      Partition::FromRects(grid, maintainer.tree_.result.regions));
   if (in.remaining() != 0) {
     return DataLossError("KdTreeMaintainer: trailing bytes in blob");
   }

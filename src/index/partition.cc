@@ -24,40 +24,6 @@ Result<Partition> Partition::FromCellMap(std::vector<int> cell_to_region) {
   return Partition(std::move(cell_to_region), next);
 }
 
-Result<Partition> Partition::FromCellMapExact(
-    std::vector<int> cell_to_region, int num_regions) {
-  if (cell_to_region.empty()) {
-    return InvalidArgumentError("Partition: empty cell map");
-  }
-  if (num_regions < 1) {
-    return InvalidArgumentError("Partition: num_regions must be >= 1");
-  }
-  // Every region needs a cell, so a larger count is invalid; rejecting it
-  // here keeps a decoded count from sizing `seen` before any check.
-  if (static_cast<size_t>(num_regions) > cell_to_region.size()) {
-    return InvalidArgumentError(
-        "Partition: " + std::to_string(num_regions) + " regions exceed " +
-        std::to_string(cell_to_region.size()) + " cells");
-  }
-  std::vector<char> seen(static_cast<size_t>(num_regions), 0);
-  for (int region : cell_to_region) {
-    if (region < 0 || region >= num_regions) {
-      return InvalidArgumentError("Partition: region id " +
-                                  std::to_string(region) +
-                                  " outside [0, " +
-                                  std::to_string(num_regions) + ")");
-    }
-    seen[static_cast<size_t>(region)] = 1;
-  }
-  for (int region = 0; region < num_regions; ++region) {
-    if (!seen[static_cast<size_t>(region)]) {
-      return InvalidArgumentError("Partition: region id " +
-                                  std::to_string(region) + " has no cells");
-    }
-  }
-  return Partition(std::move(cell_to_region), num_regions);
-}
-
 Result<Partition> Partition::FromRects(const Grid& grid,
                                        const std::vector<CellRect>& rects) {
   if (rects.empty()) return InvalidArgumentError("Partition: no rects");

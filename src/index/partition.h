@@ -25,15 +25,6 @@ class Partition {
   /// region; ids are compacted to 0..k-1 preserving first-appearance order.
   static Result<Partition> FromCellMap(std::vector<int> cell_to_region);
 
-  /// Builds from a per-cell region map whose ids are ALREADY the final
-  /// 0..num_regions-1 labels, preserving them verbatim (no compaction).
-  /// This is the deserialization path: a checkpointed partition must round
-  /// trip with identical region ids, not merely up to relabeling, because
-  /// maintainer state indexes regions by id. Every id must lie in
-  /// [0, num_regions) and every id in that range must appear.
-  static Result<Partition> FromCellMapExact(std::vector<int> cell_to_region,
-                                            int num_regions);
-
   /// Builds from disjoint rectangles that exactly cover `grid`. Region i is
   /// rects[i]. Fails on overlap or gaps, with a one-line diagnostic naming
   /// the first offending cell (or the out-of-grid rect).

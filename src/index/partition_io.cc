@@ -1,40 +1,9 @@
 #include "index/partition_io.h"
 
-#include "common/binary_io.h"
 #include "common/csv.h"
 #include "common/string_util.h"
 
 namespace fairidx {
-
-std::string SerializePartitionBinary(const Partition& partition) {
-  BinaryWriter out;
-  out.PutU64(static_cast<uint64_t>(partition.num_cells()));
-  out.PutI32(partition.num_regions());
-  for (int region : partition.cell_to_region()) out.PutI32(region);
-  return out.Release();
-}
-
-Result<Partition> ParsePartitionBinary(const Grid& grid,
-                                       const std::string& bytes) {
-  BinaryReader in(bytes);
-  FAIRIDX_ASSIGN_OR_RETURN(const uint64_t num_cells, in.ReadU64());
-  if (num_cells != static_cast<uint64_t>(grid.num_cells())) {
-    return InvalidArgumentError(
-        "binary partition has " + std::to_string(num_cells) +
-        " cells, grid expects " + std::to_string(grid.num_cells()));
-  }
-  FAIRIDX_ASSIGN_OR_RETURN(const int32_t num_regions, in.ReadI32());
-  std::vector<int> cell_to_region;
-  cell_to_region.reserve(static_cast<size_t>(num_cells));
-  for (uint64_t i = 0; i < num_cells; ++i) {
-    FAIRIDX_ASSIGN_OR_RETURN(const int32_t region, in.ReadI32());
-    cell_to_region.push_back(region);
-  }
-  if (in.remaining() != 0) {
-    return InvalidArgumentError("binary partition: trailing bytes");
-  }
-  return Partition::FromCellMapExact(std::move(cell_to_region), num_regions);
-}
 
 std::string SerializePartitionCsv(const Grid& grid,
                                   const Partition& partition) {

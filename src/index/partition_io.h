@@ -23,18 +23,6 @@
 
 namespace fairidx {
 
-/// Serialises the partition's cell map to the compact little-endian binary
-/// form used inside checkpoint files (common/binary_io.h): num_cells u64,
-/// num_regions i32, then one i32 region id per cell. Unlike the CSV round
-/// trip, the binary round trip preserves region ids VERBATIM (via
-/// Partition::FromCellMapExact) — the property checkpointed maintainer
-/// state depends on.
-std::string SerializePartitionBinary(const Partition& partition);
-
-/// Parses SerializePartitionBinary output, verifying it covers `grid`.
-Result<Partition> ParsePartitionBinary(const Grid& grid,
-                                       const std::string& bytes);
-
 /// Serialises the partition's cell map to CSV text.
 std::string SerializePartitionCsv(const Grid& grid,
                                   const Partition& partition);

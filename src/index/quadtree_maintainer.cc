@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "index/partition_io.h"
 
 namespace fairidx {
 
@@ -380,9 +379,9 @@ Result<KdRefineStats> QuadTreeMaintainer::Refine(
 namespace {
 
 constexpr uint32_t kQuadMaintainerMagic = 0x4658514Du;  // "FXQM"
-// v2 drops the trailing serialized partition (rebuilt from the region
-// rects on Restore — see the KD maintainer for the rationale); v1 blobs
-// still restore.
+// The blob carries no partition: Restore rebuilds it from the region
+// rects (see the KD maintainer for the rationale). Version-1 blobs,
+// which embedded the partition, are refused.
 constexpr uint32_t kQuadMaintainerVersion = 2;
 // Serialized entry sizes, which bound the untrusted counts in a blob.
 constexpr size_t kRectBytes = 4 * sizeof(int32_t);
@@ -450,8 +449,7 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
   BinaryReader in(blob);
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t magic, in.ReadU32());
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t version, in.ReadU32());
-  if (magic != kQuadMaintainerMagic || version < 1 ||
-      version > kQuadMaintainerVersion) {
+  if (magic != kQuadMaintainerMagic || version != kQuadMaintainerVersion) {
     return DataLossError("QuadTreeMaintainer: bad magic or version");
   }
   QuadTreeMaintainer maintainer(grid, options);
@@ -498,19 +496,12 @@ Result<QuadTreeMaintainer> QuadTreeMaintainer::Restore(
     FAIRIDX_ASSIGN_OR_RETURN(const CellRect rect, ReadRect(&in));
     maintainer.partition_.regions.push_back(rect);
   }
-  if (version >= 2) {
-    // v2 carries no partition bytes: the maintainer invariant (cell map ==
-    // FromRects(regions)) lets Restore rebuild it from the region rects,
-    // bit for bit, validating coverage in the process.
-    FAIRIDX_ASSIGN_OR_RETURN(
-        maintainer.partition_.partition,
-        Partition::FromRects(grid, maintainer.partition_.regions));
-  } else {
-    FAIRIDX_ASSIGN_OR_RETURN(const std::string partition_bytes,
-                             in.ReadString());
-    FAIRIDX_ASSIGN_OR_RETURN(maintainer.partition_.partition,
-                             ParsePartitionBinary(grid, partition_bytes));
-  }
+  // The maintainer invariant (cell map == FromRects(regions)) lets
+  // Restore rebuild the cell map from the region rects, bit for bit,
+  // validating coverage in the process.
+  FAIRIDX_ASSIGN_OR_RETURN(
+      maintainer.partition_.partition,
+      Partition::FromRects(grid, maintainer.partition_.regions));
   if (in.remaining() != 0) {
     return DataLossError("QuadTreeMaintainer: trailing bytes in blob");
   }

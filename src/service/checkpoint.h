@@ -1,48 +1,55 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Sealed-snapshot checkpoints for the serving layer: a checkpoint file
-// captures everything FairIndexService needs to resume from a sealed
-// epoch without replaying the whole WAL — the store's cumulative per-cell
-// sums (the canonical FromCellSums input, so the rebuilt snapshot is
-// bit-identical), the published partition and region rects, the
-// partitioner's full maintenance state (Partitioner::SaveMaintained), the
-// epoch / record counters, and the WAL generation that positions the file
-// against the log. Recovery loads the newest valid checkpoint and replays
-// only WAL segments with epoch > checkpoint epoch.
+// Sealed-state checkpoints for the serving layer. Every checkpoint file
+// is one record: the header (grid shape, epoch, sealed record count, WAL
+// generation, re-split counter, algorithm), an optional predecessor link,
+// ascending cell ids and their cumulative PrefixEntry sums, and the
+// partitioner's maintenance blob (Partitioner::SaveMaintained). The
+// partition itself is not stored: Restore rebuilds it from the blob's
+// region rects. Recovery loads the newest resolvable record and replays
+// only WAL segments with epoch > its epoch.
 //
-// Files are named `checkpoint-<epoch>-<generation>.ckpt` and written
-// atomically: serialize to `<name>.tmp`, fsync, rename. The body is one
-// CRC32-framed block, so a torn or corrupt checkpoint is detected on read
-// and LoadLatestCheckpoint falls back to the previous one.
+// Two kinds of file share the record, and the name says which is which:
 //
-// Delta checkpoints (`delta-<epoch>-<generation>.ckpt`) make the steady-
-// state checkpoint cost O(changed) instead of O(grid): a delta carries
-// only the cells DIRTIED since its predecessor checkpoint — with their
-// ABSOLUTE cumulative sums, so applying a chain is pure overwrite — plus
-// the region rects and the (tree-sized) maintenance blob. Each delta
-// names its immediate predecessor (full or delta) by (epoch, generation);
-// LoadLatestCheckpoint resolves the newest head by walking prev links
-// back to a full checkpoint and overlaying the deltas oldest-first, and
-// falls back to the next-older head when any link is missing or corrupt.
-// The resolved state is bit-identical to the full checkpoint a
-// WriteCheckpoint at the head's epoch would have captured.
+//   checkpoint-<epoch>-<generation>.ckpt  a BASE: no link; it lists every
+//                                         cell that holds records.
+//   delta-<epoch>-<generation>.ckpt       a LINK: it names its predecessor
+//                                         (base or link) by (epoch,
+//                                         generation) and lists the cells
+//                                         sealed since that predecessor.
+//
+// Sums are absolute, so resolving a chain is pure overwrite: walk a link
+// head back to its base and overlay the records oldest first; a cell no
+// record lists is empty. A link must name a strictly older predecessor,
+// so chains cannot cycle. LoadLatestCheckpoint tries heads newest first
+// and falls back to the next-older head when a file, or any link of its
+// chain, is missing or corrupt.
+//
+// Files are written atomically: serialize to `<name>.tmp`, fsync, rename.
+// The body is one CRC32-framed block, so a torn or corrupt file is
+// detected on read.
 
 #ifndef FAIRIDX_SERVICE_CHECKPOINT_H_
 #define FAIRIDX_SERVICE_CHECKPOINT_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "geo/grid_aggregates.h"
-#include "geo/rect.h"
-#include "index/partition.h"
 #include "service/wal.h"
 
 namespace fairidx {
 
-/// One recoverable serving state (see file header).
+/// A link's predecessor checkpoint file.
+struct CheckpointLink {
+  long long epoch = 0;
+  long long generation = 0;
+};
+
+/// One checkpoint record (see file header).
 struct CheckpointData {
   int rows = 0;
   int cols = 0;
@@ -56,37 +63,11 @@ struct CheckpointData {
   long long total_resplits = 0;
   /// Registry name of the partitioner (sanity-checked on recover).
   std::string algorithm;
-  /// The store's cumulative per-cell sums over every sealed record.
-  std::vector<GridAggregates::PrefixEntry> cell_sums;
-  /// The published partition and its region rects, region ids verbatim.
-  Partition partition = Partition::Single(1);
-  std::vector<CellRect> regions;
-  /// Partitioner::SaveMaintained blob (empty when unavailable).
-  std::string maintained_blob;
-};
-
-/// One incremental checkpoint: the cells dirtied since the predecessor
-/// checkpoint at (prev_epoch, prev_generation), with their absolute
-/// cumulative sums (overlay semantics), plus the small derived state
-/// that is cheaper to rewrite than to diff (rects, maintenance blob).
-struct CheckpointDelta {
-  int rows = 0;
-  int cols = 0;
-  long long epoch = 0;
-  long long sealed_records = 0;
-  long long wal_generation = 1;
-  long long total_resplits = 0;
-  std::string algorithm;
-  /// The immediate predecessor checkpoint in the chain — a full
-  /// checkpoint or an older delta.
-  long long prev_epoch = 0;
-  long long prev_generation = 0;
-  /// Dirty cell ids (ascending) and their absolute cumulative sums.
+  /// Set for a link (a delta-*.ckpt file), unset for a base.
+  std::optional<CheckpointLink> prev;
+  /// Ascending cell ids and their absolute cumulative sums (parallel).
   std::vector<int> cells;
   std::vector<GridAggregates::PrefixEntry> sums;
-  /// The published region rects at `epoch` (region i owns rect i); the
-  /// resolved partition is rebuilt from these.
-  std::vector<CellRect> regions;
   /// Partitioner::SaveMaintained blob (empty when unavailable).
   std::string maintained_blob;
 };
@@ -95,53 +76,43 @@ struct CheckpointDelta {
 struct CheckpointInfo {
   long long epoch = 0;
   long long generation = 0;
+  /// A delta-*.ckpt file; otherwise a checkpoint-*.ckpt base.
+  bool is_link = false;
   std::string path;
 };
 
-std::string CheckpointFileName(long long epoch, long long generation);
-std::string DeltaCheckpointFileName(long long epoch, long long generation);
+/// delta-<epoch>-<generation>.ckpt for a link, checkpoint-<epoch>-
+/// <generation>.ckpt for a base.
+std::string CheckpointFileName(long long epoch, long long generation,
+                               bool is_link);
 
-/// The FULL checkpoint files under `dir`, sorted ascending by
-/// (epoch, generation). Delta and non-checkpoint files are ignored.
+/// Every checkpoint file under `dir`, bases and links, sorted ascending
+/// by (epoch, generation), a link before a base at the same pair. Files
+/// are classified by name alone; other files are ignored.
 Result<std::vector<CheckpointInfo>> ListCheckpoints(const std::string& dir);
 
-/// The DELTA checkpoint files under `dir`, sorted ascending by
-/// (epoch, generation). Full and non-checkpoint files are ignored.
-Result<std::vector<CheckpointInfo>> ListDeltaCheckpoints(
-    const std::string& dir);
-
-/// Serializes `data` and atomically installs it as
-/// dir/checkpoint-<epoch>-<generation>.ckpt (tmp + fsync + rename).
+/// Serializes `data` and atomically installs it in `dir` under its name
+/// (tmp + fsync + rename); `data.prev` picks the kind.
 /// `file_factory` is the fault-injection seam; null uses OpenWritableFile.
 Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
                        const WritableFileFactory& file_factory = nullptr);
 
-/// Serializes `delta` and atomically installs it as
-/// dir/delta-<epoch>-<generation>.ckpt (same tmp + fsync + rename and
-/// CRC framing as WriteCheckpoint).
-Status WriteDeltaCheckpoint(const std::string& dir,
-                            const CheckpointDelta& delta,
-                            const WritableFileFactory& file_factory = nullptr);
-
-/// Reads and validates one checkpoint file (magic, version, CRC,
-/// structural checks). Torn or corrupt files fail with DataLoss.
+/// Reads and validates one checkpoint file: magic, version, CRC, in-grid
+/// ascending cells, a link strictly older than the record, and a name
+/// that agrees with the record's kind, epoch and generation. Failures
+/// are DataLoss (NotFound when the file cannot be opened).
 Result<CheckpointData> ReadCheckpoint(const std::string& path);
 
-/// Reads and validates one delta checkpoint file (magic, version, CRC,
-/// ascending in-grid cells). Torn or corrupt files fail with DataLoss.
-Result<CheckpointDelta> ReadDeltaCheckpoint(const std::string& path);
-
-/// Loads the newest recoverable state under `dir`, skipping corrupt/torn
-/// heads; NotFound when none resolves (or none exists). A full-checkpoint
-/// head loads directly; a delta head resolves its chain (see file
-/// header), and a chain with a missing, corrupt, or cyclic link is
-/// skipped like a corrupt full checkpoint.
+/// Resolves the newest head under `dir` into one base record: the head's
+/// header and blob, no link, and the chain's cells overlaid oldest first.
+/// A head that fails to read or resolve is skipped for the next-older
+/// one. NotFound when none resolves; the message then carries the newest
+/// head's own error.
 Result<CheckpointData> LoadLatestCheckpoint(const std::string& dir);
 
-/// Deletes all but the newest `keep_last` FULL checkpoint files, plus
-/// every delta older than the oldest kept full (such deltas can only
-/// chain to already-pruned state). Deltas newer than the oldest kept
-/// full are retained — they may be the live chain head.
+/// Deletes all but the newest `keep_last` bases, plus every link older
+/// than the oldest kept base (such links can only chain to pruned
+/// state). Newer links are kept: one of them may be the live head.
 Status PruneCheckpoints(const std::string& dir, int keep_last);
 
 /// Deletes WAL segments whose records are fully covered by a checkpoint

@@ -104,10 +104,9 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Create(
   }
   if (service->wal_ != nullptr) {
     // The epoch-0 checkpoint carries the warmup state, so recovery never
-    // needs the warmup records themselves. Always a full snapshot: it is
-    // the base every later delta chains back to.
-    FAIRIDX_RETURN_IF_ERROR(
-        service->WriteCheckpointNow(/*allow_delta=*/false));
+    // needs the warmup records themselves. Always a base: every later
+    // link chains back to it.
+    FAIRIDX_RETURN_IF_ERROR(service->WriteCheckpointNow(/*allow_link=*/false));
   }
   if (options.auto_maintain) {
     FAIRIDX_RETURN_IF_ERROR(service->StartAutoMaintenance());
@@ -170,11 +169,18 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
       std::unique_ptr<WalWriter> wal,
       WalWriter::Open(durability.wal_dir, new_generation,
                       checkpoint.epoch + 1, wal_options));
+  // The record lists the non-empty cells; sized only now, after the
+  // shape check, so a hostile header cannot size the array.
+  std::vector<GridAggregates::PrefixEntry> cell_sums(
+      static_cast<size_t>(grid.num_cells()));
+  for (size_t i = 0; i < checkpoint.cells.size(); ++i) {
+    cell_sums[static_cast<size_t>(checkpoint.cells[i])] = checkpoint.sums[i];
+  }
   ShardedDeltaStoreOptions store_options = options.store;
   store_options.wal = wal.get();
   FAIRIDX_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedDeltaStore> store,
-      ShardedDeltaStore::Restore(grid, std::move(checkpoint.cell_sums),
+      ShardedDeltaStore::Restore(grid, std::move(cell_sums),
                                  checkpoint.epoch,
                                  checkpoint.sealed_records, store_options));
   std::unique_ptr<FairIndexService> service(
@@ -195,10 +201,10 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
       service->ReplayWalTail(segments, checkpoint.epoch));
   // A fresh durable cut: everything replayed now lives in this checkpoint
   // plus the new generation's segments, so the old generation's files can
-  // finally go. Always full — a delta here would chain into the old
-  // generation this block is about to prune.
-  FAIRIDX_RETURN_IF_ERROR(
-      service->WriteCheckpointNow(/*allow_delta=*/false));
+  // finally go. Always a base — a link here would chain into the old
+  // generation this block is about to prune. The restored cells carry
+  // the restored epoch's dirty stamp, so the base lists every one.
+  FAIRIDX_RETURN_IF_ERROR(service->WriteCheckpointNow(/*allow_link=*/false));
   {
     FAIRIDX_ASSIGN_OR_RETURN(std::vector<WalSegmentInfo> leftover,
                              ListWalSegments(durability.wal_dir));
@@ -467,7 +473,7 @@ Status FairIndexService::Checkpoint() {
     return FailedPreconditionError(
         "FairIndexService: durability is disabled (no wal_dir)");
   }
-  return WriteCheckpointNow(/*allow_delta=*/true);
+  return WriteCheckpointNow(/*allow_link=*/true);
 }
 
 int FairIndexService::ApplyRetention(int keep_last) {
@@ -492,94 +498,63 @@ Status FairIndexService::MaybeCheckpoint() {
   }
   // Two threads may both decide to checkpoint here; WriteCheckpointNow
   // serializes them and the loser just captures slightly newer state.
-  return WriteCheckpointNow(/*allow_delta=*/true);
+  return WriteCheckpointNow(/*allow_link=*/true);
 }
 
-Status FairIndexService::WriteCheckpointNow(bool allow_delta) {
+Status FairIndexService::WriteCheckpointNow(bool allow_link) {
   const auto checkpoint_start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> durability_lock(durability_mutex_);
   const long long generation = wal_->generation();
   // The full_snapshot_interval cadence: every Nth checkpoint (and every
-  // forced one) is a full snapshot; the rest carry only the cells dirtied
-  // since the previous checkpoint file. A delta additionally needs an
-  // epoch strictly past the last checkpoint's — a same-epoch delta would
-  // name itself as its own predecessor — and a full base from this run's
-  // generation (deltas never chain across a recovery).
-  const bool write_delta =
-      allow_delta && options_.durability.full_snapshot_interval > 1 &&
-      has_full_base_ && generation == last_checkpoint_generation_ &&
-      checkpoints_since_full_ + 1 <
+  // forced one) is a base; the rest are links carrying only the cells
+  // sealed since the previous checkpoint file. A link additionally needs
+  // an epoch strictly past the last checkpoint's — it must name an older
+  // predecessor — and a predecessor from this process's WAL generation,
+  // so links never chain across a recovery (the generation's first
+  // checkpoint is always a base).
+  const bool link =
+      allow_link && options_.durability.full_snapshot_interval > 1 &&
+      generation == last_checkpoint_generation_ &&
+      checkpoints_since_base_ + 1 <
           options_.durability.full_snapshot_interval &&
       store_->epoch() > last_checkpoint_epoch_;
 
-  long long checkpoint_epoch = 0;
-  if (write_delta) {
-    CheckpointDelta delta;
-    delta.rows = store_->rows();
-    delta.cols = store_->cols();
-    delta.algorithm = options_.algorithm;
-    delta.wal_generation = generation;
-    delta.prev_epoch = last_checkpoint_epoch_;
-    delta.prev_generation = last_checkpoint_generation_;
-    {
-      // Same pinning argument as the full path below; the dirty capture
-      // is one atomic read under the store's seal lock, so its epoch /
-      // record counters / cell values are a consistent sealed state.
-      std::lock_guard<std::mutex> maintain_lock(maintain_mutex_);
-      ShardedDeltaStore::DirtyCells dirty =
-          store_->CaptureDirtySince(last_checkpoint_epoch_);
-      delta.epoch = dirty.epoch;
-      delta.sealed_records = dirty.sealed_records;
-      delta.cells = std::move(dirty.cells);
-      delta.sums = std::move(dirty.sums);
-      delta.total_resplits = total_resplits_;
-      FAIRIDX_ASSIGN_OR_RETURN(delta.maintained_blob,
-                               partitioner_->SaveMaintained());
-      delta.regions = partitioner_->maintained()->regions;
-    }
-    FAIRIDX_RETURN_IF_ERROR(
-        WriteDeltaCheckpoint(options_.durability.wal_dir, delta,
-                             options_.durability.file_factory));
-    checkpoint_epoch = delta.epoch;
-    ++checkpoints_since_full_;
-  } else {
-    CheckpointData data;
-    data.rows = store_->rows();
-    data.cols = store_->cols();
-    data.algorithm = options_.algorithm;
-    data.wal_generation = generation;
-    {
-      // maintain_mutex_ pins the (sealed state, maintained partition)
-      // pair: CaptureSealedState is atomic against folds, and no refine
-      // can slide the partition to a newer epoch between the two
-      // captures.
-      std::lock_guard<std::mutex> maintain_lock(maintain_mutex_);
-      ShardedDeltaStore::SealedState sealed = store_->CaptureSealedState();
-      data.epoch = sealed.epoch;
-      data.sealed_records = sealed.sealed_records;
-      data.cell_sums = std::move(sealed.cell_sums);
-      data.total_resplits = total_resplits_;
-      FAIRIDX_ASSIGN_OR_RETURN(data.maintained_blob,
-                               partitioner_->SaveMaintained());
-      const PartitionResult* maintained = partitioner_->maintained();
-      data.partition = maintained->partition;
-      data.regions = maintained->regions;
-    }
-    FAIRIDX_RETURN_IF_ERROR(
-        WriteCheckpoint(options_.durability.wal_dir, data,
-                        options_.durability.file_factory));
-    checkpoint_epoch = data.epoch;
-    checkpoints_since_full_ = 0;
-    has_full_base_ = true;
+  CheckpointData data;
+  data.rows = store_->rows();
+  data.cols = store_->cols();
+  data.algorithm = options_.algorithm;
+  data.wal_generation = generation;
+  if (link) {
+    data.prev = CheckpointLink{last_checkpoint_epoch_,
+                               last_checkpoint_generation_};
   }
+  {
+    // maintain_mutex_ pins the (sealed state, maintained partition)
+    // pair: the capture is one atomic read under the store's seal lock,
+    // and no refine can slide the partition to a newer epoch between the
+    // two captures. A base lists every touched cell (dirty since -1).
+    std::lock_guard<std::mutex> maintain_lock(maintain_mutex_);
+    ShardedDeltaStore::DirtyCells dirty =
+        store_->CaptureDirtySince(link ? last_checkpoint_epoch_ : -1);
+    data.epoch = dirty.epoch;
+    data.sealed_records = dirty.sealed_records;
+    data.cells = std::move(dirty.cells);
+    data.sums = std::move(dirty.sums);
+    data.total_resplits = total_resplits_;
+    FAIRIDX_ASSIGN_OR_RETURN(data.maintained_blob,
+                             partitioner_->SaveMaintained());
+  }
+  FAIRIDX_RETURN_IF_ERROR(WriteCheckpoint(options_.durability.wal_dir, data,
+                                          options_.durability.file_factory));
+  checkpoints_since_base_ = link ? checkpoints_since_base_ + 1 : 0;
   FAIRIDX_RETURN_IF_ERROR(PruneCheckpoints(
       options_.durability.wal_dir, options_.durability.keep_checkpoints));
   // Every record in a segment whose name epoch <= the checkpointed epoch
-  // is folded into the checkpointed cell sums (a delta's chain included),
+  // is folded into the checkpointed cell sums (a link's chain included),
   // so those segments are dead weight.
   FAIRIDX_RETURN_IF_ERROR(
-      PruneWalSegments(options_.durability.wal_dir, checkpoint_epoch));
-  last_checkpoint_epoch_ = checkpoint_epoch;
+      PruneWalSegments(options_.durability.wal_dir, data.epoch));
+  last_checkpoint_epoch_ = data.epoch;
   last_checkpoint_generation_ = generation;
   FetchMax(&max_checkpoint_stall_us_, MicrosSince(checkpoint_start));
   return Status::Ok();

@@ -75,21 +75,23 @@ struct DurabilityOptions {
   /// Directory for WAL segments and checkpoint files. Empty disables
   /// durability entirely.
   std::string wal_dir;
-  /// When WAL appends reach stable storage (none | batch | always). Every
-  /// mode write()s through on Append, so a process kill loses nothing;
-  /// the modes differ only in the OS/power-failure window.
+  /// When WAL appends reach stable storage (none | batch | always; see
+  /// WalFsync in service/wal.h). batch and always write() through on
+  /// Append, so a process kill loses nothing. none buffers appends in
+  /// user space up to WalOptions::buffer_bytes (256 KB) and writes them
+  /// at that cap, at every seal and on Close: a kill (SIGKILL) can lose
+  /// that buffered window of newest records.
   WalFsync fsync = WalFsync::kBatch;
   /// Write a checkpoint every this many sealed epochs (<= 0: checkpoint
   /// only at Create/Recover). Each checkpoint prunes fully-covered WAL
   /// segments, bounding log disk usage.
   long long checkpoint_interval = 8;
-  /// Every Nth periodic checkpoint is a FULL snapshot; the others are
-  /// delta checkpoints carrying only the cells dirtied since the previous
-  /// checkpoint (see service/checkpoint.h) — O(changed) instead of
-  /// O(grid). <= 1 makes every checkpoint full (the default; identical to
-  /// the pre-delta behavior). Create/Recover always write a full
-  /// snapshot, so every delta chain has an on-disk base. Recovery is
-  /// bit-identical either way.
+  /// Every Nth periodic checkpoint is a base, listing every cell that
+  /// holds records; the others are links carrying only the cells sealed
+  /// since the previous checkpoint (see service/checkpoint.h) —
+  /// O(changed) instead of O(touched cells). <= 1 makes every checkpoint
+  /// a base (the default). Create/Recover always write a base, so every
+  /// chain has one on disk. Recovery is bit-identical either way.
   long long full_snapshot_interval = 1;
   /// Checkpoint files kept on disk (older ones are pruned; >= 1).
   int keep_checkpoints = 2;
@@ -248,7 +250,7 @@ class FairIndexService {
     return max_publish_stall_us_.load(std::memory_order_relaxed);
   }
   /// Worst single checkpoint so far: max wall-clock micros spent writing
-  /// one (full or delta) checkpoint, including pruning.
+  /// one checkpoint (base or link), including pruning.
   long long max_checkpoint_stall_us() const {
     return max_checkpoint_stall_us_.load(std::memory_order_relaxed);
   }
@@ -294,10 +296,10 @@ class FairIndexService {
   Status MaybeCheckpoint();
   /// Unconditional checkpoint. Lock order: durability_mutex_ ->
   /// maintain_mutex_ -> (store seal lock), the same nesting MaybeRefine's
-  /// maintain -> seal path uses. `allow_delta` lets the
-  /// full_snapshot_interval cadence pick a delta checkpoint; false forces
-  /// a full snapshot (Create/Recover, so chains always have a base).
-  Status WriteCheckpointNow(bool allow_delta);
+  /// maintain -> seal path uses. `allow_link` lets the
+  /// full_snapshot_interval cadence pick a link; false forces a base
+  /// (Create/Recover, so chains always have a base).
+  Status WriteCheckpointNow(bool allow_link);
 
   /// Replays every WAL segment with epoch > `through_epoch` through the
   /// public Ingest/Seal/MaybeRefine path (re-logging into the new
@@ -320,15 +322,13 @@ class FairIndexService {
   /// bookkeeping below.
   mutable std::mutex durability_mutex_;
   long long last_checkpoint_epoch_ = 0;
-  /// (epoch, generation) of the newest checkpoint file — the prev link
-  /// the next delta names.
+  /// (epoch, generation) of the newest checkpoint file — the
+  /// predecessor the next link names. The generation stays 0 until this
+  /// process writes its first checkpoint.
   long long last_checkpoint_generation_ = 0;
-  /// Deltas written since the last full snapshot (drives the
+  /// Links written since the last base (drives the
   /// full_snapshot_interval cadence).
-  long long checkpoints_since_full_ = 0;
-  /// A full snapshot exists from THIS run's WAL generation (deltas may
-  /// only chain within a run; Create/Recover both start with a full).
-  bool has_full_base_ = false;
+  long long checkpoints_since_base_ = 0;
 
   /// Serializes maintenance (the partitioner's mutable tree state).
   mutable std::mutex maintain_mutex_;

@@ -89,6 +89,11 @@ Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Restore(
                                    std::max(1, options.num_threads)));
   std::unique_ptr<ShardedDeltaStore> store(
       new ShardedDeltaStore(grid, std::move(cell_sums), options));
+  for (size_t cell = 0; cell < store->cell_sums_.size(); ++cell) {
+    if (store->cell_sums_[cell].count != 0) {
+      store->cell_dirty_epoch_[cell] = epoch;
+    }
+  }
   store->snapshot_ = MakeSnapshot(std::move(sealed));
   store->epoch_.store(epoch, std::memory_order_release);
   store->num_records_.store(sealed_records, std::memory_order_release);

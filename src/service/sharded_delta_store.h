@@ -145,7 +145,9 @@ class ShardedDeltaStore {
   /// a previous store's CaptureSealedState returned at `epoch` /
   /// `sealed_records`. The rebuilt snapshot goes through FromCellSums —
   /// the same integration every Seal takes — so it is bit-identical to
-  /// the snapshot the captured store was serving.
+  /// the snapshot the captured store was serving. Every non-empty cell
+  /// (count != 0) is stamped dirty at `epoch`, so CaptureDirtySince(-1)
+  /// lists it like any cell a seal touched.
   static Result<std::unique_ptr<ShardedDeltaStore>> Restore(
       const Grid& grid, std::vector<GridAggregates::PrefixEntry> cell_sums,
       long long epoch, long long sealed_records,
@@ -190,13 +192,13 @@ class ShardedDeltaStore {
 
   /// Consistent snapshot of the cells DIRTIED by seals after
   /// `since_epoch`, with their current cumulative sums — the payload of a
-  /// delta checkpoint (service/checkpoint.h). `cells` is ascending and
+  /// checkpoint record (service/checkpoint.h). `cells` is ascending and
   /// `sums` parallel; the values are absolute (overwrite semantics), so
-  /// replaying base sums + every delta's writes in chain order
-  /// regenerates CaptureSealedState().cell_sums bitwise. Cells touched by
-  /// the warmup fold count as dirtied at epoch 0; cells a Restore
-  /// repopulated are NOT tracked (the durability layer always follows a
-  /// restore with a full snapshot). Taken under the seal lock.
+  /// overlaying a base's cells and every link's in chain order onto
+  /// zeros regenerates CaptureSealedState().cell_sums bitwise. Cells
+  /// touched by the warmup fold count as dirtied at epoch 0, cells a
+  /// Restore repopulated at the restored epoch, so since_epoch = -1
+  /// lists every non-empty cell. Taken under the seal lock.
   struct DirtyCells {
     long long epoch = 0;
     long long sealed_records = 0;

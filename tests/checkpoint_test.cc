@@ -1,8 +1,8 @@
-// Tests for sealed-snapshot checkpoints (service/checkpoint.h): framed
-// round trip of every CheckpointData field (cell sums, partition with
-// region ids verbatim, regions, maintainer blob), atomic installation
-// under injected I/O faults, corrupt-checkpoint skipping in
-// LoadLatestCheckpoint, and the two pruning helpers.
+// Tests for checkpoint records (service/checkpoint.h): framed round trip
+// of every CheckpointData field of a base, atomic installation under
+// injected I/O faults, corrupt-checkpoint skipping in
+// LoadLatestCheckpoint (and the reason it keeps when every head fails),
+// and the two pruning helpers.
 
 #include "service/checkpoint.h"
 
@@ -30,6 +30,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+// A 2x3 grid base at `epoch` listing cells 0, 2, 3 and 5.
 CheckpointData MakeData(long long epoch) {
   CheckpointData data;
   data.rows = 2;
@@ -39,21 +40,16 @@ CheckpointData MakeData(long long epoch) {
   data.wal_generation = 2;
   data.total_resplits = 5;
   data.algorithm = "fair_kd_tree";
-  for (int i = 0; i < 6; ++i) {
+  for (int i : {0, 2, 3, 5}) {
     GridAggregates::PrefixEntry entry;
-    entry.count = i + 0.0;
+    entry.count = i + 1.0;
     entry.labels = i * 0.5;
     entry.scores = i * 0.25 + 0.125;
     entry.residuals = -0.5 * i;
     entry.cell_abs = 0.0625 * i;
-    data.cell_sums.push_back(entry);
+    data.cells.push_back(i);
+    data.sums.push_back(entry);
   }
-  // Region ids deliberately NOT in first-appearance order: the round trip
-  // must preserve them verbatim (maintainer state indexes regions by id).
-  data.partition =
-      Partition::FromCellMapExact({2, 2, 0, 1, 0, 1}, 3).value();
-  data.regions = {CellRect{0, 1, 0, 3}, CellRect{1, 2, 0, 2},
-                  CellRect{1, 2, 2, 3}};
   data.maintained_blob = std::string("tree-bytes\x00\x01\x7f", 13);
   return data;
 }
@@ -68,6 +64,9 @@ TEST(CheckpointTest, RoundTripsEveryField) {
   ASSERT_EQ(listed->size(), 1u);
   EXPECT_EQ((*listed)[0].epoch, 7);
   EXPECT_EQ((*listed)[0].generation, 2);
+  EXPECT_FALSE((*listed)[0].is_link);
+  EXPECT_EQ(std::filesystem::path((*listed)[0].path).filename(),
+            CheckpointFileName(7, 2, /*is_link=*/false));
 
   auto loaded = ReadCheckpoint((*listed)[0].path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -78,24 +77,23 @@ TEST(CheckpointTest, RoundTripsEveryField) {
   EXPECT_EQ(loaded->wal_generation, data.wal_generation);
   EXPECT_EQ(loaded->total_resplits, data.total_resplits);
   EXPECT_EQ(loaded->algorithm, data.algorithm);
-  ASSERT_EQ(loaded->cell_sums.size(), data.cell_sums.size());
-  for (size_t i = 0; i < data.cell_sums.size(); ++i) {
-    EXPECT_EQ(loaded->cell_sums[i].count, data.cell_sums[i].count);
-    EXPECT_EQ(loaded->cell_sums[i].labels, data.cell_sums[i].labels);
-    EXPECT_EQ(loaded->cell_sums[i].scores, data.cell_sums[i].scores);
-    EXPECT_EQ(loaded->cell_sums[i].residuals, data.cell_sums[i].residuals);
-    EXPECT_EQ(loaded->cell_sums[i].cell_abs, data.cell_sums[i].cell_abs);
+  EXPECT_FALSE(loaded->prev.has_value());
+  EXPECT_EQ(loaded->cells, data.cells);
+  ASSERT_EQ(loaded->sums.size(), data.sums.size());
+  for (size_t i = 0; i < data.sums.size(); ++i) {
+    EXPECT_EQ(loaded->sums[i].count, data.sums[i].count);
+    EXPECT_EQ(loaded->sums[i].labels, data.sums[i].labels);
+    EXPECT_EQ(loaded->sums[i].scores, data.sums[i].scores);
+    EXPECT_EQ(loaded->sums[i].residuals, data.sums[i].residuals);
+    EXPECT_EQ(loaded->sums[i].cell_abs, data.sums[i].cell_abs);
   }
-  EXPECT_EQ(loaded->partition.num_regions(), 3);
-  for (int cell = 0; cell < 6; ++cell) {
-    EXPECT_EQ(loaded->partition.RegionOfCell(cell),
-              data.partition.RegionOfCell(cell))
-        << "cell " << cell;
-  }
-  ASSERT_EQ(loaded->regions.size(), data.regions.size());
-  EXPECT_EQ(loaded->regions[1].row_begin, 1);
-  EXPECT_EQ(loaded->regions[1].col_end, 2);
   EXPECT_EQ(loaded->maintained_blob, data.maintained_blob);
+
+  // A base resolves to itself.
+  auto latest = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(latest.ok()) << latest.status();
+  EXPECT_EQ(latest->cells, data.cells);
+  EXPECT_EQ(latest->maintained_blob, data.maintained_blob);
 }
 
 TEST(CheckpointTest, CorruptNewestFallsBackToOlderValidOne) {
@@ -131,6 +129,25 @@ TEST(CheckpointTest, LoadLatestFailsCleanlyWithNoValidCheckpoint) {
             StatusCode::kNotFound);
   EXPECT_EQ(LoadLatestCheckpoint(dir + "/missing").status().code(),
             StatusCode::kNotFound);
+}
+
+// When every head fails, the NotFound keeps the newest head's own reason.
+TEST(CheckpointTest, LoadLatestKeepsTheNewestHeadsReason) {
+  const std::string dir = FreshDir("reason");
+  ASSERT_TRUE(WriteCheckpoint(dir, MakeData(3)).ok());
+  ASSERT_TRUE(WriteCheckpoint(dir, MakeData(9)).ok());
+  for (const char* name : {"/checkpoint-3-2.ckpt", "/checkpoint-9-2.ckpt"}) {
+    std::fstream file(dir + name,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(40);
+    file.put('\x7e');
+  }
+  const Status status = LoadLatestCheckpoint(dir).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+  EXPECT_NE(status.message().find("checkpoint-9-2.ckpt: CRC mismatch"),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
 }
 
 TEST(CheckpointTest, TruncatedFileIsRejectedWithByteCounts) {

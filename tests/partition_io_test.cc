@@ -4,11 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <limits>
 #include <string>
 
-#include "common/binary_io.h"
 #include "index/uniform_grid.h"
 
 namespace fairidx {
@@ -87,67 +84,6 @@ TEST(PartitionIoTest, ParseRejectsNonIntegerFields) {
   EXPECT_FALSE(ParsePartitionCsv(
                    small, "cell_id,row,col,region\n0,0,0,0\n1,0,1,1.5\n")
                    .ok());
-}
-
-TEST(PartitionIoTest, BinaryRoundTripPreservesRegionIdsVerbatim) {
-  const Grid grid = MakeGrid();
-  // Region ids deliberately NOT in first-appearance order: unlike the CSV
-  // path (which compacts), the binary path must hand back the exact map —
-  // maintainer state indexes regions by id.
-  std::vector<int> map(static_cast<size_t>(grid.num_cells()), 0);
-  for (int cell = 0; cell < grid.num_cells(); ++cell) {
-    map[static_cast<size_t>(cell)] = (cell % 3 == 0) ? 2 : cell % 2;
-  }
-  const Partition built =
-      Partition::FromCellMapExact(std::move(map), 3).value();
-  const std::string bytes = SerializePartitionBinary(built);
-  const Partition loaded = ParsePartitionBinary(grid, bytes).value();
-  EXPECT_EQ(loaded.cell_to_region(), built.cell_to_region());
-  EXPECT_EQ(loaded.num_regions(), built.num_regions());
-}
-
-TEST(PartitionIoTest, BinaryParseRejectsBadInput) {
-  const Grid grid = MakeGrid();
-  const PartitionResult built =
-      BuildUniformGridPartition(grid, 2).value();
-  const std::string bytes = SerializePartitionBinary(built.partition);
-  // Wrong grid shape.
-  const Grid other = Grid::Create(2, 2, BoundingBox{0, 0, 2, 2}).value();
-  EXPECT_FALSE(ParsePartitionBinary(other, bytes).ok());
-  // Truncated and trailing bytes.
-  EXPECT_FALSE(
-      ParsePartitionBinary(grid, bytes.substr(0, bytes.size() - 2)).ok());
-  EXPECT_FALSE(ParsePartitionBinary(grid, bytes + "x").ok());
-  EXPECT_FALSE(ParsePartitionBinary(grid, "").ok());
-}
-
-TEST(PartitionIoTest, BinaryParseRejectsMoreRegionsThanCells) {
-  // A 2x2 map claiming 2^31 - 1 regions: rejected on the counts alone,
-  // before anything is sized by the claimed region count.
-  const Grid grid = Grid::Create(2, 2, BoundingBox{0, 0, 2, 2}).value();
-  BinaryWriter out;
-  out.PutU64(4);
-  out.PutI32(std::numeric_limits<int32_t>::max());
-  for (int cell = 0; cell < 4; ++cell) out.PutI32(0);
-  const std::string bytes = out.Release();
-  ASSERT_EQ(bytes.size(), 28u);
-  const Result<Partition> parsed = ParsePartitionBinary(grid, bytes);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(parsed.status().message(),
-            "Partition: 2147483647 regions exceed 4 cells");
-}
-
-TEST(PartitionIoTest, FromCellMapExactValidatesTheMap) {
-  EXPECT_TRUE(Partition::FromCellMapExact({1, 0, 1, 0}, 2).ok());
-  // Region id outside [0, num_regions).
-  EXPECT_FALSE(Partition::FromCellMapExact({0, 2}, 2).ok());
-  EXPECT_FALSE(Partition::FromCellMapExact({0, -1}, 2).ok());
-  // Region 1 has no cells.
-  EXPECT_FALSE(Partition::FromCellMapExact({0, 0}, 2).ok());
-  // Degenerate shapes.
-  EXPECT_FALSE(Partition::FromCellMapExact({}, 1).ok());
-  EXPECT_FALSE(Partition::FromCellMapExact({0}, 0).ok());
 }
 
 TEST(PartitionIoTest, WktHasOnePolygonPerRegion) {

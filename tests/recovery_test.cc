@@ -9,6 +9,7 @@
 // count always reaches the full stream total.
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "service/checkpoint.h"
 #include "service/fair_index_service.h"
@@ -322,13 +324,13 @@ TEST(RecoveryKillTest, RandomizedCrashPointsLoseNothingOnResume) {
   }
 }
 
-// Delta-chain differential: with full_snapshot_interval > 1 the newest
-// on-disk checkpoint is usually a DELTA whose chain must be resolved back
-// to a full base before the WAL tail replays. Across shard counts and
-// every cut point, recovery off a delta chain must land bit-identical to
-// (a) the state the crashed process held and (b) the final state of the
-// full-snapshot-only reference — and the sweep must actually hit delta
-// heads, not just fulls, or it proves nothing.
+// Link-chain differential: with full_snapshot_interval > 1 the newest
+// on-disk checkpoint is usually a LINK whose chain must be resolved back
+// to a base before the WAL tail replays. Across shard counts and every
+// cut point, recovery off a link chain must land bit-identical to (a)
+// the state the crashed process held and (b) the final state of the
+// base-only reference — and the sweep must actually hit link heads, not
+// just bases, or it proves nothing.
 TEST(RecoveryDifferentialTest, DeltaChainRecoveryBitIdenticalToFullSnapshots) {
   const Grid grid = MakeGrid(6, 6);
   constexpr size_t kBatches = 12;
@@ -341,8 +343,8 @@ TEST(RecoveryDifferentialTest, DeltaChainRecoveryBitIdenticalToFullSnapshots) {
   }
 
   for (int shards : {1, 3}) {
-    // Full-snapshot-only reference (full_snapshot_interval = 1, the
-    // pre-delta behavior), run uninterrupted.
+    // Base-only reference (full_snapshot_interval = 1), run
+    // uninterrupted.
     const std::string ref_dir =
         FreshDir("delta_ref_s" + std::to_string(shards));
     auto reference = FairIndexService::Create(
@@ -369,16 +371,12 @@ TEST(RecoveryDifferentialTest, DeltaChainRecoveryBitIdenticalToFullSnapshots) {
       const ServiceState at_cut = CaptureState(**crashed);
       crashed->reset();  // The crash: checkpoints + WAL tail only.
 
-      // Is the newest on-disk head a delta? (The cadence makes it one
+      // Is the newest on-disk head a link? (The cadence makes it one
       // for most cuts; count them so the sweep provably covers chains.)
-      auto fulls = ListCheckpoints(dir);
-      auto deltas = ListDeltaCheckpoints(dir);
-      ASSERT_TRUE(fulls.ok() && deltas.ok());
-      ASSERT_FALSE(fulls->empty());
-      if (!deltas->empty() &&
-          deltas->back().epoch > fulls->back().epoch) {
-        ++delta_head_cuts;
-      }
+      auto listed = ListCheckpoints(dir);
+      ASSERT_TRUE(listed.ok());
+      ASSERT_FALSE(listed->empty());
+      if (listed->back().is_link) ++delta_head_cuts;
 
       auto recovered = FairIndexService::Recover(grid, options);
       ASSERT_TRUE(recovered.ok())
@@ -469,6 +467,147 @@ TEST(RecoveryTest, MidLogCorruptionFailsLoudly) {
   EXPECT_NE(status.message().find("CRC mismatch mid-log"),
             std::string::npos)
       << status;
+}
+
+// A base lists exactly the cells that hold records: the warmup's after
+// Create, and after Recover every restored cell too (Restore stamps them
+// with the restored epoch). Recovering twice through such bases lands
+// bit-identical to a run that was never interrupted.
+TEST(RecoveryTest, BasesListExactlyTheTouchedCells) {
+  const Grid grid = MakeGrid(16, 16);
+  Rng rng(12);
+  const AggregateBatch warmup = RandomRecords(rng, grid, 20);
+  std::vector<AggregateBatch> batches;
+  for (int i = 0; i < 6; ++i) {
+    batches.push_back(RandomRecords(rng, grid, 10));
+  }
+  // The ascending distinct cells of the warmup and the first `n` batches.
+  const auto touched = [&](size_t n) {
+    std::vector<int> cells = warmup.cell_ids;
+    for (size_t i = 0; i < n; ++i) {
+      cells.insert(cells.end(), batches[i].cell_ids.begin(),
+                   batches[i].cell_ids.end());
+    }
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+    return cells;
+  };
+  const auto newest_base_cells = [](const std::string& dir) {
+    auto listed = ListCheckpoints(dir);
+    EXPECT_TRUE(listed.ok() && !listed->empty());
+    EXPECT_FALSE(listed->back().is_link);
+    return ReadCheckpoint(listed->back().path).value().cells;
+  };
+  ASSERT_LT(touched(6).size(), static_cast<size_t>(grid.num_cells()));
+
+  const std::string ref_dir = FreshDir("bases_ref");
+  auto reference = FairIndexService::Create(grid, warmup,
+                                            DurableOptions(ref_dir, 2, 0));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  for (size_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*reference)->Ingest(batches[i]).ok());
+    if (i == 2 || i == 5) ASSERT_TRUE((*reference)->Seal().ok());
+  }
+
+  const std::string dir = FreshDir("bases");
+  const FairIndexServiceOptions options = DurableOptions(dir, 2, 0);
+  {
+    auto created = FairIndexService::Create(grid, warmup, options);
+    ASSERT_TRUE(created.ok()) << created.status();
+    EXPECT_EQ(newest_base_cells(dir), touched(0));
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*created)->Ingest(batches[i]).ok());
+    }
+    ASSERT_TRUE((*created)->Seal().ok());
+  }
+  {
+    auto recovered = FairIndexService::Recover(grid, options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    for (size_t i = 3; i < 6; ++i) {
+      ASSERT_TRUE((*recovered)->Ingest(batches[i]).ok());
+    }
+    ASSERT_TRUE((*recovered)->Seal().ok());
+    ASSERT_TRUE((*recovered)->Checkpoint().ok());
+    EXPECT_EQ(newest_base_cells(dir), touched(6));
+  }
+  auto twice = FairIndexService::Recover(grid, options);
+  ASSERT_TRUE(twice.ok()) << twice.status();
+  EXPECT_EQ(newest_base_cells(dir), touched(6));
+
+  ExpectStateBitEq(CaptureState(**twice), CaptureState(**reference));
+  const std::vector<RegionAggregate> got = (*twice)->QueryRegions();
+  const std::vector<RegionAggregate> want = (*reference)->QueryRegions();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        got.size() * sizeof(RegionAggregate)),
+            0);
+  const auto got_sums = (*twice)->store().CaptureSealedState().cell_sums;
+  const auto want_sums =
+      (*reference)->store().CaptureSealedState().cell_sums;
+  ASSERT_EQ(got_sums.size(), want_sums.size());
+  EXPECT_EQ(std::memcmp(got_sums.data(), want_sums.data(),
+                        got_sums.size() * sizeof(got_sums[0])),
+            0);
+}
+
+// A Recover whose only checkpoint fails its CRC keeps NotFound, and its
+// one-line message names the file and the reason.
+TEST(RecoveryTest, CorruptOnlyCheckpointFailsWithItsReason) {
+  const Grid grid = MakeGrid(4, 4);
+  Rng rng(9);
+  const std::string dir = FreshDir("corrupt_only");
+  const FairIndexServiceOptions options = DurableOptions(dir, 1, 0);
+  {
+    auto service = FairIndexService::Create(
+        grid, RandomRecords(rng, grid, 30), options);
+    ASSERT_TRUE(service.ok()) << service.status();
+  }
+  {
+    std::fstream file(dir + "/checkpoint-0-1.ckpt",
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(40);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(40);
+    file.put(static_cast<char>(byte ^ 0x3c));
+  }
+  const Status status = FairIndexService::Recover(grid, options).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+  EXPECT_NE(status.message().find("checkpoint-0-1.ckpt: CRC mismatch"),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
+}
+
+// Version-1 files (the separate full and delta formats) are refused:
+// Recover over a directory holding only them fails with one line naming
+// the newest file and its version.
+TEST(RecoveryTest, VersionOneCheckpointsFailWithOneLine) {
+  const Grid grid = MakeGrid(4, 4);
+  const std::string dir = FreshDir("version_one");
+  std::filesystem::create_directories(dir);
+  const struct {
+    const char* name;
+    uint32_t magic;
+  } files[] = {{"checkpoint-0-1.ckpt", 0x4658434Bu},  // "FXCK" full
+               {"delta-2-1.ckpt", 0x46584443u}};      // "FXDC" delta
+  for (const auto& file : files) {
+    const std::string body(64, '\x01');
+    BinaryWriter framed;
+    framed.PutU32(file.magic);
+    framed.PutU32(1);
+    framed.PutU32(static_cast<uint32_t>(body.size()));
+    framed.PutU32(Crc32(body.data(), body.size()));
+    framed.PutBytes(body.data(), body.size());
+    std::ofstream(dir + "/" + file.name, std::ios::binary)
+        << framed.buffer();
+  }
+  const Status status =
+      FairIndexService::Recover(grid, DurableOptions(dir, 1, 0)).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+  EXPECT_NE(status.message().find("delta-2-1.ckpt: bad magic or version 1"),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(status.message().find('\n'), std::string::npos) << status;
 }
 
 // Two records scoring 1e308 in cell 0 of a 4x4 grid: finite, but enough

@@ -78,8 +78,8 @@ inline constexpr CliFlagSpec kCliFlags[] = {
     {"checkpoint-interval", "stream", "N",
      "checkpoint every N sealed epochs (default 8)"},
     {"full-snapshot-interval", "stream", "N",
-     "every Nth checkpoint is a full snapshot, the rest O(changed) "
-     "deltas (1 = all full)"},
+     "every Nth checkpoint is a base, the rest O(changed) links "
+     "(1 = all bases)"},
     {"fsync", "stream", "none|batch|always",
      "stable-storage window for WAL appends (default batch)"},
     {"retain-epochs", "stream", "K",
