@@ -411,6 +411,26 @@ BENCHMARK(BM_FromCellSumsIntegrate)
     ->Args({2048, 0})
     ->Unit(benchmark::kMillisecond);
 
+// The cold twin of BM_FromCellSumsIntegrate/1024/0: every iteration
+// integrates into fresh storage, as Create and a seal with no recycled
+// spare do, so the timing includes first-touching (and releasing) the
+// 42 MB prefix array — the path the huge-page advice
+// (common/huge_pages.h) serves. Read it next to the warm /1024/0.
+void BM_FromCellSumsColdStorage(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  const auto& sums = BenchCellSums(side);
+  for (auto _ : state) {
+    GridAggregates agg = OrDie(
+        GridAggregates::FromCellSums(side, side, sums, 0), "FromCellSums");
+    benchmark::DoNotOptimize(agg);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * side *
+                          side);
+}
+BENCHMARK(BM_FromCellSumsColdStorage)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FromCellSumsIntegrateScalar(benchmark::State& state) {
   internal::ForceScalarAggregateKernelsForTest(true);
   FromCellSumsIntegrateLoop(state);

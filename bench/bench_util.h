@@ -51,6 +51,21 @@ inline PipelineRunResult RunOrDie(const Dataset& dataset,
   return OrDie(RunPipeline(dataset, prototype, options), "RunPipeline");
 }
 
+/// The kernel's transparent-huge-page mode: the bracketed word of
+/// /sys/kernel/mm/transparent_hugepage/enabled, or "unavailable".
+inline std::string TransparentHugePageMode() {
+  std::FILE* file =
+      std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+  if (file == nullptr) return "unavailable";
+  char line[256] = {};
+  const bool read = std::fgets(line, sizeof line, file) != nullptr;
+  std::fclose(file);
+  const char* open = read ? std::strchr(line, '[') : nullptr;
+  const char* close = open != nullptr ? std::strchr(open, ']') : nullptr;
+  if (close == nullptr) return "unavailable";
+  return std::string(open + 1, close);
+}
+
 /// Prints a section banner so bench output reads like the paper's figures.
 inline void PrintBanner(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
@@ -100,6 +115,9 @@ inline int RunGoogleBenchmark(int argc, char** argv) {
                               SimdTierName(DetectedSimdTier()));
   benchmark::AddCustomContext(
       "fairidx_crc32c", CrcHardwareAvailable() ? "hardware" : "software");
+  // Cold-storage timings (BM_FromCellSumsColdStorage) depend on whether
+  // the huge-page advice can take effect.
+  benchmark::AddCustomContext("fairidx_thp", TransparentHugePageMode());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

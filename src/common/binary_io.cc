@@ -1,8 +1,10 @@
 #include "common/binary_io.h"
 
 #include <cstring>
+#include <fstream>
 
 #include "common/cpu_features.h"
+#include "common/huge_pages.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <nmmintrin.h>
@@ -106,6 +108,33 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
 #endif
   static const Crc32Tables t(0x82F63B78u);
   return SlicedCrc(t, data, size, seed);
+}
+
+Result<std::string> ReadWholeFile(const std::string& path,
+                                  const std::string& what) {
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  if (!file) return NotFoundError("cannot open " + what + " '" + path + "'");
+  const std::streamoff size = file.tellg();
+  std::string bytes;
+  if (size >= 0) {
+    bytes.reserve(static_cast<size_t>(size));
+    AdviseHugePages(bytes.data(), static_cast<size_t>(size));
+    bytes.resize(static_cast<size_t>(size));
+  }
+  if (size < 0 || !file.seekg(0) || !file.read(bytes.data(), size)) {
+    return DataLossError(what + " " + path + ": read failed");
+  }
+  return bytes;
+}
+
+void BinaryWriter::Reserve(size_t bytes) {
+  const size_t used = buffer_.size();
+  const size_t capacity = buffer_.capacity();
+  buffer_.reserve(used + bytes);
+  // Only a reallocation hands back memory no write has touched yet.
+  if (buffer_.capacity() != capacity) {
+    AdviseHugePages(buffer_.data() + used, buffer_.capacity() - used);
+  }
 }
 
 void BinaryWriter::PutU32(uint32_t value) {

@@ -31,6 +31,13 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 /// table. Seed-chainable like Crc32.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 
+/// Reads the whole file at `path` into one string sized from the file —
+/// the durability layer's one whole-file reader (checkpoints and WAL
+/// segments). `what` names the file kind in the errors: NotFound "cannot
+/// open <what> '<path>'" and DataLoss "<what> <path>: read failed".
+Result<std::string> ReadWholeFile(const std::string& path,
+                                  const std::string& what);
+
 /// Appends fixed-width little-endian values to a growing byte string.
 class BinaryWriter {
  public:
@@ -51,8 +58,9 @@ class BinaryWriter {
   void PutI32Array(const int* values, size_t count);
   void PutDoubleArray(const double* values, size_t count);
 
-  /// Pre-size the buffer for `bytes` more output.
-  void Reserve(size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+  /// Pre-size the buffer for `bytes` more output, huge-page advised
+  /// (common/huge_pages.h) when that is a checkpoint-sized image.
+  void Reserve(size_t bytes);
 
   /// Overwrites 4 already-written bytes at `offset` (little-endian) —
   /// for length/checksum headers patched after the body is serialized,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <thread>
 
+#include "common/huge_pages.h"
 #include "common/thread_pool.h"
 #include "geo/aggregate_kernels.h"
 
@@ -104,7 +105,9 @@ GridAggregates::GridAggregates(int rows, int cols,
                                std::vector<PrefixEntry> storage)
     : rows_(rows), cols_(cols), prefix_(std::move(storage)) {
   const size_t size = static_cast<size_t>(rows + 1) * (cols + 1);
-  if (prefix_.size() != size) prefix_.assign(size, PrefixEntry{});
+  if (prefix_.size() != size) {
+    AssignHugePageBacked(&prefix_, size, PrefixEntry{});
+  }
 }
 
 Status GridAggregates::AccumulateInto(const Grid& grid,
@@ -183,7 +186,8 @@ GridAggregates::AccumulateCellSums(const Grid& grid,
                                    const std::vector<int>& labels,
                                    const std::vector<double>& scores,
                                    const std::vector<double>& residuals) {
-  std::vector<PrefixEntry> cell_sums(static_cast<size_t>(grid.num_cells()));
+  std::vector<PrefixEntry> cell_sums = HugePageBackedVector<PrefixEntry>(
+      static_cast<size_t>(grid.num_cells()));
   FAIRIDX_RETURN_IF_ERROR(
       AccumulateInto(grid, cell_ids, labels, scores, residuals,
                      cell_sums.data(), static_cast<size_t>(grid.cols()), 0));

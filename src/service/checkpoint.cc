@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -176,19 +175,6 @@ Result<CheckpointData> ParseBody(BinaryReader in, const std::string& path) {
   return data;
 }
 
-// Reads a whole file into one string sized from the file.
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) return NotFoundError("cannot open checkpoint '" + path + "'");
-  const std::streamoff size = file.tellg();
-  std::string bytes(static_cast<size_t>(std::max<std::streamoff>(size, 0)),
-                    '\0');
-  if (size < 0 || !file.seekg(0) || !file.read(bytes.data(), size)) {
-    return DataLossError("checkpoint " + path + ": read failed");
-  }
-  return bytes;
-}
-
 // Overlays `link`'s cells onto `base`'s (both ascending): a cell both
 // list takes the link's sums.
 void Overlay(const CheckpointData& link, CheckpointData* base) {
@@ -330,7 +316,8 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path) {
     return DataLossError("checkpoint " + path +
                          ": not a checkpoint file name");
   }
-  FAIRIDX_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
+  FAIRIDX_ASSIGN_OR_RETURN(const std::string bytes,
+                           ReadWholeFile(path, "checkpoint"));
   BinaryReader frame(bytes);
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t magic, frame.ReadU32());
   FAIRIDX_ASSIGN_OR_RETURN(const uint32_t version, frame.ReadU32());

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "common/huge_pages.h"
 #include "service/checkpoint.h"
 
 namespace fairidx {
@@ -171,8 +172,9 @@ Result<std::unique_ptr<FairIndexService>> FairIndexService::Recover(
                       checkpoint.epoch + 1, wal_options));
   // The record lists the non-empty cells; sized only now, after the
   // shape check, so a hostile header cannot size the array.
-  std::vector<GridAggregates::PrefixEntry> cell_sums(
-      static_cast<size_t>(grid.num_cells()));
+  std::vector<GridAggregates::PrefixEntry> cell_sums =
+      HugePageBackedVector<GridAggregates::PrefixEntry>(
+          static_cast<size_t>(grid.num_cells()));
   for (size_t i = 0; i < checkpoint.cells.size(); ++i) {
     cell_sums[static_cast<size_t>(checkpoint.cells[i])] = checkpoint.sums[i];
   }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/huge_pages.h"
 #include "common/thread_pool.h"
 #include "service/wal.h"
 
@@ -41,7 +42,8 @@ ShardedDeltaStore::ShardedDeltaStore(const Grid& grid,
       force_sharded_fold_(options.force_sharded_fold),
       wal_(options.wal),
       cell_sums_(std::move(cell_sums)),
-      cell_dirty_epoch_(static_cast<size_t>(grid.num_cells()), -1) {}
+      cell_dirty_epoch_(HugePageBackedVector<long long>(
+          static_cast<size_t>(grid.num_cells()), -1)) {}
 
 Result<std::unique_ptr<ShardedDeltaStore>> ShardedDeltaStore::Build(
     const Grid& grid, const AggregateBatch& warmup,
@@ -300,6 +302,16 @@ ShardedDeltaStore::DirtyCells ShardedDeltaStore::CaptureDirtySince(
   DirtyCells out;
   out.epoch = epoch_.load(std::memory_order_acquire);
   out.sealed_records = sealed_records_.load(std::memory_order_acquire);
+  // Count first, then fill exactly sized (and advised) vectors: growing
+  // them would touch up to twice the bytes the capture keeps.
+  size_t count = 0;
+  for (const long long stamp : cell_dirty_epoch_) {
+    count += stamp > since_epoch ? 1 : 0;
+  }
+  out.cells.reserve(count);
+  out.sums.reserve(count);
+  AdviseHugePages(out.cells.data(), count * sizeof(int));
+  AdviseHugePages(out.sums.data(), count * sizeof(PrefixEntry));
   for (size_t cell = 0; cell < cell_dirty_epoch_.size(); ++cell) {
     if (cell_dirty_epoch_[cell] > since_epoch) {
       out.cells.push_back(static_cast<int>(cell));

@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -256,11 +254,8 @@ Result<std::vector<WalRecord>> ReadWalSegment(const std::string& path,
                                               bool allow_torn_tail,
                                               long long* torn_bytes_dropped) {
   if (torn_bytes_dropped != nullptr) *torn_bytes_dropped = 0;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return NotFoundError("cannot open wal segment '" + path + "'");
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
+  FAIRIDX_ASSIGN_OR_RETURN(const std::string data,
+                           ReadWholeFile(path, "wal segment"));
 
   const auto torn = [&](size_t offset) -> Status {
     if (!allow_torn_tail) {

@@ -478,6 +478,53 @@ TEST(ShardedDeltaStoreTest, RecycledSnapshotsMatchFreshIntegration) {
   }
 }
 
+// CaptureDirtySince counts before it fills: it returns exactly the cells
+// the old scan-and-push_back loop returned — every cell stamped after
+// `since`, ascending, with its sealed sums — in vectors sized exactly.
+TEST(ShardedDeltaStoreTest, CaptureDirtySinceIsExactAndInScanOrder) {
+  const Grid grid = MakeGrid(20, 90);
+  Rng rng(18);
+  // The epoch each cell was last sealed at, as the store stamps it.
+  std::vector<long long> stamp(static_cast<size_t>(grid.num_cells()), -1);
+  const AggregateBatch warmup = RandomBatch(rng, grid, 250);
+  for (int cell : warmup.cell_ids) stamp[static_cast<size_t>(cell)] = 0;
+  auto store = ShardedDeltaStore::Build(grid, warmup,
+                                        ShardedDeltaStoreOptions{3, 4});
+  ASSERT_TRUE(store.ok());
+  constexpr int kEpochs = 5;
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    const AggregateBatch batch = RandomBatch(rng, grid, 40 * epoch);
+    for (int cell : batch.cell_ids) stamp[static_cast<size_t>(cell)] = epoch;
+    ASSERT_TRUE((*store)->Ingest(batch).ok());
+    ASSERT_TRUE((*store)->Seal().ok());
+  }
+  const std::vector<GridAggregates::PrefixEntry> sums =
+      (*store)->CaptureSealedState().cell_sums;
+  for (long long since = -1; since <= kEpochs; ++since) {
+    SCOPED_TRACE(since);
+    std::vector<int> want_cells;
+    std::vector<GridAggregates::PrefixEntry> want_sums;
+    for (size_t cell = 0; cell < stamp.size(); ++cell) {
+      if (stamp[cell] > since) {
+        want_cells.push_back(static_cast<int>(cell));
+        want_sums.push_back(sums[cell]);
+      }
+    }
+    const ShardedDeltaStore::DirtyCells got =
+        (*store)->CaptureDirtySince(since);
+    EXPECT_EQ(got.epoch, kEpochs);
+    EXPECT_EQ(got.cells, want_cells);
+    ASSERT_EQ(got.sums.size(), want_sums.size());
+    if (!want_sums.empty()) {
+      EXPECT_EQ(std::memcmp(got.sums.data(), want_sums.data(),
+                            want_sums.size() * sizeof(want_sums[0])),
+                0);
+    }
+    EXPECT_EQ(got.cells.capacity(), got.cells.size());
+    EXPECT_EQ(got.sums.capacity(), got.sums.size());
+  }
+}
+
 // A snapshot a reader pins, or a SealedEpoch a caller holds, is never
 // recycled: its bits survive any number of Seal + RetainEpochs cycles.
 TEST(ShardedDeltaStoreTest, PinnedSnapshotsAreNeverRecycled) {

@@ -287,6 +287,33 @@ TEST(WalReadTest, TornTrailingGarbageIsDroppedOnlyWhenAllowed) {
             StatusCode::kDataLoss);
 }
 
+// ReadWholeFile is the one whole-file reader behind checkpoints and WAL
+// segments: every byte (NULs included) in one string, and errors that
+// name the file's kind as each caller always has.
+TEST(WalReadTest, WholeFileReadKeepsEveryByteAndNamesTheKind) {
+  const std::string dir = FreshDir("whole_file");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/bytes.bin";
+  std::string bytes("\0head\0", 6);
+  for (int i = 0; i < 70000; ++i) bytes.push_back(static_cast<char>(i * 31));
+  WriteFileBytes(path, bytes);
+  auto read = ReadWholeFile(path, "wal segment");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, bytes);
+
+  WriteFileBytes(path, "");
+  read = ReadWholeFile(path, "checkpoint");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(read->empty());
+
+  const std::string missing = dir + "/missing.log";
+  EXPECT_EQ(ReadWholeFile(missing, "checkpoint").status().message(),
+            "cannot open checkpoint '" + missing + "'");
+  const Status status = ReadWalSegment(missing, true).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(status.message(), "cannot open wal segment '" + missing + "'");
+}
+
 TEST(WalReadTest, EveryTruncationPointIsATornTail) {
   const std::string dir = FreshDir("truncate");
   auto writer = WalWriter::Open(dir, 1, 1, WalOptions{});
