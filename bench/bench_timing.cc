@@ -75,6 +75,9 @@ BENCHMARK(BM_FairKdTreePipelineVsRecords)
     ->Arg(4000)
     ->Arg(16000)
     ->Arg(64000)
+    ->Arg(256000)
+    ->Arg(1024000)
+    ->Unit(benchmark::kMillisecond)
     ->Complexity(benchmark::oN);
 
 // --- Theorem 3: index construction alone vs height (scores fixed). ---
@@ -1159,6 +1162,39 @@ void BM_LogisticNewtonPass(benchmark::State& state) {
   RunLogisticPass(state, /*with_hessian=*/true);
 }
 BENCHMARK(BM_LogisticNewtonPass)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// LogisticRegression::PredictScores' pooled chunks over 100,000 x 6 raw
+// rows, each standardized inline: arg 0 on the shared pool (what
+// PredictScores runs), arg 1 on a pool with no workers. The scores are
+// bit-identical; CI gates /0 against /1 like the passes above.
+void BM_LogisticPredict(benchmark::State& state) {
+  constexpr size_t kRows = 100000;
+  constexpr size_t kCols = 6;
+  const LogisticBenchData& data = LogisticBenchSet();
+  LogisticRegression model;
+  if (!model.Fit(data.Z, data.y).ok()) {
+    state.SkipWithError("fit failed");
+    return;
+  }
+  Matrix X(kRows, kCols);
+  Rng rng(1357);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t c = 0; c < kCols; ++c) X(r, c) = rng.Gaussian(0.0, 1.0);
+  }
+  ThreadPool serial(0);
+  ThreadPool& pool = state.range(0) == 0 ? ThreadPool::Shared() : serial;
+  for (auto _ : state) {
+    Result<std::vector<double>> scores =
+        internal::PredictLogisticScores(model, X, pool);
+    benchmark::DoNotOptimize(scores);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_LogisticPredict)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);

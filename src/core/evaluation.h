@@ -1,14 +1,15 @@
 // Copyright 2026 The fairidx Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Shared train-and-evaluate step: fits a classifier on the training split of
-// a dataset (whose neighborhood attribute is already set), scores every
-// record, and computes the paper's indicators — accuracy, overall
-// miscalibration, and ENCE on both splits.
+// Shared train-and-evaluate steps over a NeighborhoodDesign: the
+// fit-and-score step fits a classifier on the training split and scores
+// every record; the indicator step computes the paper's indicators —
+// accuracy, overall miscalibration, and ENCE on both splits.
 
 #ifndef FAIRIDX_CORE_EVALUATION_H_
 #define FAIRIDX_CORE_EVALUATION_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,9 +52,33 @@ struct TrainedEvaluation {
   EvaluationResult eval;
 };
 
-/// Clones `prototype`, fits it on `split.train_indices`, scores all records,
-/// and evaluates. The dataset's current neighborhoods define both the
-/// neighborhood feature and the ENCE groups.
+/// A fitted model and its scores for every record.
+struct FittedScores {
+  std::unique_ptr<Classifier> model;
+  std::vector<double> scores;
+};
+
+/// The fit-and-score step: fits a clone of `prototype` on `design`'s fit
+/// rows (the labels of its task; `fit_weights`, if non-null, one per fit
+/// row) and scores every record. It computes no indicator: the pipeline's
+/// stage-1 partitioner hook reads the scores only.
+Result<FittedScores> FitAndScore(const NeighborhoodDesign& design,
+                                 const Classifier& prototype,
+                                 const std::vector<double>* fit_weights);
+
+/// Encodes `neighborhoods` (one per record) into `design`, whose fit rows
+/// must be split.train_indices, fits and scores (with
+/// `reweight_by_neighborhood`, Kamiran-Calders weighted by those
+/// neighborhoods), then computes the indicators, grouping ENCE by the same
+/// neighborhoods. RunPipeline's final fit reuses its stage-1 design here.
+Result<TrainedEvaluation> TrainAndEvaluate(
+    NeighborhoodDesign& design, const std::vector<int>& neighborhoods,
+    const TrainTestSplit& split, const Classifier& prototype,
+    bool reweight_by_neighborhood);
+
+/// The same over a fresh design and the dataset's current neighborhoods:
+/// clones `prototype`, fits it on `split.train_indices`, scores all
+/// records, and evaluates.
 Result<TrainedEvaluation> TrainAndEvaluate(const Dataset& dataset,
                                            const TrainTestSplit& split,
                                            const Classifier& prototype,

@@ -17,19 +17,18 @@ Result<IterativeFairKdTreeResult> BuildIterativeFairKdTree(
     return InvalidArgumentError("iterative fair KD: empty training split");
   }
 
-  // Work on a copy: the algorithm rewrites neighborhoods level by level.
-  Dataset working = dataset;
-  working.SetSingleNeighborhood();
-  const Grid& grid = working.grid();
-  const std::vector<int>& labels = working.labels(options.task);
+  // The algorithm re-districts level by level, starting from one
+  // neighborhood; each level rewrites only the design's neighborhood
+  // column(s).
+  std::vector<int> neighborhoods(dataset.num_records(), 0);
+  const Grid& grid = dataset.grid();
+  const std::vector<int>& labels = dataset.labels(options.task);
 
   std::vector<CellRect> regions = {grid.FullRect()};
   IterativeFairKdTreeResult out;
 
-  DesignMatrixOptions design_options;
-  design_options.encoding = options.encoding;
-  design_options.task = options.task;
-  design_options.encoding_fit_indices = split.train_indices;
+  NeighborhoodDesign design(
+      dataset, {options.encoding, options.task, split.train_indices});
 
   // Gathered training views, reused across levels.
   std::vector<int> train_labels;
@@ -38,21 +37,20 @@ Result<IterativeFairKdTreeResult> BuildIterativeFairKdTree(
   std::vector<int> train_cells;
   train_cells.reserve(split.train_indices.size());
   for (size_t i : split.train_indices) {
-    train_cells.push_back(working.base_cells()[i]);
+    train_cells.push_back(dataset.base_cells()[i]);
   }
 
   for (int level = 0; level < options.height; ++level) {
     const int remaining_height = options.height - level;  // th in Alg. 3.
 
     // Train on the current neighborhoods and refresh scores (Alg. 3 line 5).
-    FAIRIDX_ASSIGN_OR_RETURN(Matrix design,
-                             working.DesignMatrix(design_options));
-    const Matrix train_design = design.SelectRows(split.train_indices);
+    FAIRIDX_RETURN_IF_ERROR(design.Encode(neighborhoods));
     std::unique_ptr<Classifier> model = prototype.Clone();
-    FAIRIDX_RETURN_IF_ERROR(model->Fit(train_design, train_labels, nullptr));
+    FAIRIDX_RETURN_IF_ERROR(
+        model->Fit(design.fit_rows(), train_labels, nullptr));
     ++out.retrain_count;
     FAIRIDX_ASSIGN_OR_RETURN(std::vector<double> train_scores,
-                             model->PredictScores(train_design));
+                             model->PredictScores(design.fit_rows()));
 
     FAIRIDX_ASSIGN_OR_RETURN(
         GridAggregates aggregates,
@@ -66,8 +64,8 @@ Result<IterativeFairKdTreeResult> BuildIterativeFairKdTree(
     // Re-district for the next level's training (Alg. 3 line 11).
     FAIRIDX_ASSIGN_OR_RETURN(Partition level_partition,
                              Partition::FromRects(grid, regions));
-    FAIRIDX_RETURN_IF_ERROR(working.SetNeighborhoodsFromCellMap(
-        level_partition.cell_to_region()));
+    FAIRIDX_ASSIGN_OR_RETURN(
+        neighborhoods, dataset.MapBaseCells(level_partition.cell_to_region()));
   }
 
   FAIRIDX_ASSIGN_OR_RETURN(Partition partition,

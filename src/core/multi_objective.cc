@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "core/evaluation.h"
 #include "fairness/region_metrics.h"
 #include "geo/grid_aggregates.h"
 
@@ -77,33 +78,19 @@ Result<std::vector<double>> ComputeMultiObjectiveResiduals(
   ThreadPool::Shared().ParallelFor(
       num_tasks, options.num_threads, [&](size_t k) {
         const int task = tasks[k];
-        DesignMatrixOptions design_options;
-        design_options.encoding = options.encoding;
-        design_options.task = task;
-        design_options.encoding_fit_indices = split.train_indices;
-        Result<Matrix> design = dataset.DesignMatrix(design_options);
-        if (!design.ok()) {
-          task_status[k] = design.status();
+        NeighborhoodDesign design(
+            dataset, {options.encoding, task, split.train_indices});
+        Status encoded = design.Encode(dataset.neighborhoods());
+        if (!encoded.ok()) {
+          task_status[k] = std::move(encoded);
           return;
         }
-        const Matrix train_design = design->SelectRows(split.train_indices);
-        std::vector<int> train_labels;
-        train_labels.reserve(split.train_indices.size());
-        for (size_t i : split.train_indices) {
-          train_labels.push_back(dataset.labels(task)[i]);
-        }
-        std::unique_ptr<Classifier> model = prototype.Clone();
-        if (Status fit = model->Fit(train_design, train_labels, nullptr);
-            !fit.ok()) {
-          task_status[k] = std::move(fit);
-          return;
-        }
-        Result<std::vector<double>> scores = model->PredictScores(*design);
+        Result<FittedScores> scores = FitAndScore(design, prototype, nullptr);
         if (!scores.ok()) {
           task_status[k] = scores.status();
           return;
         }
-        task_scores[k] = std::move(*scores);
+        task_scores[k] = std::move(scores->scores);
       });
   for (Status& status : task_status) {
     FAIRIDX_RETURN_IF_ERROR(std::move(status));

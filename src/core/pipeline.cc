@@ -52,13 +52,50 @@ std::vector<PartitionAlgorithm> AllPartitionAlgorithms() {
           PartitionAlgorithm::kStrSlabs};
 }
 
+namespace {
+
+// Stage 1 of Fig. 2, score only: encodes the base-grid cell as the
+// neighborhood feature, fits, and returns every record's score. The
+// partitioner reads nothing else, so no indicator is computed.
+Result<std::vector<double>> BaseGridScores(NeighborhoodDesign& design,
+                                           const Classifier& prototype) {
+  FAIRIDX_RETURN_IF_ERROR(design.Encode(design.dataset().base_cells()));
+  FAIRIDX_ASSIGN_OR_RETURN(FittedScores fitted,
+                           FitAndScore(design, prototype, nullptr));
+  return std::move(fitted.scores);
+}
+
+// A context whose stage-1 hook runs BaseGridScores over `design`, or over
+// a design of its own when `design` is null.
+PartitionerContext MakeContext(const Dataset& dataset,
+                               const TrainTestSplit& split,
+                               const Classifier& prototype,
+                               const PartitionerBuildOptions& options,
+                               NeighborhoodDesign* design) {
+  PartitionerContext::InitialScoreFn score_fn =
+      [design](const Dataset& data, const TrainTestSplit& data_split,
+               const Classifier& proto,
+               const PartitionerBuildOptions& build_options)
+      -> Result<std::vector<double>> {
+    if (design != nullptr) return BaseGridScores(*design, proto);
+    NeighborhoodDesign own(data, {build_options.encoding, build_options.task,
+                                  data_split.train_indices});
+    return BaseGridScores(own, proto);
+  };
+  return PartitionerContext(dataset, split, &prototype, options,
+                            std::move(score_fn));
+}
+
+}  // namespace
+
 Result<TrainedEvaluation> TrainOnBaseGrid(const Dataset& dataset,
                                           const TrainTestSplit& split,
                                           const Classifier& prototype,
                                           const EvalOptions& options) {
-  Dataset working = dataset;
-  FAIRIDX_RETURN_IF_ERROR(working.SetNeighborhoods(working.base_cells()));
-  return TrainAndEvaluate(working, split, prototype, options);
+  NeighborhoodDesign design(
+      dataset, {options.encoding, options.task, split.train_indices});
+  return TrainAndEvaluate(design, dataset.base_cells(), split, prototype,
+                          options.reweight_by_neighborhood);
 }
 
 PartitionerBuildOptions ToPartitionerBuildOptions(
@@ -80,24 +117,7 @@ PartitionerBuildOptions ToPartitionerBuildOptions(
 PartitionerContext MakePipelinePartitionerContext(
     const Dataset& dataset, const TrainTestSplit& split,
     const Classifier& prototype, const PartitionerBuildOptions& options) {
-  // The stage-1 score pass of Fig. 2: train once on the base grid (cell id
-  // as the neighborhood feature) and hand every record's confidence score
-  // to the partitioner.
-  PartitionerContext::InitialScoreFn score_fn =
-      [](const Dataset& data, const TrainTestSplit& data_split,
-         const Classifier& proto,
-         const PartitionerBuildOptions& build_options)
-      -> Result<std::vector<double>> {
-    EvalOptions eval_options;
-    eval_options.task = build_options.task;
-    eval_options.encoding = build_options.encoding;
-    FAIRIDX_ASSIGN_OR_RETURN(
-        TrainedEvaluation initial,
-        TrainOnBaseGrid(data, data_split, proto, eval_options));
-    return std::move(initial.scores);
-  };
-  return PartitionerContext(dataset, split, &prototype, options,
-                            std::move(score_fn));
+  return MakeContext(dataset, split, prototype, options, nullptr);
 }
 
 Result<PipelineRunResult> RunPipeline(const Dataset& dataset,
@@ -132,24 +152,23 @@ Result<PipelineRunResult> RunPipeline(const Dataset& dataset,
       out.split, MakeStratifiedSplit(dataset.labels(options.task),
                                      options.test_fraction, split_rng));
 
-  Dataset working = dataset;
-
-  EvalOptions eval_options;
-  eval_options.task = options.task;
-  eval_options.encoding = options.encoding;
+  // One design per run: stage 1 encodes the base cells into it, the final
+  // fit rewrites only its neighborhood column(s).
+  NeighborhoodDesign design(
+      dataset, {options.encoding, options.task, out.split.train_indices});
 
   const auto partition_start = std::chrono::steady_clock::now();
 
   // Stage 1+2: initial scores (lazily, when the partitioner asks) and the
   // partition build, through the registry.
-  PartitionerContext context = MakePipelinePartitionerContext(
-      working, out.split, prototype, ToPartitionerBuildOptions(options));
+  PartitionerContext context =
+      MakeContext(dataset, out.split, prototype,
+                  ToPartitionerBuildOptions(options), &design);
   FAIRIDX_ASSIGN_OR_RETURN(PartitionerOutput built,
                            partitioner->Build(context));
   out.has_cell_partition = built.has_cell_partition;
   out.partition = std::move(built.partition);
   out.partition_stage_fits = built.model_fits;
-  eval_options.reweight_by_neighborhood = built.reweight_by_neighborhood;
 
   // Optional minimum-population post-processing (cell partitions only).
   if (out.has_cell_partition && options.min_region_population > 0.0) {
@@ -157,8 +176,8 @@ Result<PipelineRunResult> RunPipeline(const Dataset& dataset,
     merge_options.min_population = options.min_region_population;
     FAIRIDX_ASSIGN_OR_RETURN(
         RegionMergingResult merged,
-        MergeSmallRegions(working.grid(), out.partition.partition,
-                          working.base_cells(), merge_options));
+        MergeSmallRegions(dataset.grid(), out.partition.partition,
+                          dataset.base_cells(), merge_options));
     if (merged.merges > 0) {
       out.partition.partition = std::move(merged.partition);
       // Merged regions are generally not rectangles any more.
@@ -172,17 +191,18 @@ Result<PipelineRunResult> RunPipeline(const Dataset& dataset,
 
   // Stage 3: re-district.
   if (out.has_cell_partition) {
-    FAIRIDX_RETURN_IF_ERROR(working.SetNeighborhoodsFromCellMap(
-        out.partition.partition.cell_to_region()));
+    FAIRIDX_ASSIGN_OR_RETURN(
+        out.record_neighborhoods,
+        dataset.MapBaseCells(out.partition.partition.cell_to_region()));
   } else {
-    FAIRIDX_RETURN_IF_ERROR(working.SetNeighborhoods(working.zip_codes()));
+    out.record_neighborhoods = dataset.zip_codes();
   }
-  out.record_neighborhoods = working.neighborhoods();
 
   // Stage 4: final training + evaluation.
   FAIRIDX_ASSIGN_OR_RETURN(
       out.final_model,
-      TrainAndEvaluate(working, out.split, prototype, eval_options));
+      TrainAndEvaluate(design, out.record_neighborhoods, out.split,
+                       prototype, built.reweight_by_neighborhood));
   return out;
 }
 

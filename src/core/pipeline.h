@@ -111,16 +111,20 @@ struct PipelineRunResult {
   int partition_stage_fits = 0;
 };
 
-/// Runs the full pipeline on a copy of `dataset` (the input is unchanged).
-/// `prototype` supplies the classifier family (cloned for each fit). The
-/// partition stage dispatches through the PartitionerRegistry under
-/// PartitionAlgorithmName(options.algorithm).
+/// Runs the full pipeline over `dataset`, which it reads but never copies
+/// or changes. `prototype` supplies the classifier family (cloned for each
+/// fit). The partition stage dispatches through the PartitionerRegistry
+/// under PartitionAlgorithmName(options.algorithm). One NeighborhoodDesign
+/// serves the run: the stage-1 fit encodes the base cells into it and the
+/// final fit rewrites only its neighborhood column(s).
 Result<PipelineRunResult> RunPipeline(const Dataset& dataset,
                                       const Classifier& prototype,
                                       const PipelineOptions& options);
 
 /// Step-1 helper, exposed for benches/tests: trains on the base grid (cell
-/// id as neighborhood) and returns scores for all records.
+/// id as neighborhood) and returns scores for all records together with
+/// the indicators, grouped by base cell. The pipeline's own stage-1 hook
+/// computes the same scores and no indicator.
 Result<TrainedEvaluation> TrainOnBaseGrid(const Dataset& dataset,
                                           const TrainTestSplit& split,
                                           const Classifier& prototype,
@@ -130,9 +134,11 @@ Result<TrainedEvaluation> TrainOnBaseGrid(const Dataset& dataset,
 PartitionerBuildOptions ToPartitionerBuildOptions(
     const PipelineOptions& options);
 
-/// A PartitionerContext wired to the pipeline's stage-1 initial training
-/// (TrainOnBaseGrid) — what RunPipeline itself hands to the registry
-/// partitioners, exposed so tools and tests can drive them directly.
+/// A PartitionerContext wired to the pipeline's stage-1 initial training:
+/// its hook fits on the base grid and returns the scores only, the same
+/// scores as TrainOnBaseGrid. It is the hook RunPipeline hands to the
+/// registry partitioners (there over the run's shared design), exposed so
+/// tools and tests can drive them directly.
 PartitionerContext MakePipelinePartitionerContext(
     const Dataset& dataset, const TrainTestSplit& split,
     const Classifier& prototype, const PartitionerBuildOptions& options);

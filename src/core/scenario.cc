@@ -867,13 +867,16 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
       TrainTestSplit split,
       MakeStratifiedSplit(dataset.labels(config.task),
                           config.test_fraction, rng));
-  FAIRIDX_ASSIGN_OR_RETURN(
-      TrainedEvaluation trained,
-      TrainOnBaseGrid(dataset, split, prototype, EvalOptions{}));
+  // The stage-1 base-grid scores (task 0, numeric ids), without the
+  // indicators TrainOnBaseGrid would add.
+  PartitionerContext context = MakePipelinePartitionerContext(
+      dataset, split, prototype, PartitionerBuildOptions{});
+  FAIRIDX_ASSIGN_OR_RETURN(const std::vector<double>* scores,
+                           context.InitialScores());
   StreamFeed feed;
   feed.all.cell_ids = dataset.base_cells();
   feed.all.labels = dataset.labels(config.task);
-  feed.all.scores = trained.scores;
+  feed.all.scores = *scores;
   feed.total = dataset.num_records();
   feed.warmup = std::max<size_t>(
       1, feed.total * static_cast<size_t>(config.stream_warmup_pct) / 100);

@@ -1,5 +1,6 @@
 #include "data/dataset.h"
 
+#include <algorithm>
 #include <map>
 
 namespace fairidx {
@@ -47,15 +48,22 @@ Result<int> Dataset::AddTask(std::string name, std::vector<int> labels) {
   return num_tasks() - 1;
 }
 
-Status Dataset::SetNeighborhoodsFromCellMap(
-    const std::vector<int>& cell_to_region) {
+Result<std::vector<int>> Dataset::MapBaseCells(
+    const std::vector<int>& cell_to_region) const {
   if (cell_to_region.size() != static_cast<size_t>(grid_.num_cells())) {
     return InvalidArgumentError(
         "SetNeighborhoodsFromCellMap: map must cover every grid cell");
   }
+  std::vector<int> mapped(base_cells_.size());
   for (size_t i = 0; i < base_cells_.size(); ++i) {
-    neighborhoods_[i] = cell_to_region[base_cells_[i]];
+    mapped[i] = cell_to_region[base_cells_[i]];
   }
+  return mapped;
+}
+
+Status Dataset::SetNeighborhoodsFromCellMap(
+    const std::vector<int>& cell_to_region) {
+  FAIRIDX_ASSIGN_OR_RETURN(neighborhoods_, MapBaseCells(cell_to_region));
   return Status::Ok();
 }
 
@@ -80,61 +88,66 @@ Status Dataset::SetZipCodes(std::vector<int> zip_codes) {
   return Status::Ok();
 }
 
-Result<Matrix> Dataset::DesignMatrix(
-    const DesignMatrixOptions& options,
-    std::vector<std::string>* column_names) const {
-  if (column_names != nullptr) *column_names = feature_names_;
+NeighborhoodDesign::NeighborhoodDesign(const Dataset& dataset,
+                                       DesignMatrixOptions options)
+    : dataset_(&dataset), options_(std::move(options)) {}
 
-  switch (options.encoding) {
-    case NeighborhoodEncoding::kNumericId: {
-      std::vector<double> column(num_records());
-      for (size_t i = 0; i < num_records(); ++i) {
-        column[i] = static_cast<double>(neighborhoods_[i]);
+Status NeighborhoodDesign::Encode(const std::vector<int>& neighborhoods) {
+  const Dataset& data = *dataset_;
+  const size_t n = data.num_records();
+  const size_t features = data.num_features();
+  const std::vector<size_t>& fit = options_.encoding_fit_indices;
+  if (neighborhoods.size() != n) {
+    return InvalidArgumentError(
+        "NeighborhoodDesign: one neighborhood per record required");
+  }
+  for (size_t i : fit) {
+    if (i >= n) return OutOfRangeError("DesignMatrix: fit index out of range");
+  }
+
+  // Per record: the encoded value, or under one-hot its indicator column.
+  std::vector<double> values;
+  std::vector<size_t> hot;
+  std::vector<int> ids;
+  size_t width = features + 1;
+  switch (options_.encoding) {
+    case NeighborhoodEncoding::kNumericId:
+      values.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = static_cast<double>(neighborhoods[i]);
       }
-      if (column_names != nullptr) column_names->push_back("neighborhood");
-      return features_.WithColumn(column);
-    }
+      break;
     case NeighborhoodEncoding::kOneHot: {
       // Stable, sorted mapping from distinct ids to indicator columns.
-      std::map<int, size_t> id_to_col;
-      for (int n : neighborhoods_) id_to_col.emplace(n, 0);
-      size_t next = 0;
-      for (auto& [id, col] : id_to_col) col = next++;
-      Matrix out(num_records(), features_.cols() + id_to_col.size());
-      for (size_t r = 0; r < num_records(); ++r) {
-        double* dst = out.MutableRow(r);
-        const double* src = features_.Row(r);
-        for (size_t c = 0; c < features_.cols(); ++c) dst[c] = src[c];
-        dst[features_.cols() + id_to_col[neighborhoods_[r]]] = 1.0;
+      ids = neighborhoods;
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      width = features + ids.size();
+      hot.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        hot[i] = features + static_cast<size_t>(
+                                std::lower_bound(ids.begin(), ids.end(),
+                                                 neighborhoods[i]) -
+                                ids.begin());
       }
-      if (column_names != nullptr) {
-        for (const auto& [id, col] : id_to_col) {
-          column_names->push_back("neighborhood_" + std::to_string(id));
-        }
-      }
-      return out;
+      break;
     }
     case NeighborhoodEncoding::kTargetMean: {
-      if (options.task < 0 || options.task >= num_tasks()) {
+      if (options_.task < 0 || options_.task >= data.num_tasks()) {
         return InvalidArgumentError(
             "DesignMatrix: target-mean encoding needs a valid task");
       }
-      const std::vector<int>& y = task_labels_[options.task];
+      const std::vector<int>& y = data.labels(options_.task);
       std::map<int, std::pair<double, double>> sums;  // id -> (sum, count)
       auto accumulate = [&](size_t i) {
-        auto& [sum, count] = sums[neighborhoods_[i]];
+        auto& [sum, count] = sums[neighborhoods[i]];
         sum += y[i];
         count += 1.0;
       };
-      if (options.encoding_fit_indices.empty()) {
-        for (size_t i = 0; i < num_records(); ++i) accumulate(i);
+      if (fit.empty()) {
+        for (size_t i = 0; i < n; ++i) accumulate(i);
       } else {
-        for (size_t i : options.encoding_fit_indices) {
-          if (i >= num_records()) {
-            return OutOfRangeError("DesignMatrix: fit index out of range");
-          }
-          accumulate(i);
-        }
+        for (size_t i : fit) accumulate(i);
       }
       double global_sum = 0.0, global_count = 0.0;
       for (const auto& [id, sc] : sums) {
@@ -143,21 +156,72 @@ Result<Matrix> Dataset::DesignMatrix(
       }
       const double global_mean =
           global_count > 0 ? global_sum / global_count : 0.5;
-      std::vector<double> column(num_records());
-      for (size_t i = 0; i < num_records(); ++i) {
-        auto it = sums.find(neighborhoods_[i]);
+      values.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        auto it = sums.find(neighborhoods[i]);
         // Neighborhoods unseen during fitting back off to the global mean.
-        column[i] = (it != sums.end() && it->second.second > 0)
+        values[i] = (it != sums.end() && it->second.second > 0)
                         ? it->second.first / it->second.second
                         : global_mean;
       }
-      if (column_names != nullptr) {
-        column_names->push_back("neighborhood_target_mean");
-      }
-      return features_.WithColumn(column);
+      break;
     }
   }
-  return InternalError("DesignMatrix: unknown encoding");
+
+  const size_t rows = n + fit.size();
+  if (rows > 0 && width > kMaxDesignEntries / rows) {
+    return OutOfRangeError(
+        "NeighborhoodDesign: " + std::to_string(n) + " + " +
+        std::to_string(fit.size()) + " rows x " + std::to_string(width) +
+        " columns (" + std::to_string(features) + " features + " +
+        std::to_string(width - features) +
+        " neighborhood) exceed kMaxDesignEntries = " +
+        std::to_string(kMaxDesignEntries));
+  }
+
+  const bool one_hot = options_.encoding == NeighborhoodEncoding::kOneHot;
+  if (one_hot || all_rows_.rows() != n || all_rows_.cols() != width) {
+    all_rows_ = Matrix(n, width);
+    fit_rows_ = Matrix(fit.size(), width);
+    const Matrix& source = data.features();
+    for (size_t i = 0; i < n; ++i) {
+      std::copy_n(source.Row(i), features, all_rows_.MutableRow(i));
+    }
+    for (size_t j = 0; j < fit.size(); ++j) {
+      std::copy_n(source.Row(fit[j]), features, fit_rows_.MutableRow(j));
+    }
+  }
+  one_hot_ids_ = std::move(ids);
+  auto write = [&](double* row, size_t i) {
+    if (one_hot) {
+      row[hot[i]] = 1.0;
+    } else {
+      row[features] = values[i];
+    }
+  };
+  for (size_t i = 0; i < n; ++i) write(all_rows_.MutableRow(i), i);
+  for (size_t j = 0; j < fit.size(); ++j) {
+    write(fit_rows_.MutableRow(j), fit[j]);
+  }
+  return Status::Ok();
+}
+
+std::vector<std::string> NeighborhoodDesign::ColumnNames() const {
+  std::vector<std::string> names = dataset_->feature_names();
+  switch (options_.encoding) {
+    case NeighborhoodEncoding::kNumericId:
+      names.push_back("neighborhood");
+      break;
+    case NeighborhoodEncoding::kOneHot:
+      for (int id : one_hot_ids_) {
+        names.push_back("neighborhood_" + std::to_string(id));
+      }
+      break;
+    case NeighborhoodEncoding::kTargetMean:
+      names.push_back("neighborhood_target_mean");
+      break;
+  }
+  return names;
 }
 
 }  // namespace fairidx

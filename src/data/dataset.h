@@ -35,8 +35,10 @@ struct DesignMatrixOptions {
   /// Task whose labels drive target-mean encoding.
   int task = 0;
   /// Records used to fit the target-mean encoding; empty means all records.
+  /// They are also the rows of NeighborhoodDesign::fit_rows().
   std::vector<size_t> encoding_fit_indices;
 };
+
 
 /// Columnar dataset: features, locations, per-task labels, and the mutable
 /// neighborhood assignment.
@@ -73,8 +75,12 @@ class Dataset {
   /// The current neighborhood id of each record (initially the base cell).
   const std::vector<int>& neighborhoods() const { return neighborhoods_; }
 
-  /// Re-districts: assigns record i the neighborhood
-  /// `cell_to_region[base_cells()[i]]`. `cell_to_region` must cover the grid.
+  /// Record i's entry `cell_to_region[base_cells()[i]]`, for every record.
+  /// `cell_to_region` must cover the grid.
+  Result<std::vector<int>> MapBaseCells(
+      const std::vector<int>& cell_to_region) const;
+
+  /// Re-districts: sets the neighborhoods to MapBaseCells(cell_to_region).
   Status SetNeighborhoodsFromCellMap(const std::vector<int>& cell_to_region);
 
   /// Assigns every record to the same single neighborhood (the root state of
@@ -89,13 +95,6 @@ class Dataset {
   bool has_zip_codes() const { return !zip_codes_.empty(); }
   const std::vector<int>& zip_codes() const { return zip_codes_; }
 
-  /// Builds the classifier input: the feature columns plus the encoded
-  /// neighborhood column(s), in that order. The added column names are
-  /// appended to `column_names` if non-null.
-  Result<Matrix> DesignMatrix(const DesignMatrixOptions& options,
-                              std::vector<std::string>* column_names =
-                                  nullptr) const;
-
  private:
   Dataset(Grid grid, std::vector<std::string> feature_names, Matrix features,
           std::vector<Point> locations);
@@ -109,6 +108,47 @@ class Dataset {
   std::vector<int> zip_codes_;
   std::vector<std::string> task_names_;
   std::vector<std::vector<int>> task_labels_;
+};
+
+/// The most entries (rows x columns, over both matrices) one
+/// NeighborhoodDesign may hold: 2^26 doubles, 512 MiB. One-hot over fine
+/// neighborhoods (one column per distinct id, e.g. every base cell) is the
+/// encoding that reaches it; past the bound an encoding fails with one
+/// line instead of aborting on bad_alloc.
+inline constexpr size_t kMaxDesignEntries = size_t{1} << 26;
+
+/// The classifier input over one dataset: the feature columns, then the
+/// encoded neighborhood column(s), for every record (all_rows, to score)
+/// and for the fit rows options.encoding_fit_indices (fit_rows, to train).
+/// Every encoding goes through Encode. A re-encoding rewrites only the
+/// neighborhood column(s) in place; one-hot rebuilds both matrices, since
+/// its width follows the distinct ids.
+class NeighborhoodDesign {
+ public:
+  /// An empty design; `dataset` must outlive it.
+  NeighborhoodDesign(const Dataset& dataset, DesignMatrixOptions options);
+
+  /// Encodes `neighborhoods` (one id per record). InvalidArgument on a
+  /// size mismatch or, under target-mean encoding, an invalid task;
+  /// OutOfRange on a fit index past the records or a design over
+  /// kMaxDesignEntries. On error the matrices are left empty.
+  Status Encode(const std::vector<int>& neighborhoods);
+
+  const Dataset& dataset() const { return *dataset_; }
+  const DesignMatrixOptions& options() const { return options_; }
+  const Matrix& all_rows() const { return all_rows_; }
+  const Matrix& fit_rows() const { return fit_rows_; }
+
+  /// The feature names, then the neighborhood column name(s).
+  std::vector<std::string> ColumnNames() const;
+
+ private:
+  const Dataset* dataset_;
+  DesignMatrixOptions options_;
+  Matrix all_rows_;
+  Matrix fit_rows_;
+  // The sorted distinct ids of the last one-hot encoding, one per column.
+  std::vector<int> one_hot_ids_;
 };
 
 }  // namespace fairidx

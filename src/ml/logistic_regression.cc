@@ -20,6 +20,20 @@ double SigmoidOfExp(double z, double e) {
 double Sigmoid(double z) { return SigmoidOfExp(z, std::exp(-std::abs(z))); }
 
 namespace internal {
+namespace {
+
+// Runs fn(chunk, begin, end) for the kLogisticRowChunk-row chunks of
+// [0, n) on `pool`, inline when the pool has no workers.
+template <typename Fn>
+void ForEachRowChunk(size_t n, ThreadPool& pool, const Fn& fn) {
+  const size_t chunks = (n + kLogisticRowChunk - 1) / kLogisticRowChunk;
+  pool.ParallelFor(chunks, pool.num_workers() + 1, [&](size_t chunk) {
+    fn(chunk, chunk * kLogisticRowChunk,
+       std::min(n, (chunk + 1) * kLogisticRowChunk));
+  });
+}
+
+}  // namespace
 
 LogisticObjective::LogisticObjective(const Matrix& Z, const std::vector<int>& y,
                                      const std::vector<double>& sample_weights,
@@ -43,13 +57,12 @@ double LogisticObjective::Evaluate(const std::vector<double>& w, double b,
   // Phase 1, one partial record per chunk, rows in order within it: one
   // exp(-|margin|) serves the probability, the loss and the curvature,
   // whose stable forms all exponentiate exactly this operand.
-  pool.ParallelFor(chunks, pool.num_workers() + 1, [&](size_t chunk) {
+  ForEachRowChunk(n, pool, [&](size_t chunk, size_t begin, size_t end) {
     double* record = partials_.data() + chunk * stride;
     double* g = record + 1;  // d weight terms, then the intercept's.
     double* h = g + k;       // Lower triangle, row by row.
     double loss = 0.0;
-    const size_t end = std::min(n, (chunk + 1) * kLogisticRowChunk);
-    for (size_t r = chunk * kLogisticRowChunk; r < end; ++r) {
+    for (size_t r = begin; r < end; ++r) {
       const double* row = Z_.Row(r);
       const double margin = Z_.RowDot(r, w) + b;
       const double e = std::exp(-std::abs(margin));
@@ -139,6 +152,46 @@ bool CholeskySolve(size_t k, std::vector<double>* a, std::vector<double>* x) {
 
 }  // namespace
 
+Result<Matrix> StandardizeRows(const Standardizer& standardizer,
+                               const Matrix& X, ThreadPool& pool) {
+  FAIRIDX_RETURN_IF_ERROR(standardizer.CheckTransformable(X));
+  Matrix out(X.rows(), X.cols());
+  ForEachRowChunk(X.rows(), pool, [&](size_t, size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      const double* src = X.Row(r);
+      double* dst = out.MutableRow(r);
+      for (size_t c = 0; c < X.cols(); ++c) {
+        dst[c] = standardizer.Standardize(src[c], c);
+      }
+    }
+  });
+  return out;
+}
+
+Result<std::vector<double>> PredictLogisticScores(
+    const LogisticRegression& model, const Matrix& X, ThreadPool& pool) {
+  if (!model.is_fitted()) {
+    return FailedPreconditionError("LogisticRegression: predict before fit");
+  }
+  const Standardizer& standardizer = model.standardizer();
+  FAIRIDX_RETURN_IF_ERROR(standardizer.CheckTransformable(X));
+  const std::vector<double>& w = model.weights();
+  const double b = model.intercept();
+  std::vector<double> scores(X.rows());
+  ForEachRowChunk(X.rows(), pool, [&](size_t, size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      // RowDot's sum over the standardized row, term by term.
+      const double* row = X.Row(r);
+      double dot = 0.0;
+      for (size_t c = 0; c < X.cols(); ++c) {
+        dot += standardizer.Standardize(row[c], c) * w[c];
+      }
+      scores[r] = Sigmoid(dot + b);
+    }
+  });
+  return scores;
+}
+
 Result<LogisticNewtonStats> MinimizeLogisticObjective(
     LogisticObjective& objective, const LogisticRegressionOptions& options,
     ThreadPool& pool, std::vector<double>* w, double* b) {
@@ -213,9 +266,9 @@ Status LogisticRegression::Fit(const Matrix& X, const std::vector<int>& y,
   fitted_ = false;
 
   FAIRIDX_RETURN_IF_ERROR(standardizer_.Fit(X, sample_weights));
-  auto transformed = standardizer_.Transform(X);
-  if (!transformed.ok()) return transformed.status();
-  const Matrix& Z = transformed.value();
+  FAIRIDX_ASSIGN_OR_RETURN(
+      const Matrix Z,
+      internal::StandardizeRows(standardizer_, X, ThreadPool::Shared()));
 
   std::vector<double> weights_per_sample(Z.rows(), 1.0);
   if (sample_weights != nullptr) weights_per_sample = *sample_weights;
@@ -233,17 +286,7 @@ Status LogisticRegression::Fit(const Matrix& X, const std::vector<int>& y,
 
 Result<std::vector<double>> LogisticRegression::PredictScores(
     const Matrix& X) const {
-  if (!fitted_) {
-    return FailedPreconditionError("LogisticRegression: predict before fit");
-  }
-  auto transformed = standardizer_.Transform(X);
-  if (!transformed.ok()) return transformed.status();
-  const Matrix& Z = transformed.value();
-  std::vector<double> scores(Z.rows());
-  for (size_t r = 0; r < Z.rows(); ++r) {
-    scores[r] = Sigmoid(Z.RowDot(r, weights_) + intercept_);
-  }
-  return scores;
+  return internal::PredictLogisticScores(*this, X, ThreadPool::Shared());
 }
 
 std::vector<double> LogisticRegression::FeatureImportances() const {

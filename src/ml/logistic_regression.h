@@ -8,7 +8,9 @@
 // the gradient and the Hessian together (internal::LogisticObjective).
 // Fixed 4096-row chunks run on ThreadPool::Shared(), each writing one
 // partial sum; the partials are then added serially in chunk order, so
-// the fitted model is bit-identical at any thread count.
+// the fitted model is bit-identical at any thread count. Standardizing
+// the training rows and scoring run per row in the same chunks on the
+// same pool; each row's value depends on that row alone.
 
 #ifndef FAIRIDX_ML_LOGISTIC_REGRESSION_H_
 #define FAIRIDX_ML_LOGISTIC_REGRESSION_H_
@@ -61,6 +63,8 @@ class LogisticRegression : public Classifier {
   /// Fitted weights on the standardized scale (size = feature count).
   const std::vector<double>& weights() const { return weights_; }
   double intercept() const { return intercept_; }
+  /// The fitted feature standardization.
+  const Standardizer& standardizer() const { return standardizer_; }
   /// Newton iterations the last Fit performed, counting the final
   /// converged gradient check (a fit that converges after k steps
   /// reports k + 1).
@@ -131,6 +135,21 @@ struct LogisticNewtonStats {
   /// halving, plus the first.
   int passes = 0;
 };
+
+/// Standardizes `X` with `standardizer` in kLogisticRowChunk-row chunks on
+/// `pool` (inline on a pool with no workers): what LogisticRegression::Fit
+/// runs on ThreadPool::Shared(). Element for element equal to
+/// standardizer.Transform(X), on any pool.
+Result<Matrix> StandardizeRows(const Standardizer& standardizer,
+                               const Matrix& X, ThreadPool& pool);
+
+/// Scores `X` under the fitted `model` in kLogisticRowChunk-row chunks on
+/// `pool`: each row is standardized inline and dotted with the weights,
+/// with no standardized copy of `X`. What LogisticRegression::PredictScores
+/// runs on ThreadPool::Shared(); bit-identical to
+/// Sigmoid(Transform(X).RowDot(r, weights) + intercept), on any pool.
+Result<std::vector<double>> PredictLogisticScores(
+    const LogisticRegression& model, const Matrix& X, ThreadPool& pool);
 
 /// Minimises `objective` by damped Newton from (0, 0), evaluating on
 /// `pool`: what LogisticRegression::Fit runs on ThreadPool::Shared().

@@ -43,20 +43,23 @@ Status Standardizer::Fit(const Matrix& X,
   return Status::Ok();
 }
 
-Result<Matrix> Standardizer::Transform(const Matrix& X) const {
+Status Standardizer::CheckTransformable(const Matrix& X) const {
   if (!is_fitted()) {
     return FailedPreconditionError("Standardizer::Transform before Fit");
   }
   if (X.cols() != means_.size()) {
     return InvalidArgumentError("Standardizer::Transform: column mismatch");
   }
+  return Status::Ok();
+}
+
+Result<Matrix> Standardizer::Transform(const Matrix& X) const {
+  FAIRIDX_RETURN_IF_ERROR(CheckTransformable(X));
   Matrix out(X.rows(), X.cols());
   for (size_t r = 0; r < X.rows(); ++r) {
     const double* src = X.Row(r);
     double* dst = out.MutableRow(r);
-    for (size_t c = 0; c < X.cols(); ++c) {
-      dst[c] = (src[c] - means_[c]) / stds_[c];
-    }
+    for (size_t c = 0; c < X.cols(); ++c) dst[c] = Standardize(src[c], c);
   }
   return out;
 }

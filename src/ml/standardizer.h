@@ -27,6 +27,15 @@ class Standardizer {
   /// Transforms `X`; column count must match the fitted matrix.
   Result<Matrix> Transform(const Matrix& X) const;
 
+  /// OK when Transform(X) would succeed: fitted, with X's column count.
+  Status CheckTransformable(const Matrix& X) const;
+
+  /// Column `c`'s value x, standardized: the one expression every
+  /// transform shares, so a row standardized inline has Transform's bits.
+  double Standardize(double x, size_t c) const {
+    return (x - means_[c]) / stds_[c];
+  }
+
   bool is_fitted() const { return !means_.empty(); }
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& stds() const { return stds_; }

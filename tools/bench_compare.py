@@ -73,8 +73,13 @@ def load(path, role):
     return doc
 
 
+# google-benchmark writes real_time in each entry's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def timings(doc, path, role):
-    """Name -> real_time (ns) for plain iteration entries (no aggregates)."""
+    """Name -> real_time in ns for plain iteration entries (no aggregates),
+    scaled from each entry's time_unit (absent means ns)."""
     out = {}
     for bench in doc["benchmarks"]:
         if not isinstance(bench, dict):
@@ -86,8 +91,15 @@ def timings(doc, path, role):
         if name is None or not isinstance(real_time, (int, float)):
             fail_file(path, role,
                       "has a benchmark entry without name/real_time")
+        unit = bench.get("time_unit", "ns")
+        if unit not in NS_PER_UNIT:
+            fail_file(path, role,
+                      f"has benchmark '{name}' with unknown time_unit "
+                      f"'{unit}' (expected one of "
+                      f"{', '.join(NS_PER_UNIT)})")
+        real_ns = real_time * NS_PER_UNIT[unit]
         # Repetitions: keep the fastest (least noisy on shared runners).
-        out[name] = min(real_time, out.get(name, float("inf")))
+        out[name] = min(real_ns, out.get(name, float("inf")))
     if not out:
         fail_file(path, role, "contains no benchmark timings")
     return out
