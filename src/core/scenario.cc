@@ -6,10 +6,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -37,257 +40,332 @@ std::string ResolvePath(const std::string& include_dir,
   return include_dir + "/" + path;
 }
 
-Result<std::vector<std::string>> SplitList(const std::string& value) {
-  std::vector<std::string> items;
-  for (const std::string& raw : Split(value, ',')) {
-    std::string item = Trim(raw);
-    if (item.empty()) {
-      return InvalidArgumentError("empty element in list '" + value + "'");
-    }
-    items.push_back(std::move(item));
-  }
-  if (items.empty()) {
-    return InvalidArgumentError("empty list");
-  }
-  return items;
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Semantic bounds for the integer keys that size a run's tree, threads,
-// shards or batches: the one table ParseHeights and ValidateScenario (so
-// also `fairidx_cli check`) apply. `tenant_key` names the tenant.<name>.*
-// override of the same quantity, if any.
-struct IntBound {
-  const char* key;
-  const char* tenant_key;
-  long long lo;
-  long long hi;
-};
-
-constexpr long long kMaxThreads = 1024;
-constexpr long long kMaxBatch = 1 << 20;
-constexpr IntBound kIntBounds[] = {
-    // 1 << 30 regions is the most any partitioner builds.
-    {"heights", "height", 0, 30},
-    {"threads", nullptr, 1, kMaxThreads},
-    {"stream_batch", "batch", 1, kMaxBatch},
-    {"stream_shards", "shards", 1, 1024},
-    {"serve_readers", nullptr, 1, kMaxThreads},
-    {"serve_batch", nullptr, 1, kMaxBatch},
-};
-
-// The lookup points one serving point pre-generates before its clock
-// starts: 2^26 Points is 1 GiB. Bounded so an oversized count fails
-// `check` with one line instead of aborting the run on bad_alloc.
+// Upper bounds of the integer keys, each with its reason.
+// 1024 threads, shards or readers is past any host this runs on.
+constexpr double kMaxThreads = 1024;
+// A batch of 2^20 records or lookup points is seconds of work per call.
+constexpr double kMaxBatch = 1 << 20;
+// The lookup points a serving point pre-generates before its clock starts
+// (one worker's, and all its workers' together): 2^26 Points is 1 GiB.
+// Bounded so an oversized count fails `check` with one line instead of
+// aborting the run on bad_alloc.
 constexpr long long kMaxLookupPoints = 1LL << 26;
+// A label-column index: the loaded dataset's own count is checked when
+// the run starts, this bound only lets `check` catch a typo.
+constexpr double kMaxTask = 1023;
+// A record, epoch or checkpoint cadence only needs a typo guard: past a
+// run's length every larger value behaves the same, and 2^30 is past any.
+constexpr double kMaxCadence = 1 << 30;
 
-// Checks the `points` a serving point would pre-generate against
-// kMaxLookupPoints, naming `key` = `value` in the one-line error.
-Status CheckLookupPoints(const std::string& key, long long value,
-                         long long points) {
-  if (points <= kMaxLookupPoints) return Status::Ok();
+// The synthetic cities by name: the `city` key's choices, and the
+// generator LoadScenarioDataset runs for each, by choice index.
+constexpr char kCityChoices[] = "la|losangeles|houston";
+CityConfig (*const kCityConfigs[])() = {LosAngelesConfig, LosAngelesConfig,
+                                         HoustonConfig};
+
+// The index of `value` in a '|'-separated choice list, or -1.
+int ChoiceIndex(const char* choices, const std::string& value) {
+  const std::vector<std::string> names = Split(choices, '|');
+  const auto it = std::find(names.begin(), names.end(), value);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+std::string ChoiceError(const std::string& key, const std::string& value,
+                        const char* choices) {
+  return "unknown " + key + " '" + value + "' (expected " + choices + ")";
+}
+
+std::string FormatNumber(double value) { return StrFormat("%.15g", value); }
+
+// The one range error: "scenario: <key> = <value> is out of range
+// [lo, hi]" (a real key without a ceiling reads "[lo, inf)").
+Status OutOfRange(const std::string& key, const std::string& value,
+                  double lo, double hi) {
   return InvalidArgumentError(
-      "scenario: " + key + " = " + std::to_string(value) +
-      " is out of range: " + std::to_string(points) +
-      " pre-generated lookup points exceed " +
-      std::to_string(kMaxLookupPoints));
+      "scenario: " + key + " = " + value + " is out of range [" +
+      FormatNumber(lo) + ", " +
+      (hi == kInf ? std::string("inf)") : FormatNumber(hi) + "]"));
 }
 
-// Checks `value` against the bound whose key (or, with a `tenant` name,
-// tenant key) is `key`, and names the key in the one-line error.
-Status CheckBound(const std::string& key, long long value,
-                  const std::string& tenant = "") {
-  for (const IntBound& bound : kIntBounds) {
-    const char* name = tenant.empty() ? bound.key : bound.tenant_key;
-    if (name == nullptr || key != name) continue;
-    if (value >= bound.lo && value <= bound.hi) return Status::Ok();
-    return InvalidArgumentError(
-        "scenario: " + (tenant.empty() ? "" : "tenant." + tenant + ".") +
-        key + " = " + std::to_string(value) + " is out of range [" +
-        std::to_string(bound.lo) + ", " + std::to_string(bound.hi) + "]");
+// The ScenarioConfig field a key writes. Its type picks the value parser
+// (Set) and the check ValidateScenario applies (CheckKey).
+using KeyMember = std::variant<
+    std::string ScenarioConfig::*, int ScenarioConfig::*,
+    long long ScenarioConfig::*, double ScenarioConfig::*,
+    std::vector<int> ScenarioConfig::*,
+    std::vector<uint64_t> ScenarioConfig::*,
+    std::vector<PartitionAlgorithm> ScenarioConfig::*,
+    ClassifierKind ScenarioConfig::*, ScenarioWorkload ScenarioConfig::*,
+    ScenarioMaintainPolicy ScenarioConfig::*>;
+
+// One scenario key: what the parser, the validator, tenant sections,
+// ScenarioKeyNames() and the CLI flag table know about it.
+struct KeySpec {
+  constexpr KeySpec(const char* key_name, KeyMember key_member,
+                    double key_lo = -kInf, double key_hi = kInf)
+      : name(key_name), member(key_member), lo(key_lo), hi(key_hi) {}
+
+  const char* name;
+  KeyMember member;
+  // Closed bounds on a number (on each element of a list).
+  double lo;
+  double hi;
+  const char* alias = nullptr;
+  // A closed string enum, '|'-separated; an enum member lists its
+  // enumerators in declaration order.
+  const char* choices = nullptr;
+  // The tenant.<name>.<sub> spelling when a tenant may override the key,
+  // and the tenant's floor when it differs from `lo`.
+  const char* tenant = nullptr;
+  std::optional<double> tenant_lo;
+  // A path, resolved against the including file's directory.
+  bool path = false;
+
+  constexpr KeySpec& Alias(const char* a) { alias = a; return *this; }
+  constexpr KeySpec& OneOf(const char* c) { choices = c; return *this; }
+  constexpr KeySpec& Path() { path = true; return *this; }
+  constexpr KeySpec& Tenant(const char* sub,
+                            std::optional<double> floor = {}) {
+    tenant = sub;
+    tenant_lo = floor;
+    return *this;
   }
-  return InternalError("scenario: no bound for key '" + key + "'");
-}
-
-// Heights accept both comma lists and inclusive "lo..hi" ranges. A range
-// is bounded before it is expanded.
-Result<std::vector<int>> ParseHeights(const std::string& value) {
-  std::vector<int> heights;
-  FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
-                           SplitList(value));
-  for (const std::string& item : items) {
-    const size_t dots = item.find("..");
-    if (dots != std::string::npos) {
-      FAIRIDX_ASSIGN_OR_RETURN(int lo, ParseInt(item.substr(0, dots)));
-      FAIRIDX_ASSIGN_OR_RETURN(int hi, ParseInt(item.substr(dots + 2)));
-      if (lo > hi) {
-        return InvalidArgumentError("empty height range '" + item + "'");
-      }
-      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", lo));
-      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", hi));
-      for (int h = lo; h <= hi; ++h) heights.push_back(h);
-    } else {
-      FAIRIDX_ASSIGN_OR_RETURN(int height, ParseInt(item));
-      FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", height));
-      heights.push_back(height);
-    }
-  }
-  return heights;
-}
-
-Result<std::vector<uint64_t>> ParseSeeds(const std::string& value) {
-  std::vector<uint64_t> seeds;
-  FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
-                           SplitList(value));
-  for (const std::string& item : items) {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseSeed(item));
-    seeds.push_back(seed);
-  }
-  return seeds;
-}
-
-Result<std::vector<PartitionAlgorithm>> ParseAlgorithms(
-    const std::string& value) {
-  std::vector<PartitionAlgorithm> algorithms;
-  FAIRIDX_ASSIGN_OR_RETURN(std::vector<std::string> items,
-                           SplitList(value));
-  for (const std::string& item : items) {
-    if (item == "all") {
-      for (PartitionAlgorithm algorithm : AllPartitionAlgorithms()) {
-        algorithms.push_back(algorithm);
-      }
-      continue;
-    }
-    FAIRIDX_ASSIGN_OR_RETURN(PartitionAlgorithm algorithm,
-                             ParsePartitionAlgorithm(item));
-    algorithms.push_back(algorithm);
-  }
-  return algorithms;
-}
-
-// Every key the if-chain in ParseInto accepts, including aliases, in the
-// chain's own order. Kept adjacent to the chain so an edit to one is an
-// edit to both; tests/serve_scenario_test.cc cross-checks this list
-// against the parser's actual behavior AND against the key table in
-// docs/scenario_reference.md, so neither the list nor the doc can rot.
-constexpr const char* kScenarioKeys[] = {
-    "include",         "name",
-    "city",            "csv",
-    "classifier",      "algorithms",
-    "algorithm",       "heights",
-    "height",          "seeds",
-    "seed",            "task",
-    "threads",         "test_fraction",
-    "min_region_population",
-    "workload",        "stream_batch",
-    "stream_shards",   "stream_warmup_pct",
-    "stream_seal_records",
-    "maintain_policy", "seal_interval",
-    "drift_bound",     "wal_dir",
-    "checkpoint_interval",
-    "full_snapshot_interval",
-    "fsync",           "retain_epochs",
-    "serve_readers",   "serve_lookups",
-    "serve_batch",     "serve_read_pct",
-    "serve_zipf",      "drift",
-    "drift_hot_pct",   "drift_window_pct",
 };
 
-// Every sub-key ParseTenantKey accepts inside a tenant.<name>.<key>
-// section, in its dispatch order, spelled the way the reference doc
-// lists them. Same anti-rot contract as kScenarioKeys: the doc table is
-// test-enforced against ScenarioKeyNames() + TenantScenarioKeyNames().
-constexpr const char* kTenantKeys[] = {
-    "city",          "algorithm",
-    "height",        "seed",
-    "batch",         "shards",
-    "warmup_pct",    "seal_records",
-    "seal_interval", "drift_bound",
-    "retain_epochs", "lookups",
-    "read_pct",      "zipf",
-    "drift",         "fsync",
-    "checkpoint_interval",
-    "full_snapshot_interval",
+// The key table, in ScenarioKeyNames() (and reference doc) order.
+using C = ScenarioConfig;
+constexpr KeySpec kKeys[] = {
+    KeySpec("name", &C::name),
+    KeySpec("city", &C::city).OneOf(kCityChoices).Tenant("city"),
+    KeySpec("csv", &C::csv).Path(),
+    KeySpec("classifier", &C::classifier),
+    KeySpec("algorithms", &C::algorithms)
+        .Alias("algorithm")
+        .Tenant("algorithm"),
+    // 2^30 regions is the most any partitioner builds.
+    KeySpec("heights", &C::heights, 0, 30).Alias("height").Tenant("height"),
+    KeySpec("seeds", &C::seeds).Alias("seed").Tenant("seed"),
+    KeySpec("task", &C::task, 0, kMaxTask),
+    KeySpec("threads", &C::threads, 1, kMaxThreads),
+    // (0, 1) is an open interval: ValidateScenario checks it.
+    KeySpec("test_fraction", &C::test_fraction),
+    KeySpec("min_region_population", &C::min_region_population, 0),
+    KeySpec("workload", &C::workload)
+        .OneOf("pipeline|stream|serve|multi_tenant"),
+    KeySpec("stream_batch", &C::stream_batch, 1, kMaxBatch).Tenant("batch"),
+    KeySpec("stream_shards", &C::stream_shards, 1, kMaxThreads)
+        .Tenant("shards"),
+    KeySpec("stream_warmup_pct", &C::stream_warmup_pct, 1, 99)
+        .Tenant("warmup_pct"),
+    KeySpec("stream_seal_records", &C::stream_seal_records, 0, kMaxCadence)
+        .Tenant("seal_records"),
+    KeySpec("maintain_policy", &C::maintain_policy).OneOf("caller|auto"),
+    KeySpec("seal_interval", &C::seal_interval, 0).Tenant("seal_interval"),
+    KeySpec("drift_bound", &C::drift_bound).Tenant("drift_bound"),
+    KeySpec("wal_dir", &C::wal_dir),
+    KeySpec("checkpoint_interval", &C::checkpoint_interval, 0, kMaxCadence)
+        .Tenant("checkpoint_interval"),
+    KeySpec("full_snapshot_interval", &C::full_snapshot_interval, 1,
+            kMaxCadence)
+        .Tenant("full_snapshot_interval"),
+    KeySpec("fsync", &C::fsync).OneOf("none|batch|always").Tenant("fsync"),
+    KeySpec("retain_epochs", &C::retain_epochs, 0, kMaxCadence)
+        .Tenant("retain_epochs"),
+    KeySpec("serve_readers", &C::serve_readers, 1, kMaxThreads),
+    // lookups = 0 makes a tenant a pure ingester (the noisy neighbor).
+    KeySpec("serve_lookups", &C::serve_lookups, 1, kMaxLookupPoints)
+        .Tenant("lookups", 0),
+    KeySpec("serve_batch", &C::serve_batch, 1, kMaxBatch),
+    KeySpec("serve_read_pct", &C::serve_read_pct, 1, 100).Tenant("read_pct"),
+    KeySpec("serve_zipf", &C::serve_zipf, 0).Tenant("zipf"),
+    KeySpec("drift", &C::drift)
+        .OneOf("none|hotspot|flash_crowd")
+        .Tenant("drift"),
+    KeySpec("drift_hot_pct", &C::drift_hot_pct, 1, 100),
+    KeySpec("drift_window_pct", &C::drift_window_pct, 0, 100),
 };
 
-// One `tenant.<name>.<key> = value` line: find-or-create the named
-// section (first-appearance order) and set the override. Values are
-// validated here the way the top-level keys are; range checks live in
-// ValidateScenario next to their top-level twins.
-Status ParseTenantKey(const std::string& key, const std::string& value,
-                      ScenarioConfig* config) {
+// True for a key whose value is an integer (each element, for heights).
+constexpr bool IsInteger(const KeySpec& spec) {
+  return std::visit(
+      [](auto member) {
+        using T = std::decay_t<decltype(std::declval<C&>().*member)>;
+        return std::is_integral_v<T> || std::is_same_v<T, std::vector<int>>;
+      },
+      spec.member);
+}
+
+constexpr bool IntegerKeysAreBounded() {
+  for (const KeySpec& spec : kKeys) {
+    if (IsInteger(spec) && (spec.lo == -kInf || spec.hi == kInf)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(IntegerKeysAreBounded(), "every integer key states both bounds");
+
+// The key named `key` (or aliased so), or, with `tenant`, the key whose
+// tenant sub-key is `key`; nullptr when there is none.
+const KeySpec* FindKey(const std::string& key, bool tenant = false) {
+  for (const KeySpec& spec : kKeys) {
+    const char* names[] = {tenant ? spec.tenant : spec.name,
+                           tenant ? nullptr : spec.alias};
+    for (const char* name : names) {
+      if (name != nullptr && key == name) return &spec;
+    }
+  }
+  return nullptr;
+}
+
+// ----- Value parsers ---------------------------------------------------
+
+// Appends one item of a sweep-axis list. Heights accept inclusive
+// "lo..hi" ranges, both ends bounded before the range expands.
+Status AppendItem(const KeySpec& spec, const std::string& key,
+                  const std::string& item, std::vector<int>* heights) {
+  const size_t dots = item.find("..");
+  FAIRIDX_ASSIGN_OR_RETURN(int lo, ParseInt(item.substr(0, dots)));
+  int hi = lo;
+  if (dots != std::string::npos) {
+    FAIRIDX_ASSIGN_OR_RETURN(hi, ParseInt(item.substr(dots + 2)));
+    if (lo > hi) {
+      return InvalidArgumentError("empty height range '" + item + "'");
+    }
+  }
+  for (int end : {lo, hi}) {
+    if (end < spec.lo || end > spec.hi) {
+      return OutOfRange(key, std::to_string(end), spec.lo, spec.hi);
+    }
+  }
+  for (int h = lo; h <= hi; ++h) heights->push_back(h);
+  return Status::Ok();
+}
+
+Status AppendItem(const KeySpec&, const std::string&, const std::string& item,
+                  std::vector<uint64_t>* seeds) {
+  FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseSeed(item));
+  seeds->push_back(seed);
+  return Status::Ok();
+}
+
+Status AppendItem(const KeySpec&, const std::string&, const std::string& item,
+                  std::vector<PartitionAlgorithm>* algorithms) {
+  if (item == "all") {
+    const std::vector<PartitionAlgorithm> all = AllPartitionAlgorithms();
+    algorithms->insert(algorithms->end(), all.begin(), all.end());
+    return Status::Ok();
+  }
+  FAIRIDX_ASSIGN_OR_RETURN(PartitionAlgorithm algorithm,
+                           ParsePartitionAlgorithm(item));
+  algorithms->push_back(algorithm);
+  return Status::Ok();
+}
+
+// Parses `value` into the config member of `spec`, by the member's type;
+// `key` is the name errors use.
+Status Set(const KeySpec& spec, const std::string& key,
+           const std::string& value, ScenarioConfig* config) {
+  return std::visit(
+      [&](auto member) -> Status {
+        auto& out = config->*member;
+        using T = std::decay_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          out = value;
+        } else if constexpr (std::is_same_v<T, double>) {
+          FAIRIDX_ASSIGN_OR_RETURN(out, ParseDouble(value));
+        } else if constexpr (std::is_integral_v<T>) {
+          FAIRIDX_ASSIGN_OR_RETURN(out, ParseInt(value));
+        } else if constexpr (std::is_same_v<T, ClassifierKind>) {
+          FAIRIDX_ASSIGN_OR_RETURN(out, ParseClassifierKind(value));
+        } else if constexpr (std::is_enum_v<T>) {
+          // The scenario's own enums: the value's index in the choices.
+          const int index = ChoiceIndex(spec.choices, value);
+          if (index < 0) {
+            return InvalidArgumentError(ChoiceError(key, value, spec.choices));
+          }
+          out = static_cast<T>(index);
+        } else {
+          // A sweep axis: a comma list.
+          T list;
+          for (const std::string& raw : Split(value, ',')) {
+            const std::string item = Trim(raw);
+            if (item.empty()) {
+              return InvalidArgumentError("empty element in list '" + value +
+                                          "'");
+            }
+            FAIRIDX_RETURN_IF_ERROR(AppendItem(spec, key, item, &list));
+          }
+          out = std::move(list);
+        }
+        return Status::Ok();
+      },
+      spec.member);
+}
+
+// Checks the current value of `spec` against its bounds or choices,
+// naming it `key`; `floor` replaces the lower bound.
+Status CheckKey(const KeySpec& spec, const std::string& key,
+                const ScenarioConfig& config, double floor) {
+  const auto check = [&](double value, const std::string& text) {
+    return value >= floor && value <= spec.hi
+               ? Status::Ok()
+               : OutOfRange(key, text, floor, spec.hi);
+  };
+  return std::visit(
+      [&](auto member) -> Status {
+        const auto& value = config.*member;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_integral_v<T>) {
+          return check(static_cast<double>(value), std::to_string(value));
+        } else if constexpr (std::is_same_v<T, double>) {
+          return check(value, FormatNumber(value));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (spec.choices != nullptr && ChoiceIndex(spec.choices, value) < 0) {
+            return InvalidArgumentError("scenario: " +
+                                        ChoiceError(key, value, spec.choices));
+          }
+        } else if constexpr (!std::is_enum_v<T>) {
+          // A sweep axis: never empty; heights bounded item by item.
+          if (value.empty()) return InvalidArgumentError("scenario: no " + key);
+          if constexpr (std::is_same_v<T, std::vector<int>>) {
+            for (int item : value) {
+              FAIRIDX_RETURN_IF_ERROR(check(item, std::to_string(item)));
+            }
+          }
+        }
+        return Status::Ok();
+      },
+      spec.member);
+}
+
+// One `tenant.<name>.<key> = value` line: the override is applied to a
+// default config at once, so a malformed value fails on its own line,
+// then appended to the named section (found or created in
+// first-appearance order).
+Status AddTenantOverride(const std::string& key, const std::string& value,
+                         ScenarioConfig* config) {
   const std::string rest = key.substr(7);  // past "tenant."
   const size_t dot = rest.find('.');
   if (dot == std::string::npos || dot == 0 || dot + 1 >= rest.size()) {
     return InvalidArgumentError(
         "tenant keys are spelled tenant.<name>.<key>, got '" + key + "'");
   }
-  const std::string name = rest.substr(0, dot);
-  const std::string sub = rest.substr(dot + 1);
-  FAIRIDX_RETURN_IF_ERROR(ValidateTenantName(name));
-  ScenarioTenantConfig* tenant = nullptr;
-  for (ScenarioTenantConfig& existing : config->tenants) {
-    if (existing.name == name) tenant = &existing;
-  }
-  if (tenant == nullptr) {
-    config->tenants.emplace_back();
-    config->tenants.back().name = name;
-    tenant = &config->tenants.back();
-  }
-  if (sub == "city") {
-    tenant->city = value;
-  } else if (sub == "algorithm") {
-    FAIRIDX_RETURN_IF_ERROR(ParsePartitionAlgorithm(value).status());
-    tenant->algorithm = value;
-  } else if (sub == "height") {
-    FAIRIDX_ASSIGN_OR_RETURN(int height, ParseInt(value));
-    tenant->height = height;
-  } else if (sub == "seed") {
-    FAIRIDX_ASSIGN_OR_RETURN(uint64_t seed, ParseSeed(value));
-    tenant->seed = seed;
-  } else if (sub == "batch") {
-    FAIRIDX_ASSIGN_OR_RETURN(int batch, ParseInt(value));
-    tenant->batch = batch;
-  } else if (sub == "shards") {
-    FAIRIDX_ASSIGN_OR_RETURN(int shards, ParseInt(value));
-    tenant->shards = shards;
-  } else if (sub == "warmup_pct") {
-    FAIRIDX_ASSIGN_OR_RETURN(int pct, ParseInt(value));
-    tenant->warmup_pct = pct;
-  } else if (sub == "seal_records") {
-    FAIRIDX_ASSIGN_OR_RETURN(int records, ParseInt(value));
-    tenant->seal_records = records;
-  } else if (sub == "seal_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(double interval, ParseDouble(value));
-    tenant->seal_interval = interval;
-  } else if (sub == "drift_bound") {
-    FAIRIDX_ASSIGN_OR_RETURN(double bound, ParseDouble(value));
-    tenant->drift_bound = bound;
-  } else if (sub == "retain_epochs") {
-    FAIRIDX_ASSIGN_OR_RETURN(int retain, ParseInt(value));
-    tenant->retain_epochs = retain;
-  } else if (sub == "lookups") {
-    FAIRIDX_ASSIGN_OR_RETURN(int lookups, ParseInt(value));
-    tenant->lookups = lookups;
-  } else if (sub == "read_pct") {
-    FAIRIDX_ASSIGN_OR_RETURN(int pct, ParseInt(value));
-    tenant->read_pct = pct;
-  } else if (sub == "zipf") {
-    FAIRIDX_ASSIGN_OR_RETURN(double zipf, ParseDouble(value));
-    tenant->zipf = zipf;
-  } else if (sub == "drift") {
-    tenant->drift = value;
-  } else if (sub == "fsync") {
-    tenant->fsync = value;
-  } else if (sub == "checkpoint_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(int interval, ParseInt(value));
-    tenant->checkpoint_interval = interval;
-  } else if (sub == "full_snapshot_interval") {
-    FAIRIDX_ASSIGN_OR_RETURN(int interval, ParseInt(value));
-    tenant->full_snapshot_interval = interval;
+  const ScenarioTenantConfig line{rest.substr(0, dot),
+                                  {{rest.substr(dot + 1), value}}};
+  FAIRIDX_RETURN_IF_ERROR(ValidateTenantName(line.name));
+  FAIRIDX_RETURN_IF_ERROR(
+      TenantEffectiveConfig(ScenarioConfig{}, ScenarioRun{}, line).status());
+  std::vector<ScenarioTenantConfig>& tenants = config->tenants;
+  const auto it = std::find_if(
+      tenants.begin(), tenants.end(),
+      [&](const ScenarioTenantConfig& t) { return t.name == line.name; });
+  if (it == tenants.end()) {
+    tenants.push_back(line);
   } else {
-    return InvalidArgumentError("unknown scenario key '" + key +
-                                "' (see TenantScenarioKeyNames for the "
-                                "accepted tenant.<name>.* sub-keys)");
+    it->overrides.push_back(line.overrides.front());
   }
   return Status::Ok();
 }
@@ -334,146 +412,12 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
           StrFormat("scenario line %d: empty key or value", line_number));
     }
 
-    Status status = Status::Ok();
-    if (key == "include") {
-      status = IncludeFile(ResolvePath(include_dir, value), depth + 1,
-                           config);
-    } else if (key == "name") {
-      config->name = value;
-    } else if (key == "city") {
-      config->city = value;
-    } else if (key == "csv") {
-      config->csv = ResolvePath(include_dir, value);
-    } else if (key == "classifier") {
-      auto kind = ParseClassifierKind(value);
-      if (kind.ok()) config->classifier = *kind;
-      status = kind.ok() ? Status::Ok() : kind.status();
-    } else if (key == "algorithms" || key == "algorithm") {
-      auto algorithms = ParseAlgorithms(value);
-      if (algorithms.ok()) config->algorithms = std::move(*algorithms);
-      status = algorithms.ok() ? Status::Ok() : algorithms.status();
-    } else if (key == "heights" || key == "height") {
-      auto heights = ParseHeights(value);
-      if (heights.ok()) config->heights = std::move(*heights);
-      status = heights.ok() ? Status::Ok() : heights.status();
-    } else if (key == "seeds" || key == "seed") {
-      auto seeds = ParseSeeds(value);
-      if (seeds.ok()) config->seeds = std::move(*seeds);
-      status = seeds.ok() ? Status::Ok() : seeds.status();
-    } else if (key == "task") {
-      auto task = ParseInt(value);
-      if (task.ok()) config->task = *task;
-      status = task.ok() ? Status::Ok() : task.status();
-    } else if (key == "threads") {
-      auto threads = ParseInt(value);
-      if (threads.ok()) config->threads = *threads;
-      status = threads.ok() ? Status::Ok() : threads.status();
-    } else if (key == "test_fraction") {
-      auto fraction = ParseDouble(value);
-      if (fraction.ok()) config->test_fraction = *fraction;
-      status = fraction.ok() ? Status::Ok() : fraction.status();
-    } else if (key == "min_region_population") {
-      auto population = ParseDouble(value);
-      if (population.ok()) config->min_region_population = *population;
-      status = population.ok() ? Status::Ok() : population.status();
-    } else if (key == "workload") {
-      if (value == "pipeline") {
-        config->workload = ScenarioWorkload::kPipeline;
-      } else if (value == "stream") {
-        config->workload = ScenarioWorkload::kStream;
-      } else if (value == "serve") {
-        config->workload = ScenarioWorkload::kServe;
-      } else if (value == "multi_tenant") {
-        config->workload = ScenarioWorkload::kMultiTenant;
-      } else {
-        status = InvalidArgumentError(
-            "unknown workload '" + value +
-            "' (expected pipeline|stream|serve|multi_tenant)");
-      }
-    } else if (key == "stream_batch") {
-      auto batch = ParseInt(value);
-      if (batch.ok()) config->stream_batch = *batch;
-      status = batch.ok() ? Status::Ok() : batch.status();
-    } else if (key == "stream_shards") {
-      auto shards = ParseInt(value);
-      if (shards.ok()) config->stream_shards = *shards;
-      status = shards.ok() ? Status::Ok() : shards.status();
-    } else if (key == "stream_warmup_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->stream_warmup_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "stream_seal_records") {
-      auto seal = ParseInt(value);
-      if (seal.ok()) config->stream_seal_records = *seal;
-      status = seal.ok() ? Status::Ok() : seal.status();
-    } else if (key == "maintain_policy") {
-      if (value == "caller") {
-        config->maintain_policy = ScenarioMaintainPolicy::kCaller;
-      } else if (value == "auto") {
-        config->maintain_policy = ScenarioMaintainPolicy::kAuto;
-      } else {
-        status = InvalidArgumentError("unknown maintain_policy '" + value +
-                                      "' (expected caller|auto)");
-      }
-    } else if (key == "seal_interval") {
-      auto interval = ParseDouble(value);
-      if (interval.ok()) config->seal_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "drift_bound") {
-      auto bound = ParseDouble(value);
-      if (bound.ok()) config->drift_bound = *bound;
-      status = bound.ok() ? Status::Ok() : bound.status();
-    } else if (key == "wal_dir") {
-      config->wal_dir = value;
-    } else if (key == "checkpoint_interval") {
-      auto interval = ParseInt(value);
-      if (interval.ok()) config->checkpoint_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "full_snapshot_interval") {
-      auto interval = ParseInt(value);
-      if (interval.ok()) config->full_snapshot_interval = *interval;
-      status = interval.ok() ? Status::Ok() : interval.status();
-    } else if (key == "fsync") {
-      config->fsync = value;
-    } else if (key == "retain_epochs") {
-      auto retain = ParseInt(value);
-      if (retain.ok()) config->retain_epochs = *retain;
-      status = retain.ok() ? Status::Ok() : retain.status();
-    } else if (key == "serve_readers") {
-      auto readers = ParseInt(value);
-      if (readers.ok()) config->serve_readers = *readers;
-      status = readers.ok() ? Status::Ok() : readers.status();
-    } else if (key == "serve_lookups") {
-      auto lookups = ParseInt(value);
-      if (lookups.ok()) config->serve_lookups = *lookups;
-      status = lookups.ok() ? Status::Ok() : lookups.status();
-    } else if (key == "serve_batch") {
-      auto batch = ParseInt(value);
-      if (batch.ok()) config->serve_batch = *batch;
-      status = batch.ok() ? Status::Ok() : batch.status();
-    } else if (key == "serve_read_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->serve_read_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "serve_zipf") {
-      auto zipf = ParseDouble(value);
-      if (zipf.ok()) config->serve_zipf = *zipf;
-      status = zipf.ok() ? Status::Ok() : zipf.status();
-    } else if (key == "drift") {
-      config->drift = value;
-    } else if (key == "drift_hot_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->drift_hot_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key == "drift_window_pct") {
-      auto pct = ParseInt(value);
-      if (pct.ok()) config->drift_window_pct = *pct;
-      status = pct.ok() ? Status::Ok() : pct.status();
-    } else if (key.rfind("tenant.", 0) == 0) {
-      status = ParseTenantKey(key, value, config);
-    } else {
-      status = InvalidArgumentError("unknown scenario key '" + key + "'");
-    }
+    const Status status =
+        key == "include"
+            ? IncludeFile(ResolvePath(include_dir, value), depth + 1, config)
+        : key.rfind("tenant.", 0) == 0
+            ? AddTenantOverride(key, value, config)
+            : SetScenarioKey(config, key, value, include_dir);
     if (!status.ok()) {
       return InvalidArgumentError(
           StrFormat("scenario line %d: %s", line_number,
@@ -483,12 +427,16 @@ Status ParseInto(const std::string& text, const std::string& include_dir,
   return Status::Ok();
 }
 
-Status ValidateDriftKind(const std::string& key, const std::string& drift) {
-  if (drift == "none" || drift == "hotspot" || drift == "flash_crowd") {
-    return Status::Ok();
-  }
-  return InvalidArgumentError("scenario: unknown " + key + " '" + drift +
-                              "' (expected none|hotspot|flash_crowd)");
+// Checks the `points` a serving point would pre-generate against
+// kMaxLookupPoints, naming `key` = `value` in the one-line error.
+Status CheckLookupPoints(const std::string& key, long long value,
+                         long long points) {
+  if (points <= kMaxLookupPoints) return Status::Ok();
+  return InvalidArgumentError(
+      "scenario: " + key + " = " + std::to_string(value) +
+      " is out of range: " + std::to_string(points) +
+      " pre-generated lookup points exceed " +
+      std::to_string(kMaxLookupPoints));
 }
 
 }  // namespace
@@ -508,53 +456,63 @@ Result<uint64_t> ParseSeed(const std::string& item) {
   return static_cast<uint64_t>(seed);
 }
 
+Status SetScenarioKey(ScenarioConfig* config, const std::string& key,
+                      const std::string& value,
+                      const std::string& include_dir) {
+  const KeySpec* spec = FindKey(key);
+  if (spec == nullptr) {
+    return InvalidArgumentError("unknown scenario key '" + key + "'");
+  }
+  return Set(*spec, spec->name,
+             spec->path ? ResolvePath(include_dir, value) : value, config);
+}
+
+Result<ScenarioConfig> TenantEffectiveConfig(
+    const ScenarioConfig& config, const ScenarioRun& run,
+    const ScenarioTenantConfig& tenant) {
+  ScenarioConfig eff = config;
+  eff.tenants.clear();
+  eff.algorithms = {run.algorithm};
+  eff.heights = {run.height};
+  eff.seeds = {run.seed};
+  for (const auto& [sub, value] : tenant.overrides) {
+    const std::string key = "tenant." + tenant.name + "." + sub;
+    const KeySpec* spec = FindKey(sub, /*tenant=*/true);
+    if (spec == nullptr) {
+      return InvalidArgumentError("unknown scenario key '" + key +
+                                  "' (see TenantScenarioKeyNames for the "
+                                  "accepted tenant.<name>.* sub-keys)");
+    }
+    FAIRIDX_RETURN_IF_ERROR(Set(*spec, key, value, &eff));
+    if (eff.algorithms.size() != 1 || eff.heights.size() != 1 ||
+        eff.seeds.size() != 1) {
+      return InvalidArgumentError(key + " = " + value +
+                                  " names more than one sweep point");
+    }
+    // A tenant's own city is its own dataset.
+    if (sub == "city") eff.csv.clear();
+  }
+  return eff;
+}
+
 Status ValidateScenario(const ScenarioConfig& config) {
-  if (config.algorithms.empty()) {
-    return InvalidArgumentError("scenario: no algorithms");
+  for (const KeySpec& spec : kKeys) {
+    FAIRIDX_RETURN_IF_ERROR(CheckKey(spec, spec.name, config, spec.lo));
   }
-  if (config.heights.empty()) {
-    return InvalidArgumentError("scenario: no heights");
-  }
-  if (config.seeds.empty()) {
-    return InvalidArgumentError("scenario: no seeds");
-  }
-  if (config.task < 0) {
-    return InvalidArgumentError("scenario: task must be >= 0");
-  }
-  for (int height : config.heights) {
-    FAIRIDX_RETURN_IF_ERROR(CheckBound("heights", height));
-  }
-  FAIRIDX_RETURN_IF_ERROR(CheckBound("threads", config.threads));
   if (!(config.test_fraction > 0.0 && config.test_fraction < 1.0)) {
     return InvalidArgumentError(
         "scenario: test_fraction must be in (0, 1)");
   }
-  FAIRIDX_RETURN_IF_ERROR(CheckBound("stream_batch", config.stream_batch));
-  FAIRIDX_RETURN_IF_ERROR(CheckBound("stream_shards", config.stream_shards));
-  if (config.stream_warmup_pct < 1 || config.stream_warmup_pct > 99) {
-    return InvalidArgumentError(
-        "scenario: stream_warmup_pct must be in [1, 99]");
-  }
-  if (config.stream_seal_records < 0) {
-    return InvalidArgumentError(
-        "scenario: stream_seal_records must be >= 0");
-  }
   // The stream, serve and multi_tenant workloads all drive the serving
   // layer; the keys below are meaningful for any of them and typos for
   // pipeline.
-  const bool serving_workload =
-      config.workload == ScenarioWorkload::kStream ||
-      config.workload == ScenarioWorkload::kServe ||
-      config.workload == ScenarioWorkload::kMultiTenant;
+  const bool serving_workload = config.workload != ScenarioWorkload::kPipeline;
   if (serving_workload && config.min_region_population > 0.0) {
     // The serving layer has no region-merging post-process; silently
     // dropping the key would violate the engine's typo-proof stance.
     return InvalidArgumentError(
         "scenario: min_region_population is not supported with "
         "workload = stream, serve or multi_tenant");
-  }
-  if (config.seal_interval < 0.0) {
-    return InvalidArgumentError("scenario: seal_interval must be >= 0");
   }
   if (config.maintain_policy == ScenarioMaintainPolicy::kAuto &&
       !serving_workload) {
@@ -577,17 +535,6 @@ Status ValidateScenario(const ScenarioConfig& config) {
         "scenario: wal_dir requires workload = stream, serve or "
         "multi_tenant");
   }
-  if (config.full_snapshot_interval < 1) {
-    return InvalidArgumentError(
-        "scenario: full_snapshot_interval must be >= 1");
-  }
-  if (!ParseWalFsync(config.fsync).ok()) {
-    return InvalidArgumentError("scenario: unknown fsync '" + config.fsync +
-                                "' (expected none|batch|always)");
-  }
-  if (config.retain_epochs < 0) {
-    return InvalidArgumentError("scenario: retain_epochs must be >= 0");
-  }
   if (config.workload == ScenarioWorkload::kServe &&
       config.maintain_policy != ScenarioMaintainPolicy::kAuto) {
     // Serve workers never seal or refine — without the background
@@ -597,39 +544,18 @@ Status ValidateScenario(const ScenarioConfig& config) {
         "(the background scheduler owns maintenance; workers only "
         "look up and ingest)");
   }
-  FAIRIDX_RETURN_IF_ERROR(CheckBound("serve_readers", config.serve_readers));
-  if (config.serve_lookups < 1) {
-    return InvalidArgumentError("scenario: serve_lookups must be >= 1");
-  }
   // Under serve every reader pre-generates serve_lookups points (both
   // factors are bounded ints, so the product cannot overflow).
   const long long readers =
       config.workload == ScenarioWorkload::kServe ? config.serve_readers : 1;
   FAIRIDX_RETURN_IF_ERROR(CheckLookupPoints(
       "serve_lookups", config.serve_lookups, readers * config.serve_lookups));
-  FAIRIDX_RETURN_IF_ERROR(CheckBound("serve_batch", config.serve_batch));
-  if (config.serve_read_pct < 1 || config.serve_read_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: serve_read_pct must be in [1, 100]");
-  }
-  if (config.serve_zipf < 0.0) {
-    return InvalidArgumentError("scenario: serve_zipf must be >= 0");
-  }
-  FAIRIDX_RETURN_IF_ERROR(ValidateDriftKind("drift", config.drift));
   if (config.drift != "none" && !serving_workload) {
     // The drift generator permutes the ingest tail; a pipeline sweep has
     // no tail, so accepting the key would hide the typo.
     return InvalidArgumentError(
         "scenario: drift requires workload = stream, serve or "
         "multi_tenant");
-  }
-  if (config.drift_hot_pct < 1 || config.drift_hot_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: drift_hot_pct must be in [1, 100]");
-  }
-  if (config.drift_window_pct < 0 || config.drift_window_pct > 100) {
-    return InvalidArgumentError(
-        "scenario: drift_window_pct must be in [0, 100]");
   }
   if (config.workload == ScenarioWorkload::kMultiTenant) {
     if (config.tenants.empty()) {
@@ -650,79 +576,59 @@ Status ValidateScenario(const ScenarioConfig& config) {
     return InvalidArgumentError(
         "scenario: tenant.<name>.* keys require workload = multi_tenant");
   }
-  // Under multi_tenant each tenant's one worker pre-generates its lookups.
+  // Each tenant's overrides pass the same table checks under their own
+  // names; each tenant's one worker pre-generates its lookups.
+  const ScenarioRun first{config.algorithms[0], config.heights[0],
+                          config.seeds[0]};
   long long tenant_lookups = 0;
   for (const ScenarioTenantConfig& tenant : config.tenants) {
-    tenant_lookups += tenant.lookups.value_or(config.serve_lookups);
+    FAIRIDX_ASSIGN_OR_RETURN(ScenarioConfig eff,
+                             TenantEffectiveConfig(config, first, tenant));
+    for (const auto& [sub, value] : tenant.overrides) {
+      const KeySpec& spec = *FindKey(sub, /*tenant=*/true);
+      FAIRIDX_RETURN_IF_ERROR(
+          CheckKey(spec, "tenant." + tenant.name + "." + sub, eff,
+                   spec.tenant_lo.value_or(spec.lo)));
+    }
+    tenant_lookups += eff.serve_lookups;
   }
-  FAIRIDX_RETURN_IF_ERROR(CheckLookupPoints(
-      "sum of tenant lookups", tenant_lookups, tenant_lookups));
-  for (const ScenarioTenantConfig& tenant : config.tenants) {
-    const std::string who = "scenario: tenant." + tenant.name + ".";
-    if (tenant.height) {
-      FAIRIDX_RETURN_IF_ERROR(
-          CheckBound("height", *tenant.height, tenant.name));
-    }
-    if (tenant.batch) {
-      FAIRIDX_RETURN_IF_ERROR(CheckBound("batch", *tenant.batch, tenant.name));
-    }
-    if (tenant.shards) {
-      FAIRIDX_RETURN_IF_ERROR(
-          CheckBound("shards", *tenant.shards, tenant.name));
-    }
-    if (tenant.warmup_pct &&
-        (*tenant.warmup_pct < 1 || *tenant.warmup_pct > 99)) {
-      return InvalidArgumentError(who + "warmup_pct must be in [1, 99]");
-    }
-    if (tenant.seal_records && *tenant.seal_records < 0) {
-      return InvalidArgumentError(who + "seal_records must be >= 0");
-    }
-    if (tenant.seal_interval && *tenant.seal_interval < 0.0) {
-      return InvalidArgumentError(who + "seal_interval must be >= 0");
-    }
-    if (tenant.retain_epochs && *tenant.retain_epochs < 0) {
-      return InvalidArgumentError(who + "retain_epochs must be >= 0");
-    }
-    // lookups = 0 is the pure-ingest (noisy neighbor) tenant, so unlike
-    // serve_lookups the per-tenant floor is 0, not 1.
-    if (tenant.lookups && *tenant.lookups < 0) {
-      return InvalidArgumentError(who + "lookups must be >= 0");
-    }
-    if (tenant.read_pct &&
-        (*tenant.read_pct < 1 || *tenant.read_pct > 100)) {
-      return InvalidArgumentError(who + "read_pct must be in [1, 100]");
-    }
-    if (tenant.zipf && *tenant.zipf < 0.0) {
-      return InvalidArgumentError(who + "zipf must be >= 0");
-    }
-    if (tenant.drift) {
-      FAIRIDX_RETURN_IF_ERROR(
-          ValidateDriftKind("tenant." + tenant.name + ".drift",
-                            *tenant.drift));
-    }
-    if (tenant.fsync && !ParseWalFsync(*tenant.fsync).ok()) {
-      return InvalidArgumentError(who + "fsync must be none|batch|always");
-    }
-    if (tenant.full_snapshot_interval &&
-        *tenant.full_snapshot_interval < 1) {
-      return InvalidArgumentError(who +
-                                  "full_snapshot_interval must be >= 1");
-    }
-  }
-  return Status::Ok();
+  return CheckLookupPoints("sum of tenant lookups", tenant_lookups,
+                           tenant_lookups);
+}
+
+std::string ScenarioWorkloadName(ScenarioWorkload workload) {
+  return Split(FindKey("workload")->choices, '|')[static_cast<int>(workload)];
 }
 
 std::vector<std::string> ScenarioKeyNames() {
-  return std::vector<std::string>(std::begin(kScenarioKeys),
-                                  std::end(kScenarioKeys));
+  std::vector<std::string> keys = {"include"};
+  for (const KeySpec& spec : kKeys) {
+    keys.push_back(spec.name);
+    if (spec.alias != nullptr) keys.push_back(spec.alias);
+  }
+  return keys;
 }
 
 std::vector<std::string> TenantScenarioKeyNames() {
   std::vector<std::string> keys;
-  for (const char* sub : kTenantKeys) {
-    keys.push_back(std::string("tenant.<name>.") + sub);
+  for (const KeySpec& spec : kKeys) {
+    if (spec.tenant != nullptr) {
+      keys.push_back(std::string("tenant.<name>.") + spec.tenant);
+    }
   }
   return keys;
+}
+
+std::optional<std::pair<long long, long long>> ScenarioKeyIntBounds(
+    const std::string& key) {
+  const std::string prefix = "tenant.<name>.";
+  const bool tenant = key.rfind(prefix, 0) == 0;
+  const KeySpec* spec =
+      tenant ? FindKey(key.substr(prefix.size()), true) : FindKey(key);
+  if (spec == nullptr || !IsInteger(*spec)) return std::nullopt;
+  const double lo = tenant ? spec->tenant_lo.value_or(spec->lo) : spec->lo;
+  return std::make_pair(static_cast<long long>(lo),
+                        static_cast<long long>(spec->hi));
 }
 
 std::vector<size_t> ScenarioDriftTailOrder(const std::string& drift,
@@ -805,14 +711,11 @@ Result<Dataset> LoadScenarioDataset(const ScenarioConfig& config) {
   if (!config.csv.empty()) {
     return LoadEdgapCsvFile(config.csv, CsvDatasetOptions{});
   }
-  if (config.city == "la" || config.city == "losangeles") {
-    return GenerateEdgapCity(LosAngelesConfig());
+  const int city = ChoiceIndex(kCityChoices, config.city);
+  if (city < 0) {
+    return InvalidArgumentError(ChoiceError("city", config.city, kCityChoices));
   }
-  if (config.city == "houston") {
-    return GenerateEdgapCity(HoustonConfig());
-  }
-  return InvalidArgumentError("unknown city '" + config.city +
-                              "' (expected la|houston)");
+  return GenerateEdgapCity(kCityConfigs[city]());
 }
 
 namespace {
@@ -889,18 +792,12 @@ Result<StreamFeed> MakeStreamFeed(const ScenarioConfig& config,
     const std::vector<size_t> order = ScenarioDriftTailOrder(
         config.drift, config.drift_hot_pct, config.drift_window_pct,
         dataset.grid(), feed.all.cell_ids, feed.warmup);
-    AggregateBatch tail;
-    tail.cell_ids.reserve(order.size());
+    AggregateBatch drifted = feed.all.Slice(0, feed.warmup);
     for (size_t i : order) {
-      tail.Append(feed.all.cell_ids[i], feed.all.labels[i],
-                  feed.all.scores[i]);
+      drifted.Append(feed.all.cell_ids[i], feed.all.labels[i],
+                     feed.all.scores[i]);
     }
-    std::copy(tail.cell_ids.begin(), tail.cell_ids.end(),
-              feed.all.cell_ids.begin() + feed.warmup);
-    std::copy(tail.labels.begin(), tail.labels.end(),
-              feed.all.labels.begin() + feed.warmup);
-    std::copy(tail.scores.begin(), tail.scores.end(),
-              feed.all.scores.begin() + feed.warmup);
+    feed.all = std::move(drifted);
   }
   return feed;
 }
@@ -982,49 +879,6 @@ std::vector<Point> MakeZipfPoints(const Grid& grid, double s,
                            rng.Uniform(box.min_y, box.max_y)});
   }
   return points;
-}
-
-// The per-tenant effective view: the top-level config with this
-// tenant's overrides applied. Every key a tenant does not name inherits
-// the scenario-wide value, so the fleet defaults are stated once.
-ScenarioConfig TenantEffectiveConfig(const ScenarioConfig& base,
-                                     const ScenarioTenantConfig& tenant) {
-  ScenarioConfig cfg = base;
-  if (tenant.city) {
-    cfg.city = *tenant.city;
-    cfg.csv.clear();
-  }
-  if (tenant.batch) cfg.stream_batch = *tenant.batch;
-  if (tenant.shards) cfg.stream_shards = *tenant.shards;
-  if (tenant.warmup_pct) cfg.stream_warmup_pct = *tenant.warmup_pct;
-  if (tenant.seal_records) cfg.stream_seal_records = *tenant.seal_records;
-  if (tenant.seal_interval) cfg.seal_interval = *tenant.seal_interval;
-  if (tenant.drift_bound) cfg.drift_bound = *tenant.drift_bound;
-  if (tenant.retain_epochs) cfg.retain_epochs = *tenant.retain_epochs;
-  if (tenant.lookups) cfg.serve_lookups = *tenant.lookups;
-  if (tenant.read_pct) cfg.serve_read_pct = *tenant.read_pct;
-  if (tenant.zipf) cfg.serve_zipf = *tenant.zipf;
-  if (tenant.drift) cfg.drift = *tenant.drift;
-  if (tenant.fsync) cfg.fsync = *tenant.fsync;
-  if (tenant.checkpoint_interval) {
-    cfg.checkpoint_interval = *tenant.checkpoint_interval;
-  }
-  if (tenant.full_snapshot_interval) {
-    cfg.full_snapshot_interval = *tenant.full_snapshot_interval;
-  }
-  return cfg;
-}
-
-ScenarioRun TenantEffectiveRun(const ScenarioRun& base,
-                               const ScenarioTenantConfig& tenant) {
-  ScenarioRun run = base;
-  if (tenant.algorithm) {
-    // Validated at parse time; value() cannot fail here.
-    run.algorithm = ParsePartitionAlgorithm(*tenant.algorithm).value();
-  }
-  if (tenant.height) run.height = *tenant.height;
-  if (tenant.seed) run.seed = *tenant.seed;
-  return run;
 }
 
 // One tenant of a serving sweep point: its effective config and run,
@@ -1142,8 +996,7 @@ Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
   TenantRegistryOptions registry_options;
   registry_options.wal_dir = config.wal_dir;
   if (sections.empty()) {
-    sections.emplace_back();
-    sections.back().name = point;
+    sections.push_back({point, {}});
   } else if (!config.wal_dir.empty()) {
     registry_options.wal_dir += "/" + point;
   }
@@ -1157,12 +1010,13 @@ Result<std::vector<ScenarioServingRow>> RunOneServingPoint(
   for (size_t i = 0; i < n; ++i) {
     PointTenant& t = tenants[i];
     t.name = sections[i].name;
-    t.eff = TenantEffectiveConfig(config, sections[i]);
+    FAIRIDX_ASSIGN_OR_RETURN(t.eff,
+                             TenantEffectiveConfig(config, run, sections[i]));
     // A stream worker never looks anything up: it is a pure ingester.
     if (config.workload == ScenarioWorkload::kStream) t.eff.serve_lookups = 0;
-    t.run = TenantEffectiveRun(run, sections[i]);
+    t.run = ExpandScenario(t.eff).front();
     t.data = &dataset;
-    if (sections[i].city) {
+    if (t.eff.city != config.city || t.eff.csv != config.csv) {
       // A city override gives the tenant its own dataset AND grid shape.
       FAIRIDX_ASSIGN_OR_RETURN(Dataset tenant_dataset,
                                LoadScenarioDataset(t.eff));

@@ -7,97 +7,13 @@
 // and CI smoke tests all drive experiments through these structs instead
 // of ad-hoc flag plumbing.
 //
-// File format (one `key = value` per line):
-//
-//   # comment                       full-line or trailing comments
-//   include = base.cfg              splice another file (relative to the
-//                                   including file; later keys override)
-//   name = paper-sweep              free-form label
-//   city = la | houston             synthetic city (ignored when csv set)
-//   csv = data/extract.csv          EdGap-style CSV instead of a city
-//   classifier = lr | tree | nb
-//   algorithms = fair_kd_tree, median_kd_tree     (registry names)
-//   heights = 4, 6, 8    or    heights = 4..10    (sweep list / range)
-//   seeds = 1, 2, 3                 split seeds (one run per seed)
-//   task = 0
-//   threads = 2                     sweep + partition parallelism
-//   test_fraction = 0.25
-//   min_region_population = 0       region-merging post-process
-//   workload = pipeline | stream    what each sweep point executes
-//            | serve | multi_tenant
-//   stream_batch = 500              serving: records per ingest batch
-//   stream_shards = 4               serving: ShardedDeltaStore shards
-//   stream_warmup_pct = 50          serving: warmup prefix percentage
-//   stream_seal_records = 0         serving: seal when this many records
-//                                   are pending (0: seal every batch)
-//   maintain_policy = caller        serving: who runs maintenance.
-//                    | auto         caller (default, stream only) seals/
-//                                   refines from the ingest loop; auto
-//                                   starts the point's shared registry
-//                                   scheduler (service/tenant_registry.h)
-//                                   and the workers only ingest and look
-//                                   up
-//   seal_interval = 0.05            auto: background wall-clock seal
-//                                   cadence in seconds (0: record
-//                                   cadence only; with it set and
-//                                   stream_seal_records = 0, the wall
-//                                   clock alone governs)
-//   drift_bound = 0.02              refine drift bound for both policies
-//                                   (< 0: never refine)
-//   wal_dir = /tmp/fairidx-wal      serving: write-ahead log + checkpoint
-//                                   root (empty: durability off). Each
-//                                   sweep point logs under its own
-//                                   <algorithm>-h<height>-s<seed>/
-//                                   subdirectory so points never share a
-//                                   log; a rerun recovers what is there
-//   checkpoint_interval = 8         wal: checkpoint every N sealed
-//                                   epochs (<= 0: only the initial one)
-//   full_snapshot_interval = 1      wal: every Nth checkpoint is a
-//                                   base; the rest are links carrying
-//                                   only the cells sealed since the
-//                                   previous one
-//                                   (<= 1: every checkpoint is a base)
-//   fsync = batch                   wal: none | batch | always
-//                                   (see service/wal.h for the window
-//                                   each mode leaves open)
-//   retain_epochs = 0               serving: after each maintenance pass
-//                                   keep only the newest N sealed
-//                                   snapshots (+ reader-pinned ones);
-//                                   0 keeps the newest epoch
-//   serve_readers = 2               serve: concurrent worker threads
-//                                   issuing mixed lookup/ingest traffic
-//                                   against the live service
-//   serve_lookups = 50000           serve: lookup points per worker
-//   serve_batch = 64                serve: points per LookupMany call
-//                                   (one latency sample per call)
-//   serve_read_pct = 90             serve: percent of worker operations
-//                                   that are lookup batches; the rest
-//                                   ingest the stream tail (always fully
-//                                   drained, whatever the coin flips)
-//   serve_zipf = 0.99               serve: Zipf exponent for hot-cell
-//                                   skew in the lookup points (0 draws
-//                                   cells uniformly)
-//   drift = none | hotspot          serving workloads: deterministic
-//         | flash_crowd             drift generator for the ingest tail.
-//                                   hotspot sweeps arrivals across the
-//                                   grid column by column (a moving hot
-//                                   zone); flash_crowd pulls the hot
-//                                   column band's records into one
-//                                   contiguous burst. Both are pure
-//                                   permutations of the tail — the
-//                                   record multiset is unchanged
-//   drift_hot_pct = 20              hotspot: percent of the stream each
-//                                   sweep band occupies; flash_crowd:
-//                                   percent of grid columns in the hot
-//                                   band
-//   drift_window_pct = 50           flash_crowd: how far into the tail
-//                                   (percent) the burst lands
-//   tenant.<name>.<key> = ...       workload = multi_tenant: per-tenant
-//                                   override sections (see
-//                                   TenantScenarioKeyNames() and the
-//                                   reference doc); every tenant starts
-//                                   from the top-level keys and
-//                                   overrides what it names
+// File format: one `key = value` per line, `#` comments, `include =
+// other.cfg` to splice a file (relative to the including file; later keys
+// override), and `tenant.<name>.<key> = value` override sections.
+// docs/scenario_reference.md lists every key with its type, bounds and
+// default; ScenarioKeyNames() and TenantScenarioKeyNames() come from the
+// one key table in scenario.cc, and tests/serve_scenario_test.cc holds the
+// doc to it (names, order and integer bounds).
 //
 // Unknown keys are errors (typos should not silently no-op). With the
 // default `workload = pipeline`, every run in the expansion is one
@@ -143,6 +59,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -170,6 +87,9 @@ enum class ScenarioWorkload {
   kMultiTenant,
 };
 
+/// The `workload` key's spelling of `workload` ("pipeline", "stream", ...).
+std::string ScenarioWorkloadName(ScenarioWorkload workload);
+
 /// Who runs serving-workload maintenance.
 enum class ScenarioMaintainPolicy {
   /// The ingesting worker seals/refines (stream only: one writer).
@@ -179,50 +99,18 @@ enum class ScenarioMaintainPolicy {
   kAuto,
 };
 
-/// One tenant's override section (workload = multi_tenant): every field
-/// left unset inherits the top-level key of the same meaning, so a
-/// scenario states the fleet-wide defaults once and each tenant only
-/// what makes it different. Parsed from `tenant.<name>.<key> = value`
-/// lines; sections are kept in first-appearance order.
+/// One tenant's override section (workload = multi_tenant): every key it
+/// does not name inherits the top-level value, so a scenario states the
+/// fleet-wide defaults once and each tenant only what makes it different.
+/// Parsed from `tenant.<name>.<key> = value` lines; sections are kept in
+/// first-appearance order. TenantEffectiveConfig applies the overrides.
 struct ScenarioTenantConfig {
   /// Unique tenant name ([A-Za-z0-9_-]+; it names the tenant's WAL
   /// namespace directory).
   std::string name;
-  /// Overrides `city` (the tenant then generates its own dataset and
-  /// grid shape instead of sharing the scenario's).
-  std::optional<std::string> city;
-  /// Overrides the sweep point's algorithm for this tenant.
-  std::optional<std::string> algorithm;
-  /// Overrides the sweep point's tree height.
-  std::optional<int> height;
-  /// Overrides the sweep point's split seed.
-  std::optional<uint64_t> seed;
-  /// Overrides stream_batch / stream_shards / stream_warmup_pct /
-  /// stream_seal_records for this tenant.
-  std::optional<int> batch;
-  std::optional<int> shards;
-  std::optional<int> warmup_pct;
-  std::optional<long long> seal_records;
-  /// Overrides seal_interval (per-tenant wall-clock seal cadence).
-  std::optional<double> seal_interval;
-  /// Overrides drift_bound (< 0: never refine).
-  std::optional<double> drift_bound;
-  /// Overrides retain_epochs (per-tenant snapshot retention).
-  std::optional<int> retain_epochs;
-  /// Overrides serve_lookups; 0 is allowed HERE and makes the tenant a
-  /// pure ingester (the noisy neighbor — no lookups, full-rate writes).
-  std::optional<long long> lookups;
-  /// Overrides serve_read_pct for this tenant's worker.
-  std::optional<int> read_pct;
-  /// Overrides serve_zipf.
-  std::optional<double> zipf;
-  /// Overrides drift (none | hotspot | flash_crowd).
-  std::optional<std::string> drift;
-  /// Overrides fsync / checkpoint_interval / full_snapshot_interval
-  /// (per-tenant durability, inside the tenant's own namespace).
-  std::optional<std::string> fsync;
-  std::optional<long long> checkpoint_interval;
-  std::optional<long long> full_snapshot_interval;
+  /// (sub-key, value text) in line order, the sub-key spelled as in
+  /// TenantScenarioKeyNames() without the `tenant.<name>.` prefix.
+  std::vector<std::pair<std::string, std::string>> overrides;
 };
 
 /// One parsed scenario file (after include resolution).
@@ -260,10 +148,10 @@ struct ScenarioConfig {
   /// the WAL and checkpoints). Each sweep point uses its own
   /// subdirectory.
   std::string wal_dir;
-  /// Checkpoint every this many sealed epochs (<= 0: only at create).
+  /// Checkpoint every this many sealed epochs (0: only at create).
   long long checkpoint_interval = 8;
-  /// Every Nth checkpoint is a base, the rest are links (<= 1: all
-  /// bases; see DurabilityOptions).
+  /// Every Nth checkpoint is a base, the rest are links (1: all bases;
+  /// see DurabilityOptions).
   long long full_snapshot_interval = 1;
   /// WAL fsync mode: "none" | "batch" | "always".
   std::string fsync = "batch";
@@ -299,17 +187,32 @@ struct ScenarioConfig {
 };
 
 /// Every config key the scenario parser accepts, including aliases, in
-/// the parser's own order. docs/scenario_reference.md documents exactly
-/// this list; tests/serve_scenario_test.cc enforces that both the doc
-/// table and the parser's accepted set match it, so neither can rot.
+/// the key table's order (`include` first). docs/scenario_reference.md
+/// documents exactly this list; tests/serve_scenario_test.cc enforces
+/// that both the doc table and the parser's accepted set match it.
 std::vector<std::string> ScenarioKeyNames();
 
-/// The per-tenant sub-keys the parser accepts inside a
-/// `tenant.<name>.<key>` section, spelled the way the reference doc
-/// lists them (`tenant.<name>.city`, ...), in the parser's own order.
-/// The doc table is test-enforced against ScenarioKeyNames() +
-/// TenantScenarioKeyNames() concatenated.
+/// The keys a `tenant.<name>.<key>` section may override, spelled the way
+/// the reference doc lists them (`tenant.<name>.city`, ...), in the key
+/// table's order. The doc table is test-enforced against
+/// ScenarioKeyNames() + TenantScenarioKeyNames() concatenated.
 std::vector<std::string> TenantScenarioKeyNames();
+
+/// The closed range [lo, hi] an integer key accepts (each element, for
+/// `heights`), for `key` spelled as in ScenarioKeyNames() or
+/// TenantScenarioKeyNames() (a tenant's floor may be lower); nullopt for
+/// any other key. The reference doc states each as `int in [lo, hi]`.
+std::optional<std::pair<long long, long long>> ScenarioKeyIntBounds(
+    const std::string& key);
+
+/// Sets one top-level key (any ScenarioKeyNames() entry but `include`)
+/// from its value text, exactly as a scenario file line does; a relative
+/// `csv` path resolves against `include_dir`. Unknown keys and malformed
+/// values fail here; ranges (except the ends of a height range, bounded
+/// before it expands) and key combinations are ValidateScenario's.
+Status SetScenarioKey(ScenarioConfig* config, const std::string& key,
+                      const std::string& value,
+                      const std::string& include_dir = "");
 
 /// The deterministic tail permutation a drift generator applies:
 /// absolute indices into `cell_ids` covering exactly [warmup, size), in
@@ -330,6 +233,15 @@ struct ScenarioRun {
   uint64_t seed = 20240601;
 };
 
+/// One tenant's effective configuration at sweep point `run`: `config`
+/// narrowed to that point (one algorithm, height and seed, no tenant
+/// sections) with the tenant's overrides applied in line order. An
+/// algorithm, height or seed override replaces the point's value and
+/// must name one; a city override clears `csv`.
+Result<ScenarioConfig> TenantEffectiveConfig(
+    const ScenarioConfig& config, const ScenarioRun& run,
+    const ScenarioTenantConfig& tenant);
+
 /// Parses scenario text. `include_dir` resolves relative include paths
 /// (pass the file's directory; "" means the working directory).
 Result<ScenarioConfig> ParseScenarioText(const std::string& text,
@@ -343,10 +255,11 @@ Result<ScenarioConfig> LoadScenarioFile(const std::string& path);
 /// an overflow is an error rather than a wrapped or saturated seed.
 Result<uint64_t> ParseSeed(const std::string& item);
 
-/// The one rule set every config passes before it runs: ranges, the
-/// kIntBounds table, and key combinations. ParseScenarioText,
-/// LoadScenarioFile and RunScenario all apply it; a config built in code
-/// (the CLI's flag forms) can apply it before loading any data.
+/// The one rule set every config passes before it runs: the key table's
+/// bounds and choices (top-level and per tenant section), then the rules
+/// that span keys. ParseScenarioText, LoadScenarioFile and RunScenario
+/// all apply it; a config built in code (the CLI's flag forms) can apply
+/// it before loading any data.
 Status ValidateScenario(const ScenarioConfig& config);
 
 /// The cross product algorithms x heights x seeds, height-major.

@@ -4,8 +4,10 @@
 // expected flag list per subcommand — a dropped or renamed flag fails
 // here, (b) the generated help text against the spec, and (c) the
 // README flag table against the spec, the same doc-equality contract
-// serve_scenario_test.cc enforces for docs/scenario_reference.md.
+// serve_scenario_test.cc enforces for docs/scenario_reference.md, and
+// (d) every scenario-key column against ScenarioKeyNames().
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "../tools/cli_spec.h"
+#include "core/scenario.h"
 
 namespace fairidx {
 namespace cli {
@@ -92,6 +95,21 @@ TEST(CliSpecTest, ReadmeFlagTableMatchesSpec) {
     spec_flags.push_back(spec.name);
   }
   EXPECT_EQ(table_flags, spec_flags);
+}
+
+// A flag's scenario-key column (what FlagScenario sets from it) must
+// name a key the scenario parser accepts.
+TEST(CliSpecTest, ScenarioKeyColumnNamesScenarioKeys) {
+  const std::vector<std::string> keys = ScenarioKeyNames();
+  int mapped = 0;
+  for (const CliFlagSpec& spec : kCliFlags) {
+    const std::string key = spec.scenario_key;
+    if (key.empty()) continue;
+    ++mapped;
+    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << "--" << spec.name << " -> " << key;
+  }
+  EXPECT_GT(mapped, 0);
 }
 
 TEST(CliSpecTest, CommandMembershipQueries) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,17 +42,22 @@ TEST(MultiTenantParseTest, ParsesTenantSectionsInFirstAppearanceOrder) {
   ASSERT_EQ(config->tenants.size(), 2u);
   EXPECT_EQ(config->tenants[0].name, "la-east");
   EXPECT_EQ(config->tenants[1].name, "firehose");
-  ASSERT_TRUE(config->tenants[0].seal_records.has_value());
-  EXPECT_EQ(*config->tenants[0].seal_records, 400);
-  ASSERT_TRUE(config->tenants[0].height.has_value());
-  EXPECT_EQ(*config->tenants[0].height, 6);
-  ASSERT_TRUE(config->tenants[1].lookups.has_value());
-  EXPECT_EQ(*config->tenants[1].lookups, 0);
-  ASSERT_TRUE(config->tenants[1].drift.has_value());
-  EXPECT_EQ(*config->tenants[1].drift, "flash_crowd");
-  // Unset sub-keys stay unset — they inherit at run time, so the config
-  // records only what the section overrode.
-  EXPECT_FALSE(config->tenants[0].zipf.has_value());
+  // Each section records only what it overrode, in line order; the rest
+  // inherits at run time.
+  using Override = std::pair<std::string, std::string>;
+  EXPECT_EQ(config->tenants[0].overrides,
+            (std::vector<Override>{{"seal_records", "400"}, {"height", "6"}}));
+  const ScenarioRun run = ExpandScenario(*config).front();
+  const auto east = TenantEffectiveConfig(*config, run, config->tenants[0]);
+  ASSERT_TRUE(east.ok()) << east.status();
+  EXPECT_EQ(east->stream_seal_records, 400);
+  EXPECT_EQ(east->heights, std::vector<int>{6});
+  EXPECT_EQ(east->serve_zipf, config->serve_zipf);
+  const auto firehose =
+      TenantEffectiveConfig(*config, run, config->tenants[1]);
+  ASSERT_TRUE(firehose.ok()) << firehose.status();
+  EXPECT_EQ(firehose->serve_lookups, 0);
+  EXPECT_EQ(firehose->drift, "flash_crowd");
 }
 
 // Every documented tenant sub-key round-trips through the parser; a
@@ -242,18 +248,11 @@ TEST(MultiTenantEngineTest, RunsNoisyNeighborPoint) {
   config.serve_read_pct = 80;
   config.serve_zipf = 0.99;
 
-  ScenarioTenantConfig serving;
-  serving.name = "serving";
-  ScenarioTenantConfig finer;
-  finer.name = "finer";
-  finer.height = 5;
-  finer.drift = "hotspot";
-  ScenarioTenantConfig firehose;
-  firehose.name = "firehose";
-  firehose.lookups = 0;
-  firehose.seal_records = 0;
-  firehose.drift = "flash_crowd";
-  config.tenants = {serving, finer, firehose};
+  config.tenants = {
+      {"serving", {}},
+      {"finer", {{"height", "5"}, {"drift", "hotspot"}}},
+      {"firehose",
+       {{"lookups", "0"}, {"seal_records", "0"}, {"drift", "flash_crowd"}}}};
 
   CityConfig city;
   city.num_records = 400;
@@ -301,12 +300,7 @@ TEST(MultiTenantEngineTest, DeterministicColumnsAcrossReruns) {
   config.serve_lookups = 500;
   config.serve_batch = 16;
   config.serve_read_pct = 70;
-  ScenarioTenantConfig a;
-  a.name = "a";
-  ScenarioTenantConfig b;
-  b.name = "b";
-  b.drift = "hotspot";
-  config.tenants = {a, b};
+  config.tenants = {{"a", {}}, {"b", {{"drift", "hotspot"}}}};
 
   CityConfig city;
   city.num_records = 300;

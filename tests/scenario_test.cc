@@ -287,6 +287,106 @@ TEST(ScenarioParseTest, RejectsOutOfRangeSizes) {
   }
 }
 
+// Every bounded key, top-level and per tenant, spelled out: both ends are
+// accepted and one step past either end fails with the one range error.
+// ScenarioKeyIntBounds (the parser's key table) must agree with this
+// list, so a bound can change only by editing both.
+TEST(ScenarioBoundsTest, EveryBoundedKeyAcceptsItsEndsAndRejectsPastThem) {
+  const std::string tenant_context =
+      "workload = multi_tenant\nmaintain_policy = auto\n";
+  const struct {
+    const char* key;
+    double lo;
+    double hi;  // 0: no ceiling (real-valued keys).
+  } cases[] = {
+      {"heights", 0, 30},
+      {"task", 0, 1023},
+      {"threads", 1, 1024},
+      {"min_region_population", 0, 0},
+      {"stream_batch", 1, 1048576},
+      {"stream_shards", 1, 1024},
+      {"stream_warmup_pct", 1, 99},
+      {"stream_seal_records", 0, 1073741824},
+      {"seal_interval", 0, 0},
+      {"checkpoint_interval", 0, 1073741824},
+      {"full_snapshot_interval", 1, 1073741824},
+      {"retain_epochs", 0, 1073741824},
+      {"serve_readers", 1, 1024},
+      {"serve_lookups", 1, 67108864},
+      {"serve_batch", 1, 1048576},
+      {"serve_read_pct", 1, 100},
+      {"serve_zipf", 0, 0},
+      {"drift_hot_pct", 1, 100},
+      {"drift_window_pct", 0, 100},
+      {"tenant.t1.height", 0, 30},
+      {"tenant.t1.batch", 1, 1048576},
+      {"tenant.t1.shards", 1, 1024},
+      {"tenant.t1.warmup_pct", 1, 99},
+      {"tenant.t1.seal_records", 0, 1073741824},
+      {"tenant.t1.seal_interval", 0, 0},
+      {"tenant.t1.checkpoint_interval", 0, 1073741824},
+      {"tenant.t1.full_snapshot_interval", 1, 1073741824},
+      {"tenant.t1.retain_epochs", 0, 1073741824},
+      {"tenant.t1.lookups", 0, 67108864},
+      {"tenant.t1.read_pct", 1, 100},
+      {"tenant.t1.zipf", 0, 0},
+  };
+  const auto text = [](double value) {
+    return std::to_string(static_cast<long long>(value));
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.key);
+    const std::string key = c.key;
+    const bool tenant = key.rfind("tenant.", 0) == 0;
+    const std::string context = tenant ? tenant_context : "";
+    const auto parse = [&](double value) {
+      return ParseScenarioText(context + key + " = " + text(value) + "\n",
+                               "");
+    };
+    const auto expect_rejected = [&](double value) {
+      const auto config = parse(value);
+      ASSERT_FALSE(config.ok()) << text(value);
+      const std::string message = config.status().ToString();
+      EXPECT_NE(message.find(key + " = " + text(value) + " is out of range"),
+                std::string::npos)
+          << message;
+      EXPECT_EQ(message.find('\n'), std::string::npos) << message;
+    };
+    EXPECT_TRUE(parse(c.lo).ok()) << parse(c.lo).status();
+    expect_rejected(c.lo - 1);
+    if (c.hi != 0) {
+      EXPECT_TRUE(parse(c.hi).ok()) << parse(c.hi).status();
+      expect_rejected(c.hi + 1);
+      std::string doc_key = key;
+      if (tenant) doc_key.replace(7, 2, "<name>");
+      const auto bounds = ScenarioKeyIntBounds(doc_key);
+      ASSERT_TRUE(bounds.has_value()) << doc_key;
+      EXPECT_EQ(bounds->first, static_cast<long long>(c.lo));
+      EXPECT_EQ(bounds->second, static_cast<long long>(c.hi));
+    }
+  }
+}
+
+// `city` names one of the synthetic cities LoadScenarioDataset knows, so
+// `check` rejects a typo instead of passing a config whose run fails,
+// and a multi-tenant run fails before it builds any tenant.
+TEST(ScenarioParseTest, RejectsUnknownCities) {
+  EXPECT_TRUE(ParseScenarioText("city = losangeles\n", "").ok());
+  EXPECT_TRUE(ParseScenarioText("city = houston\n", "").ok());
+  const auto paris = ParseScenarioText("city = paris\n", "");
+  ASSERT_FALSE(paris.ok());
+  EXPECT_EQ(paris.status().message(),
+            "scenario: unknown city 'paris' (expected la|losangeles|houston)");
+  const auto tenant = ParseScenarioText(
+      "workload = multi_tenant\nmaintain_policy = auto\n"
+      "tenant.a.height = 4\ntenant.b.city = paris\n",
+      "");
+  ASSERT_FALSE(tenant.ok());
+  EXPECT_NE(tenant.status().ToString().find("unknown tenant.b.city 'paris'"),
+            std::string::npos)
+      << tenant.status();
+}
+
 TEST(ScenarioParseTest, ParsesMaintenanceKeys) {
   const auto config = ParseScenarioText(
       "workload = stream\n"

@@ -109,7 +109,9 @@ TEST(ServeScenarioKeysTest, KeyListMatchesParserAcceptedSet) {
 // list exactly ScenarioKeyNames() followed by TenantScenarioKeyNames()
 // (the tenant.<name>.* table sits last in the doc), in the same order —
 // a new parser key without a doc row, a doc row for a removed key, or a
-// reordering all fail here.
+// reordering all fail here. Every integer key's Type cell states the
+// key table's bounds as `int ... in [lo, hi]`, and no other row's Type
+// starts with `int`.
 TEST(ServeScenarioKeysTest, DocKeyTableMatchesScenarioKeyNames) {
   namespace fs = std::filesystem;
   const fs::path doc = fs::path(__FILE__).parent_path().parent_path() /
@@ -123,7 +125,26 @@ TEST(ServeScenarioKeysTest, DocKeyTableMatchesScenarioKeyNames) {
     if (line.rfind(prefix, 0) != 0) continue;
     const size_t end = line.find('`', prefix.size());
     ASSERT_NE(end, std::string::npos) << line;
-    doc_keys.push_back(line.substr(prefix.size(), end - prefix.size()));
+    const std::string key = line.substr(prefix.size(), end - prefix.size());
+    doc_keys.push_back(key);
+    // The Type cell: between the second and third '|'.
+    const size_t type_begin = line.find('|', end) + 1;
+    const size_t type_end = line.find(" | ", type_begin);
+    ASSERT_NE(type_end, std::string::npos) << line;
+    const std::string type =
+        line.substr(type_begin + 1, type_end - type_begin - 1);
+    const auto bounds = ScenarioKeyIntBounds(key);
+    if (!bounds) {
+      EXPECT_NE(type.rfind("int", 0), 0u) << key << ": " << type;
+      continue;
+    }
+    const std::string range = "in [" + std::to_string(bounds->first) + ", " +
+                              std::to_string(bounds->second) + "]";
+    EXPECT_EQ(type.rfind("int", 0), 0u) << key << ": " << type;
+    EXPECT_TRUE(type.size() >= range.size() &&
+                type.compare(type.size() - range.size(), range.size(),
+                             range) == 0)
+        << key << ": " << type << " (want " << range << ")";
   }
   std::vector<std::string> want = ScenarioKeyNames();
   for (const std::string& key : TenantScenarioKeyNames()) {

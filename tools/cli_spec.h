@@ -2,7 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // The fairidx_cli flag specification: one table naming every flag, the
-// subcommands it applies to, its value hint, and its one-line help.
+// subcommands it applies to, its value hint, the scenario key it sets,
+// and its one-line help.
 // fairidx_cli.cc generates `--help` from this table AND validates
 // parsed flags against it (an unknown flag is an error, not a silent
 // no-op), so the help text and the accepted-flag set cannot drift
@@ -29,6 +30,9 @@ struct CliFlagSpec {
   const char* commands;
   /// Value placeholder for help text; "" marks a boolean flag.
   const char* value;
+  /// The scenario key (core/scenario.h) the flag sets in the flag forms
+  /// of a scenario (run, sweep, stream); "" when it sets none.
+  const char* scenario_key;
   /// One-line help.
   const char* help;
 };
@@ -38,58 +42,62 @@ struct CliFlagSpec {
 inline constexpr CliFlagSpec kCliFlags[] = {
     // Dataset selection (shared by every data-driven subcommand).
     {"city", "generate run sweep disparity export stream", "la|houston",
-     "synthetic city to generate (default la)"},
-    {"csv", "generate run sweep disparity export stream", "FILE",
+     "city", "synthetic city to generate (default la)"},
+    {"csv", "generate run sweep disparity export stream", "FILE", "csv",
      "EdGap-style CSV extract instead of a synthetic city"},
     // Batch pipeline.
-    {"algorithm", "run sweep export stream", "NAME",
+    {"algorithm", "run sweep export stream", "NAME", "algorithm",
      "partition algorithm (fair_kd_tree|median_kd_tree|"
      "iterative_fair_kd_tree|uniform_grid_reweight|fair_quadtree)"},
-    {"height", "run export stream", "N", "partition tree height (default 6)"},
-    {"classifier", "run sweep", "lr|tree|nb",
+    {"height", "run export stream", "N", "height",
+     "partition tree height (default 6)"},
+    {"classifier", "run sweep", "lr|tree|nb", "classifier",
      "classifier trained per region (default lr)"},
-    {"task", "run sweep", "K", "label column index (default 0)"},
-    {"threads", "run sweep export stream", "N",
+    {"task", "run sweep", "K", "task", "label column index (default 0)"},
+    {"threads", "run sweep export stream", "N", "threads",
      "parallel partition-build / store threads (default 1)"},
-    {"out", "generate export", "FILE", "output path"},
-    {"wkt", "export", "FILE", "also write region polygons as WKT"},
-    {"top", "disparity", "K", "zip codes per table side (default 10)"},
+    {"out", "generate export", "FILE", "", "output path"},
+    {"wkt", "export", "FILE", "", "also write region polygons as WKT"},
+    {"top", "disparity", "K", "", "zip codes per table side (default 10)"},
     // Streaming / serving.
-    {"seed", "stream", "SEED", "train/test split seed (default 20240601)"},
-    {"batch", "stream", "N", "records per ingest batch (default 200)"},
-    {"warmup-pct", "stream", "P",
+    {"seed", "stream", "SEED", "seed",
+     "train/test split seed (default 20240601)"},
+    {"batch", "stream", "N", "stream_batch",
+     "records per ingest batch (default 200)"},
+    {"warmup-pct", "stream", "P", "stream_warmup_pct",
      "warmup prefix percent that builds the initial partition (default 50)"},
-    {"shards", "stream", "N", "delta-store ingest shards (default 1)"},
-    {"seal-records", "stream", "N",
+    {"shards", "stream", "N", "stream_shards",
+     "delta-store ingest shards (default 1)"},
+    {"seal-records", "stream", "N", "stream_seal_records",
      "records pending before an epoch seal (0 = seal every batch)"},
-    {"refine-bound", "stream", "B",
+    {"refine-bound", "stream", "B", "drift_bound",
      "incremental subtree re-splits when region drift exceeds B"},
-    {"auto-maintain", "stream", "",
+    {"auto-maintain", "stream", "", "",
      "background maintenance thread seals/refines instead of the loop"},
-    {"seal-interval", "stream", "S",
+    {"seal-interval", "stream", "S", "seal_interval",
      "auto-maintain wall-clock seal cadence in seconds"},
     // Durability.
-    {"wal", "stream", "DIR",
+    {"wal", "stream", "DIR", "wal_dir",
      "durable mode: WAL + checkpoints under DIR/<algorithm>-h<height>-"
      "s<seed>; a rerun recovers and resumes what is there"},
-    {"tenant", "stream", "NAME",
+    {"tenant", "stream", "NAME", "",
      "tenant namespace: log and checkpoint under DIR/NAME/<algorithm>-"
      "h<height>-s<seed> (wal_dir = DIR/NAME; see docs/operations.md)"},
-    {"checkpoint-interval", "stream", "N",
+    {"checkpoint-interval", "stream", "N", "checkpoint_interval",
      "checkpoint every N sealed epochs (default 8)"},
-    {"full-snapshot-interval", "stream", "N",
+    {"full-snapshot-interval", "stream", "N", "full_snapshot_interval",
      "every Nth checkpoint is a base, the rest O(changed) links "
      "(1 = all bases)"},
-    {"fsync", "stream", "none|batch|always",
+    {"fsync", "stream", "none|batch|always", "fsync",
      "stable-storage window for WAL appends (default batch)"},
-    {"retain-epochs", "stream", "K",
+    {"retain-epochs", "stream", "K", "retain_epochs",
      "bound the sealed-snapshot history to K epochs (0 = newest only)"},
-    {"regions-out", "stream", "FILE",
+    {"regions-out", "stream", "FILE", "",
      "write final region aggregates with full precision for exact diffing"},
-    {"crash-after-batches", "stream", "N",
+    {"crash-after-batches", "stream", "N", "",
      "testing: raise SIGKILL after the Nth accepted batch, before its "
      "seal (rerun with the same --wal to recover)"},
-    {"help", "generate run sweep disparity export stream check", "",
+    {"help", "generate run sweep disparity export stream check", "", "",
      "print usage and exit"},
 };
 

@@ -39,12 +39,13 @@
 // height sweep. `stream` is one `workload = stream` point (the online
 // re-districting demo: a warmup prefix builds the partition, the rest
 // streams through a FairIndexService batch by batch) and prints the
-// serving table `run scenario.cfg` prints. Each flag sets the scenario
-// key of the same meaning (FlagScenario below); the ones whose mapping
-// is not a rename: --batch defaults to 200, --refine-bound absent is
+// serving table `run scenario.cfg` prints. A flag with a scenario-key
+// column in cli_spec.h sets that key through SetScenarioKey, exactly as
+// a scenario line would (FlagScenario below); the mappings that are not
+// renames: --batch defaults to 200, --refine-bound absent is
 // drift_bound = -1 (seal without refining), --auto-maintain is
 // maintain_policy = auto, and --wal DIR --tenant NAME is
-// wal_dir = DIR/NAME.
+// wal_dir = DIR/NAME. --algorithm names one algorithm.
 //
 // Durable state lives where the engine keeps a point's tenant,
 // DIR/<algorithm>-h<height>-s<seed>/. Rerunning the same invocation
@@ -156,10 +157,6 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : ParseInt(it->second).value();
   }
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : ParseDouble(it->second).value();
-  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -183,44 +180,31 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// The flag form of a scenario: every flag sets the scenario key of the
-// same meaning (see the file header) and the result is validated like a
-// scenario file. A subcommand's parser admits only its own flags, so the
-// keys the workload ignores keep their defaults.
+// The flag form of a scenario: every flag with a scenario-key column in
+// cli_spec.h sets that key, the rest map as the file header says, and the
+// result is validated like a scenario file. A subcommand's parser admits
+// only its own flags, so the keys the workload ignores keep their
+// defaults.
 Result<ScenarioConfig> FlagScenario(const Flags& flags,
                                     const std::string& command,
                                     ScenarioWorkload workload) {
   ScenarioConfig config;
   config.name = command;
   config.workload = workload;
-  config.csv = flags.Get("csv");
-  config.city = flags.Get("city", "la");
-  FAIRIDX_ASSIGN_OR_RETURN(config.classifier,
-                           ParseClassifierKind(flags.Get("classifier", "lr")));
-  if (flags.Has("algorithm")) {
-    FAIRIDX_ASSIGN_OR_RETURN(PartitionAlgorithm algorithm,
-                             ParsePartitionAlgorithm(flags.Get("algorithm")));
-    config.algorithms = {algorithm};
+  config.stream_batch = 200;
+  config.drift_bound = -1.0;
+  for (const CliFlagSpec& spec : kCliFlags) {
+    if (spec.scenario_key[0] == '\0' || !flags.Has(spec.name)) continue;
+    FAIRIDX_RETURN_IF_ERROR(
+        SetScenarioKey(&config, spec.scenario_key, flags.Get(spec.name)));
   }
-  config.heights = {flags.GetInt("height", 6)};
-  config.seeds = {ParseSeed(flags.Get("seed", "20240601")).value()};
-  config.task = flags.GetInt("task", 0);
-  config.threads = flags.GetInt("threads", 1);
-  config.stream_batch = flags.GetInt("batch", 200);
-  config.stream_warmup_pct = flags.GetInt("warmup-pct", 50);
-  config.stream_shards = flags.GetInt("shards", 1);
-  config.stream_seal_records = flags.GetInt("seal-records", 0);
-  config.drift_bound = flags.GetDouble("refine-bound", -1.0);
+  if (config.algorithms.size() != 1) {
+    return InvalidArgumentError("--algorithm takes one algorithm name");
+  }
   if (flags.Has("auto-maintain")) {
     config.maintain_policy = ScenarioMaintainPolicy::kAuto;
   }
-  config.seal_interval = flags.GetDouble("seal-interval", 0.0);
-  config.wal_dir = flags.Get("wal");
   if (flags.Has("tenant")) config.wal_dir += "/" + flags.Get("tenant");
-  config.checkpoint_interval = flags.GetInt("checkpoint-interval", 8);
-  config.full_snapshot_interval = flags.GetInt("full-snapshot-interval", 1);
-  config.fsync = flags.Get("fsync", "batch");
-  config.retain_epochs = flags.GetInt("retain-epochs", 0);
   FAIRIDX_RETURN_IF_ERROR(ValidateScenario(config));
   return config;
 }
@@ -541,14 +525,9 @@ int CmdStream(const Flags& flags) {
 int CmdCheck(const std::string& path) {
   auto config = LoadScenarioFile(path);
   if (!config.ok()) return Fail(config.status());
-  const char* workload = "pipeline";
-  if (config->workload == ScenarioWorkload::kStream) workload = "stream";
-  if (config->workload == ScenarioWorkload::kServe) workload = "serve";
-  if (config->workload == ScenarioWorkload::kMultiTenant) {
-    workload = "multi_tenant";
-  }
   std::printf("ok: %s (workload %s, %zu runs, %zu tenants)\n",
-              config->name.c_str(), workload,
+              config->name.c_str(),
+              ScenarioWorkloadName(config->workload).c_str(),
               config->algorithms.size() * config->heights.size() *
                   config->seeds.size(),
               config->tenants.size());
